@@ -33,6 +33,7 @@ from .models import (
     PmcT,
     Pomdp,
     format_number,
+    fraction_str,
     is_infinite,
     parse_spec,
 )
@@ -100,9 +101,7 @@ def _fmt_value(v) -> str:
     if is_infinite(v):
         return "infinite"
     f = Fraction(v)
-    exact = (str(f.numerator) if f.denominator == 1
-             else "%d/%d" % (f.numerator, f.denominator))
-    return "%s (~ %.10g)" % (exact, float(f))
+    return "%s (~ %.10g)" % (fraction_str(f), float(f))
 
 
 def _provenance(args, inputs, extras=()):

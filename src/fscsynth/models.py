@@ -9,6 +9,7 @@ exists for search loops.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -58,6 +59,30 @@ def is_infinite(value) -> bool:
     return isinstance(value, Infinite) or (isinstance(value, float) and math.isinf(value))
 
 
+def _int_str(n: int) -> str:
+    """Decimal text of an integer of any length.
+
+    The interpreter refuses int-to-str conversions past 4300 digits by
+    default; exact values can be longer, so the limit is lifted for this
+    one conversion and restored afterwards."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def fraction_str(f: Fraction) -> str:
+    """'n' for an integer, 'n/d' otherwise, at any length."""
+    if f.denominator == 1:
+        return _int_str(f.numerator)
+    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
+
+
 def format_number(x) -> str:
     """Canonical text for an exact rational: integer, terminating decimal
     (up to 12 places), or a/b."""
@@ -65,7 +90,7 @@ def format_number(x) -> str:
         raise TypeError("refusing to serialize a float; rationalize first")
     f = Fraction(x)
     if f.denominator == 1:
-        return str(f.numerator)
+        return _int_str(f.numerator)
     d = f.denominator
     twos = fives = 0
     while d % 2 == 0:
@@ -77,10 +102,10 @@ def format_number(x) -> str:
     places = max(twos, fives)
     if d == 1 and places <= 12:
         scaled = f.numerator * 10 ** places // f.denominator
-        digits = str(abs(scaled)).rjust(places + 1, "0")
+        digits = _int_str(abs(scaled)).rjust(places + 1, "0")
         sign = "-" if scaled < 0 else ""
         return "%s%s.%s" % (sign, digits[:-places], digits[-places:])
-    return "%d/%d" % (f.numerator, f.denominator)
+    return fraction_str(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,16 @@ are stored sparsely as sorted ((name, exponent), ...) tuples; term order is
 graded lexicographic (total degree first, then the monomial tuple), which
 fixes a canonical serialization. A parallel float evaluation path exists for
 search loops; the exact path never touches binary floats.
+
+Rational functions past GCD_TERM_THRESHOLD terms are cancelled by their gcd
+in sympy's sparse polynomial ring over QQ (one ring per parameter set).
+sympy is imported lazily on that path only, so commands that never cancel a
+large rational function never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -373,42 +379,44 @@ def _monomial_divide(p: Polynomial, mono: Monomial) -> Polynomial:
 GCD_TERM_THRESHOLD = 64
 
 
+@functools.lru_cache(maxsize=None)
+def _ring(names: tuple):
+    """sympy's sparse polynomial ring over QQ in `names` (imports sympy)."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    return ring(names, QQ)[0]
+
+
 def _sympy_cancel(num: Polynomial, den: Polynomial):
-    import sympy
+    """Divide num and den by their gcd, computed in sympy's sparse
+    polynomial ring over QQ. Returns the inputs when the gcd is a constant."""
+    names = tuple(sorted(num.variables() | den.variables()))
+    R = _ring(names)
+    QQ = R.domain
+    index = {n: i for i, n in enumerate(names)}
+    zeros = [0] * len(names)
 
-    names = sorted(num.variables() | den.variables())
-    syms = {n: sympy.Symbol(n) for n in names}
-
-    def to_sympy(p):
-        expr = sympy.Integer(0)
+    def to_ring(p):
+        out = {}
         for mono, c in p.terms.items():
-            t = sympy.Rational(c.numerator, c.denominator)
+            exps = list(zeros)
             for name, e in mono:
-                t *= syms[name] ** e
-            expr += t
-        return expr
+                exps[index[name]] = e
+            out[tuple(exps)] = QQ(c.numerator, c.denominator)
+        return R.from_dict(out)
 
-    def from_sympy(expr):
-        poly = sympy.Poly(expr, *[syms[n] for n in names]) if names else None
-        terms = {}
-        if poly is None:
-            q = sympy.Rational(expr)
-            return Polynomial.constant(Fraction(q.p, q.q))
-        for exps, coeff in poly.terms():
-            mono = tuple(
-                (names[i], int(e)) for i, e in enumerate(exps) if e
-            )
-            q = sympy.Rational(coeff)
-            terms[tuple(sorted(mono))] = Fraction(q.p, q.q)
-        return Polynomial(terms)
+    def from_ring(f):
+        return _raw({
+            tuple((names[i], e) for i, e in enumerate(exps) if e):
+                Fraction(int(c.numerator), int(c.denominator))
+            for exps, c in f.items()
+        })
 
-    sn, sd = to_sympy(num), to_sympy(den)
-    g = sympy.gcd(sn, sd)
-    if g == 1:
+    g, qn, qd = to_ring(num).cofactors(to_ring(den))
+    if g.is_ground:
         return num, den
-    qn = sympy.div(sn, g)[0]
-    qd = sympy.div(sd, g)[0]
-    return from_sympy(sympy.expand(qn)), from_sympy(sympy.expand(qd))
+    return from_ring(qn), from_ring(qd)
 
 
 class RationalFunction:
@@ -416,9 +424,10 @@ class RationalFunction:
 
     Normalization always clears coefficient denominators, divides out integer
     and monomial content, and fixes the denominator sign; full gcd
-    cancellation (via sympy) only runs when either side exceeds
-    GCD_TERM_THRESHOLD terms, since gcd cost dominates otherwise. Equality is
-    mathematical (cross multiplication), not representational.
+    cancellation (the gcd of sympy's sparse ring over QQ, with sympy imported
+    on first use) only runs when either side exceeds GCD_TERM_THRESHOLD
+    terms, since gcd cost dominates otherwise. Equality is mathematical
+    (cross multiplication), not representational.
     """
 
     __slots__ = ("num", "den")

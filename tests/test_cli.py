@@ -17,7 +17,7 @@ import genmodels as g
 from childenv import child_env
 from fscsynth import formats
 from fscsynth.analysis import state_eliminate
-from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, main
+from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, _fmt_value, main
 from fscsynth.fsc import Fsc
 from fscsynth.models import Instantiation
 from fscsynth.analysis import Region
@@ -289,6 +289,47 @@ class TestPermissive:
         rc = main(["permissive", str(inp), "--spec", "P> 0.9 [!bad U goal]",
                    "-o", "bad.region", "--iterations", "10"])
         assert rc == EXIT_INPUT
+
+
+class TestValueText:
+    def test_values_past_the_int_to_str_digit_limit(self):
+        # 5002 and 5002 digits: past the interpreter's default limit of 4300
+        v = F(10 ** 5001 + 1, 3 * 10 ** 5001)
+        limit = sys.get_int_max_str_digits()
+        text = _fmt_value(v)
+        assert text == "1%s1/3%s (~ 0.3333333333)" % ("0" * 5000, "0" * 5001)
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestLazySympy:
+    def test_search_and_check_never_import_sympy(self, workdir):
+        # sympy (about 32 MB resident) is imported only by the gcd
+        # cancellation of large rational functions; commands that never
+        # reach it must not pay for it
+        pomdp = _pomdp_file(workdir)
+        pmc = _pmc_file(workdir)
+        point = _write(workdir / "point.inst",
+                       formats.write_instantiation(Instantiation({"p": F(3, 4)})))
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from fscsynth.cli import main",
+            "commands = [",
+            "    ['transform', %r, '-o', 'out.pmc', '--memory', '2']," % str(pomdp),
+            "    ['check', %r, '--spec', 'P> 0.7 [!bad U goal]',"
+            " '--instantiation', %r]," % (str(pmc), str(point)),
+            "    ['synthesize', %r, '-o', 'best.fsc', '--spec',"
+            " 'P>= 0.7 [!bad U goal]', '--memory', '1', '--seed', '0',"
+            " '--iterations', '5', '--swarm', '5']," % str(pomdp),
+            "]",
+            "for argv in commands:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) in (0, 1), argv",
+            "print('sympy' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", script], cwd=workdir,
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestEntryPoint:

@@ -182,6 +182,12 @@ class TestNumbersAndInstantiations:
         with pytest.raises(TypeError):
             format_number(0.5)
 
+    def test_format_number_past_the_int_to_str_digit_limit(self):
+        big = 10 ** 5001 + 1   # 5002 digits; the default limit is 4300
+        assert format_number(F(big)) == "1%s1" % ("0" * 5000)
+        assert format_number(F(big, 3)) == "1%s1/3" % ("0" * 5000)
+        assert format_number(F(big, 8)) == "125%s.125" % ("0" * 4998)
+
     def test_infinite_singleton_ordering(self):
         assert Infinite_roundtrip() is INFINITE
         assert INFINITE > F(10**9)

@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genmodels as g
+from fscsynth import polynomials
+from fscsynth.analysis import reach_avoid_prob, state_eliminate
+from fscsynth.models import apply_instantiation
 from fscsynth.polynomials import (
     GCD_TERM_THRESHOLD,
     Polynomial,
     RationalFunction,
+    _integer_normal,
+    _sympy_cancel,
 )
+from fscsynth.transforms import induced_pmc
 
 F = Fraction
 V = Polynomial.variable
@@ -156,3 +163,85 @@ class TestRationalFunction:
         assert f * g == RationalFunction(C(1))
         s = f + g
         assert s.evaluate({"x": F(2)}) == F(5, 2)
+
+
+def _dense_poly(degree, coeff):
+    """Every monomial in x, y, z up to `degree`, with coefficient coeff(i, j, k)."""
+    return Polynomial({
+        (("x", i), ("y", j), ("z", k)): coeff(i, j, k)
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+        for k in range(degree + 1 - i - j)
+    })
+
+
+class TestSympyCancel:
+    # a (56 terms) and b are coprime; h is the common factor
+    A = _dense_poly(5, lambda i, j, k: F(i + 2 * j + 1, k + 3))
+    B = V("x") * V("y") * V("z") + C(F(7, 3))
+    H = C(F(1, 2)) * V("x") - C(F(2, 3)) * V("y") + C(F(3, 5)) * V("z") + C(1)
+
+    def test_common_factor_is_cancelled(self):
+        num, den = self.A * self.H, self.B * self.H
+        assert len(num.terms) > GCD_TERM_THRESHOLD
+        qn, qd = _sympy_cancel(num, den)
+        # the cofactors are a and b up to one constant factor
+        assert qn * self.B == qd * self.A
+        assert qn.degree() == self.A.degree() and qd.degree() == self.B.degree()
+        f = RationalFunction(num, den)
+        assert (f.num, f.den) == _integer_normal(self.A, self.B)
+
+    def test_coprime_pair_comes_back_unchanged(self):
+        assert len(self.A.terms) <= GCD_TERM_THRESHOLD
+        num = self.A * (V("x") + C(F(1, 4)))
+        assert len(num.terms) > GCD_TERM_THRESHOLD
+        qn, qd = _sympy_cancel(num, self.B)
+        assert qn is num and qd is self.B
+        f = RationalFunction(num, self.B)
+        assert (f.num, f.den) == _integer_normal(num, self.B)
+
+    def test_constant_denominator_with_shared_content(self):
+        # the gcd of a polynomial and a constant is a constant: no
+        # cancellation, and the integer content goes in _integer_normal
+        big = Polynomial({(("x", e),): F(2 * e) for e in range(1, GCD_TERM_THRESHOLD + 2)})
+        f = RationalFunction(big, C(4))
+        half = Polynomial({(("x", e),): F(e) for e in range(1, GCD_TERM_THRESHOLD + 2)})
+        assert f.num == half and f.den == C(2)
+        assert f.evaluate({"x": F(1, 3)}) == big.evaluate({"x": F(1, 3)}) / 4
+
+
+# state elimination on g.random_pomdp(Random(39)) with k = 1 (5 states,
+# parameter groups {p_0_0_a0, p_0_0_a1} and {p_1_0_a0}), recorded before
+# the gcd moved to sympy's sparse ring
+GOLDEN_39 = (
+    "(462 - 33*p_0_0_a0 + 616*p_0_0_a1 - 126*p_1_0_a0 + 1166*p_0_0_a0*p_0_0_a1"
+    " - 477*p_0_0_a0*p_1_0_a0 + 2244*p_0_0_a0*p_0_0_a0 - 392*p_0_0_a1*p_1_0_a0"
+    " - 1078*p_0_0_a1*p_0_0_a1 - 1120*p_0_0_a0*p_0_0_a1*p_1_0_a0"
+    " - 2070*p_0_0_a0*p_0_0_a0*p_1_0_a0 + 518*p_0_0_a1*p_0_0_a1*p_1_0_a0)"
+    "/(462 + 3036*p_0_0_a0 + 1848*p_0_0_a1 - 126*p_1_0_a0"
+    " - 2244*p_0_0_a0*p_0_0_a1 - 990*p_0_0_a0*p_1_0_a0 + 66*p_0_0_a0*p_0_0_a0"
+    " - 616*p_0_0_a1*p_1_0_a0 - 2310*p_0_0_a1*p_0_0_a1"
+    " + 742*p_0_0_a0*p_0_0_a1*p_1_0_a0 + 144*p_0_0_a0*p_0_0_a0*p_1_0_a0"
+    " + 742*p_0_0_a1*p_0_0_a1*p_1_0_a0)"
+)
+
+
+def test_state_eliminate_golden_through_the_gcd(monkeypatch):
+    calls = []
+
+    def counting(num, den):
+        calls.append(1)
+        return _sympy_cancel(num, den)
+
+    monkeypatch.setattr(polynomials, "_sympy_cancel", counting)
+    d = induced_pmc(g.random_pomdp(random.Random(39), max_states=9,
+                                   max_actions=3, max_obs=3), 1)
+    rf = state_eliminate(d)
+    assert calls
+    assert str(rf) == GOLDEN_39
+    for point in ({"p_0_0_a0": F(1, 3), "p_0_0_a1": F(1, 2), "p_1_0_a0": F(2, 7)},
+                  {"p_0_0_a0": F(1, 10), "p_0_0_a1": F(3, 5), "p_1_0_a0": F(9, 10)},
+                  {"p_0_0_a0": F(5, 11), "p_0_0_a1": F(1, 13), "p_1_0_a0": F(1, 2)}):
+        res = apply_instantiation(d, point)
+        assert res.well_defined
+        assert rf.evaluate(point) == reach_avoid_prob(res.model)
