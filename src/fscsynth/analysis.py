@@ -3,14 +3,15 @@ closed forms by state elimination, and sound bounds over parameter regions.
 
 Exact mode works in Fractions end to end (fraction-free Gaussian elimination
 for linear systems, policy iteration for optima); float mode assembles the
-same systems in numpy and uses dense solves for small systems or the
-iterative kernel above the size cutoff.
+same systems in numpy and uses dense solves up to DENSE_LIMIT unknowns and
+Jacobi sweeps (_kernels.solve_linear) above it. FloatPmcEvaluator evaluates
+a whole matrix of parameter vectors at once: one term-table pass for all
+edges and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,9 +33,11 @@ from .models import (
 )
 from .polynomials import RF_ONE, RF_ZERO, Polynomial, RationalFunction
 
-GS_TOL = 1e-12
-GS_CAP = 10 ** 6
+ITER_TOL = 1e-12
+ITER_CAP = 10 ** 6
 DENSE_LIMIT = 600
+# byte budget of one stacked (rows x n x n) block of float evaluation solves
+SOLVE_BLOCK_BYTES = 2 ** 21
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +151,8 @@ def solve_exact(rows, c):
 
 
 def solve_float(rows, c):
-    """Float companion of solve_exact: dense below DENSE_LIMIT, otherwise
-    iterative kernel sweeps with a dense rescue if the cap is hit."""
+    """Float companion of solve_exact: dense up to DENSE_LIMIT, otherwise
+    Jacobi sweeps with a dense rescue if the cap is hit."""
     n = len(c)
     if n == 0:
         return np.zeros(0)
@@ -167,9 +170,9 @@ def solve_float(rows, c):
     x = np.zeros(n)
     _, delta = solve_linear(
         np.asarray(indptr, dtype=np.intc), np.asarray(indices, dtype=np.intc),
-        np.asarray(data), cv, x, GS_TOL, GS_CAP,
+        np.asarray(data), cv, x, ITER_TOL, ITER_CAP,
     )
-    if delta > GS_TOL:
+    if delta > ITER_TOL:
         return _dense_solve(rows, cv)
     return x
 
@@ -1055,7 +1058,6 @@ class _EvaluatorBase:
         self.d = d
         self.spec = spec
         self.recompute_count = 0
-        self._count_lock = threading.Lock()
         self.edges = []
         for s in d.states:
             for t, poly in d.row(s).items():
@@ -1082,9 +1084,7 @@ class _EvaluatorBase:
         self.idx = {s: i for i, s in enumerate(self.U)}
 
     def _fresh(self, u: Instantiation):
-        # counter shared across worker threads
-        with self._count_lock:
-            self.recompute_count += 1
+        self.recompute_count += 1
         res = apply_instantiation(self.d, u)
         if not res.well_defined:
             raise ModelError("instantiation is not well-defined: "
@@ -1155,10 +1155,12 @@ class ExactPmcEvaluator(_EvaluatorBase):
 
 
 class FloatPmcEvaluator(_EvaluatorBase):
-    """Fast float values for search loops: compiled term-table edge
-    evaluation plus a dense solve on the cached uncertain-state system.
-    The caller guarantees well-definedness (the swarm parameterization
-    does); boundary valuations take the counted slow path."""
+    """Fast float values for search loops: term-table edge evaluation plus
+    a dense solve on the cached uncertain-state system, for one parameter
+    vector or a whole matrix of them. The caller guarantees
+    well-definedness (the swarm parameterization does); boundary valuations
+    take the counted slow path.
+    """
 
     def __init__(self, d: PmcT, spec: Specification):
         super().__init__(d, spec)
@@ -1197,23 +1199,55 @@ class FloatPmcEvaluator(_EvaluatorBase):
             x[i] = float(u[name])
         return self.evaluate_vector(x, u)
 
-    def evaluate_vector(self, x, u=None) -> float:
-        vals = self.table.evaluate(x)
-        if self.nonconst_idx.size and np.any(vals[self.nonconst_idx] <= 0.0):
-            if u is None:
-                u = Instantiation({n: float(v) for n, v in zip(self.param_order, x)})
-            return float(self._fresh(u))
+    def evaluate_vector(self, x, u=None):
+        """Value at a float vector ordered like d.params.names, or an array
+        of values, one per row of a (points x params) matrix.
+
+        Rows with a non-constant edge at zero or below take the counted
+        from-scratch path one by one, in row order; the others share one
+        stacked dense solve. Each row's value equals a lone evaluation of
+        that row bit for bit.
+        """
+        X = np.asarray(x, dtype=np.float64)
+        single = X.ndim == 1
+        if single:
+            X = X[np.newaxis]
+        vals = self.table.evaluate(X)
+        out = np.empty(len(X))
+        boundary = np.any(vals[:, self.nonconst_idx] <= 0.0, axis=1)
+        for i in np.flatnonzero(boundary):
+            ui = u if single and u is not None else Instantiation(
+                {n: float(v) for n, v in zip(self.param_order, X[i])})
+            out[i] = float(self._fresh(ui))
+        inner = np.flatnonzero(~boundary)
         if self.spec.kind == EXPECTED_REWARD and self.diverges:
-            return math.inf
-        if self.trivial is not None:
-            return float(self.trivial)
+            out[inner] = math.inf
+        elif self.trivial is not None:
+            out[inner] = float(self.trivial)
+        elif inner.size:
+            out[inner] = self._solve(X[inner], vals[inner])
+        return float(out[0]) if single else out
+
+    def _solve(self, X, vals) -> np.ndarray:
+        """Initial-state values of (I - A) y = c for every row, stacked into
+        blocks of at most SOLVE_BLOCK_BYTES. I - A is built in place: the
+        identity, minus the edge values; c by ordered accumulation, as
+        np.add.at does for a single row."""
         n = len(self.U)
-        A = np.zeros((n, n))
-        A[self.a_rows, self.a_cols] = vals[self.a_edges]
-        if self.spec.kind == REACH_AVOID:
-            c = np.zeros(n)
-            np.add.at(c, self.c_rows, vals[self.c_edges])
-        else:
-            c = self.reward_table.evaluate(x)
-        sol = np.linalg.solve(np.eye(n) - A, c)
-        return float(sol[self.idx[self.d.initial]])
+        diag = np.arange(n)
+        init = self.idx[self.d.initial]
+        step = max(1, SOLVE_BLOCK_BYTES // (8 * n * n))
+        out = np.empty(len(X))
+        for lo in range(0, len(X), step):
+            hi = min(lo + step, len(X))
+            M = np.zeros((hi - lo, n, n))
+            M[:, diag, diag] = 1.0
+            M[:, self.a_rows, self.a_cols] -= vals[lo:hi, self.a_edges]
+            if self.spec.kind == REACH_AVOID:
+                c = np.zeros((hi - lo, n))
+                np.add.at(c, (slice(None), self.c_rows), vals[lo:hi, self.c_edges])
+            else:
+                c = self.reward_table.evaluate(X[lo:hi])
+            sol = np.linalg.solve(M, c[..., np.newaxis])
+            out[lo:hi] = sol[:, init, 0]
+        return out

@@ -9,9 +9,12 @@ into a verified parameter region (permissive).
 Exit codes are a stable contract: 0 success/satisfied, 1 completed but
 unsatisfied (or inconclusive), 2 input error, 3 budget exhausted. Every run
 writes a JSON manifest next to its output recording the command line, input
-hashes, seed, wall time, tool version, and a result summary; output files
-themselves carry a deterministic provenance header, so re-running the same
-command reproduces them byte for byte.
+hashes, seed, wall time, tool version, and a result summary; the swarm
+commands (synthesize, permissive) add a `stats` block of search counters.
+Apart from wall_time_s, manifests hold no timings, so a seeded run
+reproduces its manifest; output files themselves carry a deterministic
+provenance header, so re-running the same command reproduces them byte for
+byte.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ def _load_pmc(path: Path) -> PmcT:
     return d
 
 
+def _load_param_groups(d: PmcT, path: Path) -> list:
+    """Attaches the `<pmc>.params` sidecar that transform writes, when there
+    is one, to d; returns the files read (empty without a sidecar).
+
+    The sidecar must name every parameter of the chain exactly once
+    (parse_param_groups already rejects a name listed twice).
+    """
+    side = Path(str(path) + ".params")
+    if not side.exists():
+        return []
+    groups = formats.parse_param_groups(side.read_text())
+    named = [n for g in groups for n in g]
+    unknown = sorted(set(named) - set(d.params.names))
+    missing = sorted(set(d.params.names) - set(named))
+    if unknown or missing:
+        raise ModelError(
+            "%s does not group the parameters of %s (unknown: %s; missing: %s)"
+            % (side, path, ", ".join(unknown) or "none",
+               ", ".join(missing) or "none"))
+    d.param_groups = groups
+    return [side]
+
+
 def _fmt_value(v) -> str:
     if is_infinite(v):
         return "infinite"
@@ -113,7 +139,7 @@ def _provenance(args, inputs, extras=()):
     return lines
 
 
-def _write_manifest(args, inputs, out_path, started, seed, result):
+def _write_manifest(args, inputs, out_path, started, seed, result, stats=None):
     manifest = {
         "command": ["fscsynth"] + list(args._argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -122,6 +148,8 @@ def _write_manifest(args, inputs, out_path, started, seed, result):
         "tool_version": __version__,
         "result": result,
     }
+    if stats is not None:
+        manifest["stats"] = stats
     if args.manifest is not None:
         path = Path(args.manifest)
     elif out_path is not None:
@@ -267,6 +295,7 @@ def cmd_synthesize(args) -> int:
         controller, value = oracle.fsc, oracle.value
         note = "exhaustive over %d deterministic controllers" % oracle.candidates
         exhausted = False
+        stats = None
     else:
         build = (transforms.substituted_pmc if variant == SUBSTITUTED
                  else transforms.induced_pmc)
@@ -274,8 +303,9 @@ def cmd_synthesize(args) -> int:
         cfg = synthesis.SearchConfig(
             swarm_size=args.swarm, max_iterations=args.iterations,
             min_prob=args.min_prob, seed=args.seed,
-            time_budget=args.time_limit, threads=args.threads)
+            time_budget=args.time_limit)
         res = synthesis.pso_search(d, spec, cfg)
+        stats = synthesis.search_stats([res])
         if variant == SUBSTITUTED:
             controller = transforms.fsc_from_substituted(
                 m, k, args.topology, res.instantiation)
@@ -312,7 +342,8 @@ def cmd_synthesize(args) -> int:
         print("best controller so far -> %s" % out)
     _write_manifest(args, [inp], out, started, args.seed,
                     {"value": format_number(certified) if not is_infinite(certified)
-                     else "infinite", "satisfied": sat, "method": args.method})
+                     else "infinite", "satisfied": sat, "method": args.method},
+                    stats)
     if sat:
         return EXIT_OK
     return EXIT_BUDGET if exhausted else EXIT_UNSAT
@@ -385,14 +416,14 @@ def cmd_permissive(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
     d = _load_pmc(inp)
+    inputs = [inp] + _load_param_groups(d, inp)
     spec = parse_spec(args.spec)
     out = Path(args.output)
     cfg = synthesis.SearchConfig(
         swarm_size=args.swarm, max_iterations=args.iterations,
-        min_prob=args.min_prob, seed=args.seed, time_budget=args.time_limit,
-        threads=args.threads)
+        min_prob=args.min_prob, seed=args.seed, time_budget=args.time_limit)
     cand = synthesis.find_permissive(d, spec, cfg, num_witnesses=args.witnesses)
-    header = _provenance(args, [inp], [
+    header = _provenance(args, inputs, [
         "spec: %s" % spec,
         "witnesses: %d" % len(cand.witnesses),
         "verified: %s" % ("yes" if cand.verified else "no"),
@@ -408,8 +439,9 @@ def cmd_permissive(args) -> int:
           % ("yes" if cand.verified else "no",
              _fmt_value(cand.lower), _fmt_value(cand.upper)))
     print("wrote %s" % out)
-    _write_manifest(args, [inp], out, started, args.seed,
-                    {"verified": cand.verified, "witnesses": len(cand.witnesses)})
+    _write_manifest(args, inputs, out, started, args.seed,
+                    {"verified": cand.verified, "witnesses": len(cand.witnesses)},
+                    cand.stats)
     return EXIT_OK if cand.verified else EXIT_UNSAT
 
 
@@ -476,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--swarm", type=_positive_int, default=40)
     s.add_argument("--iterations", type=_positive_int, default=500)
     s.add_argument("--min-prob", type=float, default=1e-4)
-    s.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker cap for fitness evaluation")
     s.set_defaults(func=cmd_synthesize)
 
     f = sub.add_parser("closed-form", help="rational value function by "
@@ -509,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--swarm", type=_positive_int, default=40)
     pe.add_argument("--iterations", type=_positive_int, default=500)
     pe.add_argument("--min-prob", type=float, default=1e-4)
-    pe.add_argument("--threads", type=_positive_int, default=1)
     pe.set_defaults(func=cmd_permissive)
 
     return p

@@ -1,9 +1,7 @@
-"""Model types: parametric MDPs/chains, POMDPs, instantiations, specifications.
+"""Model types: parametric chains, MDPs, POMDPs, instantiations, specifications.
 
-The general carrier is the parametric MDP (Pmdp); Mdp, PmcT and Mc are its
-concrete / single-action restrictions. Exact entries are Fractions or
-Polynomials over Fractions; a float mode (same containers holding floats)
-exists for search loops.
+Exact entries are Fractions or Polynomials over Fractions; a float mode
+(same containers holding floats) exists for search loops.
 """
 
 from __future__ import annotations
@@ -194,18 +192,6 @@ class Instantiation:
         return "Instantiation(%r)" % (self.values,)
 
 
-def poly_eval(f: Polynomial, u) -> Fraction:
-    """Evaluate a polynomial at an instantiation (exact or float mode).
-
-    Unknown parameters raise MissingParameterError naming the parameter.
-    """
-    if isinstance(u, Instantiation):
-        if u.is_rational:
-            return f.evaluate(u.values)
-        return f.evaluate_float(u.values)
-    return f.evaluate(u)
-
-
 # ---------------------------------------------------------------------------
 # specifications
 
@@ -327,96 +313,6 @@ def parse_spec(text: str) -> Specification:
 def _check_state(s, n, what):
     if not isinstance(s, int) or not 0 <= s < n:
         raise ModelError("%s references unknown state %r" % (what, s))
-
-
-class Pmdp:
-    """Parametric MDP: rows (state, action label) -> {successor: Polynomial}.
-
-    The no-trivial-branch assumption (an entry that is neither the constant 0
-    nor 1 needs a sibling successor) is enforced here because downstream
-    constructions rely on it.
-    """
-
-    def __init__(self, num_states, initial, trans, params=None, rewards=None,
-                 goal=(), bad=(), param_groups=None, meta=None, validate=True):
-        self.num_states = num_states
-        self.initial = initial
-        # trans: {(state, action_label): {succ: Polynomial}}
-        self.trans = trans
-        self.params = params if params is not None else ParameterTable()
-        self.rewards = dict(rewards or {})  # {(state, action_label): Fraction}
-        self.goal = frozenset(goal)
-        self.bad = frozenset(bad)
-        self.param_groups = param_groups
-        self.meta = dict(meta or {})
-        if validate:
-            self._validate()
-
-    @property
-    def states(self):
-        return range(self.num_states)
-
-    def actions(self, s) -> list:
-        return sorted(a for (s2, a) in self.trans if s2 == s)
-
-    @property
-    def action_labels(self) -> list:
-        return sorted({a for (_, a) in self.trans})
-
-    def row(self, s, a):
-        return self.trans[(s, a)]
-
-    def _validate(self):
-        _check_state(self.initial, self.num_states, "initial")
-        seen = set()
-        for (s, a), row in self.trans.items():
-            _check_state(s, self.num_states, "transition source")
-            if not row:
-                raise ModelError("empty row for state %d action %s" % (s, a))
-            seen.add(s)
-            entries = list(row.items())
-            for t, p in entries:
-                _check_state(t, self.num_states, "transition target")
-                if not isinstance(p, Polynomial):
-                    raise ModelError("parametric entry expected at (%d,%s,%d)" % (s, a, t))
-                if p.is_zero():
-                    raise ModelError("explicit zero entry at (%d,%s,%d)" % (s, a, t))
-                for name in p.variables():
-                    if name not in self.params:
-                        raise ModelError("undeclared parameter '%s' in row (%d,%s)" % (name, s, a))
-                if len(entries) == 1 and not (p.is_constant() and p.constant_value() == 1):
-                    raise ModelError(
-                        "row (%d,%s) has a single branch with probability %s; "
-                        "non-Dirac rows need at least two successors" % (s, a, p)
-                    )
-        for s in range(self.num_states):
-            if s not in seen:
-                raise ModelError("state %d has no enabled action (deadlock)" % s)
-        for s in self.goal:
-            _check_state(s, self.num_states, "goal label")
-        for s in self.bad:
-            _check_state(s, self.num_states, "bad label")
-        if self.goal & self.bad:
-            raise ModelError("goal and bad labels overlap: %s" % sorted(self.goal & self.bad))
-        for (s, a), r in self.rewards.items():
-            if (s, a) not in self.trans:
-                raise ModelError("reward on missing row (%d,%s)" % (s, a))
-            if not isinstance(r, (Fraction, Polynomial)) or (
-                isinstance(r, Fraction) and r < 0
-            ):
-                raise ModelError("rewards must be nonnegative rationals")
-
-    def __eq__(self, other):
-        if not isinstance(other, Pmdp):
-            return NotImplemented
-        return (
-            self.num_states == other.num_states
-            and self.initial == other.initial
-            and self.trans == other.trans
-            and self.rewards == other.rewards
-            and self.goal == other.goal
-            and self.bad == other.bad
-        )
 
 
 class Mdp:
@@ -788,7 +684,7 @@ class WellDefinedness:
 
 @dataclass
 class InstantiationResult:
-    model: object  # Mdp | Mc (rows may be defective when not well_defined)
+    model: Mc  # rows may be defective when not well_defined
     well_defined: bool
     defects: list
 
@@ -825,7 +721,7 @@ def _eval_entry(p: Polynomial, u: Instantiation):
 
 
 def apply_instantiation(model, u) -> InstantiationResult:
-    """Substitute parameter values into a Pmdp or PmcT.
+    """Substitute parameter values into a PmcT.
 
     Never raises on a bad valuation: the result is tagged not-well-defined
     with a defect list naming the offending rows (and parameter groups when
@@ -861,32 +757,7 @@ def apply_instantiation(model, u) -> InstantiationResult:
             mc._validate()
         return InstantiationResult(mc, ok, defects)
 
-    if isinstance(model, Pmdp):
-        trans = {}
-        for (s, a), row in model.trans.items():
-            row_out = {}
-            total = 0
-            for t, p in row.items():
-                v = _eval_entry(p, u)
-                if v < 0 or v > 1:
-                    defects.append("entry (%d,%s,%d) evaluates to %s" % (s, a, t, v))
-                total += v
-                if v != 0:
-                    row_out[t] = v
-            if abs(total - one) > tol:
-                defects.append("row (%d,%s) sums to %s" % (s, a, total))
-            trans[(s, a)] = row_out
-        rewards = {}
-        for key, r in model.rewards.items():
-            rewards[key] = _eval_entry(r, u) if isinstance(r, Polynomial) else r
-        ok = not defects
-        mdp = Mdp(model.num_states, model.initial, trans, rewards,
-                  model.goal, model.bad, validate=False)
-        if ok:
-            mdp._validate()
-        return InstantiationResult(mdp, ok, defects)
-
-    raise TypeError("apply_instantiation expects Pmdp or PmcT")
+    raise TypeError("apply_instantiation expects a PmcT")
 
 
 def check_well_defined(model, u, eps=None) -> WellDefinedness:
@@ -904,25 +775,17 @@ def check_well_defined(model, u, eps=None) -> WellDefinedness:
     graph = res.well_defined
     epsp = None if eps is None else res.well_defined
 
-    def rows():
-        if isinstance(model, PmcT):
-            for s in model.states:
-                for t, p in model.row(s).items():
-                    yield ("(%d,%d)" % (s, t)), p
-        else:
-            for (s, a), row in model.trans.items():
-                for t, p in row.items():
-                    yield ("(%d,%s,%d)" % (s, a, t)), p
-
     defects = list(res.defects)
     if res.well_defined:
-        for where, p in rows():
-            if p.is_constant():
-                continue
-            v = _eval_entry(p, u)
-            if not (0 < v < 1):
-                graph = False
-                defects.append("entry %s evaluates to boundary value %s" % (where, v))
-            if eps is not None and not (eps <= v <= 1 - eps):
-                epsp = False
+        for s in model.states:
+            for t, p in model.row(s).items():
+                if p.is_constant():
+                    continue
+                v = _eval_entry(p, u)
+                if not (0 < v < 1):
+                    graph = False
+                    defects.append("entry (%d,%d) evaluates to boundary value %s"
+                                   % (s, t, v))
+                if eps is not None and not (eps <= v <= 1 - eps):
+                    epsp = False
     return WellDefinedness(res.well_defined, res.well_defined and graph, epsp, defects)

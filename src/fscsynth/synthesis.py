@@ -14,6 +14,7 @@ then verifies it with the sound region bounds.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -54,15 +55,12 @@ class SearchConfig:
     min_prob: float = 1e-4
     seed: int = 0
     time_budget: float | None = None  # seconds
-    threads: int = 1
 
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ModelError("swarm needs at least two particles")
         if not 0 < self.min_prob < 0.5:
             raise ModelError("probability floor must lie in (0, 0.5)")
-        if self.threads < 1:
-            raise ModelError("thread cap must be positive")
 
 
 @dataclass
@@ -77,22 +75,45 @@ class SearchResult:
     budget_exhausted: bool = False
     well: WellDefinedness | None = None
     satisfied_samples: list = field(default_factory=list)  # raw param vectors
+    recomputes: int = 0        # boundary valuations re-analyzed from scratch
+
+
+def search_stats(results) -> dict:
+    """Work counters over one or more swarm runs taken in order, with
+    first_satisfied_eval counted across all of them. No timings: a seeded
+    run reproduces them exactly."""
+    evaluations = 0
+    first = None
+    for r in results:
+        if first is None and r.first_satisfied_eval is not None:
+            first = evaluations + r.first_satisfied_eval
+        evaluations += r.evaluations
+    return {
+        "evaluations": evaluations,
+        "first_satisfied_eval": first,
+        "recomputes": sum(r.recomputes for r in results),
+        "budget_exhausted": any(r.budget_exhausted for r in results),
+    }
 
 
 class _SimplexCodec:
-    """Maps flat logit vectors to parameter vectors group by group.
+    """Maps logit vectors to parameter vectors group by group.
 
     Each group of g free parameters gets g+1 logits (free coordinates plus
     the residual); softmax then an affine floor v = eps + (1 - m*eps) * s
     keeps every coordinate of the full distribution at least eps while the
     free coordinates still sum to at most 1 - eps.
+
+    Groups with the same number m of logits decode together: their logit
+    columns form a (groups x m) index block, so a whole swarm becomes one
+    contiguous (points x groups x m) array whose last axis is reduced
+    exactly as a lone segment would be.
     """
 
     def __init__(self, d: PmcT, eps: float):
         self.groups = d.ensure_param_groups()
         order = {name: i for i, name in enumerate(d.params.names)}
-        self.slices = []
-        self.targets = []
+        by_size = {}
         pos = 0
         for g in self.groups:
             m = len(g) + 1
@@ -100,22 +121,28 @@ class _SimplexCodec:
                 raise ModelError(
                     "floor %g is too large for a group of %d coordinates"
                     % (eps, m))
-            self.slices.append((pos, m))
-            self.targets.append(np.asarray([order[nm] for nm in g], dtype=np.intp))
+            cols, targets = by_size.setdefault(m, ([], []))
+            cols.append(range(pos, pos + m))
+            targets.append([order[nm] for nm in g])
             pos += m
+        self.blocks = [(m, np.asarray(cols, dtype=np.intp),
+                        np.asarray(targets, dtype=np.intp))
+                       for m, (cols, targets) in sorted(by_size.items())]
         self.dims = pos
         self.num_params = len(d.params.names)
         self.eps = eps
 
     def decode(self, logits: np.ndarray) -> np.ndarray:
-        x = np.empty(self.num_params)
-        for (pos, m), tgt in zip(self.slices, self.targets):
-            seg = logits[pos:pos + m]
-            seg = seg - seg.max()
-            e = np.exp(seg)
-            s = e / e.sum()
-            v = self.eps + (1.0 - m * self.eps) * s
-            x[tgt] = v[:-1]
+        """(points x dims) logits -> (points x num_params) parameters."""
+        x = np.empty((len(logits), self.num_params))
+        for m, cols, targets in self.blocks:
+            seg = np.take(logits, cols, axis=1)  # C-contiguous, unlike logits[:, cols]
+            seg -= seg.max(axis=-1, keepdims=True)
+            np.exp(seg, out=seg)
+            seg /= seg.sum(axis=-1, keepdims=True)
+            seg *= 1.0 - m * self.eps
+            seg += self.eps
+            x[:, targets] = seg[..., :-1]
         return x
 
     def rationalize(self, x: np.ndarray, names) -> Instantiation:
@@ -219,20 +246,13 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     first_sat = None
     trace = []
     samples = []
-    pool = None
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
 
     def fitness_batch(positions):
-        """Evaluates a full swarm; bookkeeping runs in particle order, so
-        results are identical with and without worker threads."""
+        """Evaluates the whole swarm in one decode and one evaluator call;
+        bookkeeping runs in particle order."""
         nonlocal evaluations, first_sat
-        decoded = [codec.decode(pos) for pos in positions]
-        if pool is not None:
-            values = list(pool.map(evaluator.evaluate_vector, decoded))
-        else:
-            values = [evaluator.evaluate_vector(x) for x in decoded]
+        decoded = codec.decode(positions)
+        values = evaluator.evaluate_vector(decoded).tolist()
         out = []
         for x, value in zip(decoded, values):
             evaluations += 1
@@ -257,31 +277,27 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     trace.append(-gbest_f if maximizing else gbest_f)
 
     exhausted = False
-    try:
-        for _it in range(cfg.max_iterations):
-            if cfg.time_budget is not None and time.monotonic() - started > cfg.time_budget:
-                exhausted = True
-                break
-            r1 = rng.random((swarm, codec.dims))
-            r2 = rng.random((swarm, codec.dims))
-            V = (cfg.inertia * V
-                 + cfg.cognitive * r1 * (pbest_pos - X)
-                 + cfg.social * r2 * (gbest_pos - X))
-            X = X + V
-            for i, (f, x) in enumerate(fitness_batch(X)):
-                if f < pbest_f[i]:
-                    pbest_f[i] = f
-                    pbest_pos[i] = X[i]
-                    pbest_x[i] = x
-            i_best = int(np.argmin(pbest_f))
-            if pbest_f[i_best] < gbest_f:
-                gbest_f = pbest_f[i_best]
-                gbest_pos = pbest_pos[i_best].copy()
-                gbest_x = pbest_x[i_best].copy()
-            trace.append(-gbest_f if maximizing else gbest_f)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for _it in range(cfg.max_iterations):
+        if cfg.time_budget is not None and time.monotonic() - started > cfg.time_budget:
+            exhausted = True
+            break
+        r1 = rng.random((swarm, codec.dims))
+        r2 = rng.random((swarm, codec.dims))
+        V = (cfg.inertia * V
+             + cfg.cognitive * r1 * (pbest_pos - X)
+             + cfg.social * r2 * (gbest_pos - X))
+        X = X + V
+        for i, (f, x) in enumerate(fitness_batch(X)):
+            if f < pbest_f[i]:
+                pbest_f[i] = f
+                pbest_pos[i] = X[i]
+                pbest_x[i] = x
+        i_best = int(np.argmin(pbest_f))
+        if pbest_f[i_best] < gbest_f:
+            gbest_f = pbest_f[i_best]
+            gbest_pos = pbest_pos[i_best].copy()
+            gbest_x = pbest_x[i_best].copy()
+        trace.append(-gbest_f if maximizing else gbest_f)
 
     u, value, sat, _ = certify(d, spec, codec.rationalize(gbest_x, d.params.names))
     well = _emission_check(d, u, Fraction(repr(cfg.min_prob)))
@@ -289,7 +305,8 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     return SearchResult(u, value, float_value, sat, trace=trace,
                         evaluations=evaluations, first_satisfied_eval=first_sat,
                         budget_exhausted=exhausted, well=well,
-                        satisfied_samples=samples)
+                        satisfied_samples=samples,
+                        recomputes=evaluator.recompute_count)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +368,7 @@ class PermissiveCandidate:
     verified: bool
     lower: object = None
     upper: object = None
+    stats: dict = field(default_factory=dict)  # search_stats of the swarm runs
 
 
 def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
@@ -389,13 +407,11 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
     codec = _SimplexCodec(d, cfg.min_prob)
     witnesses = []
     best = None
+    runs = []
     for i in range(max_attempts):
-        run_cfg = SearchConfig(
-            swarm_size=cfg.swarm_size, max_iterations=cfg.max_iterations,
-            inertia=cfg.inertia, cognitive=cfg.cognitive, social=cfg.social,
-            min_prob=cfg.min_prob, seed=cfg.seed + i,
-            time_budget=cfg.time_budget, threads=cfg.threads)
-        res = pso_search(d, spec, run_cfg, collect_satisfied=num_witnesses)
+        res = pso_search(d, spec, dataclasses.replace(cfg, seed=cfg.seed + i),
+                         collect_satisfied=num_witnesses)
+        runs.append(res)
         candidates = [codec.rationalize(x, d.params.names)
                       for x in res.satisfied_samples]
         if res.satisfied:
@@ -414,8 +430,10 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
         raise ModelError("no satisfying instantiation found; nothing to wrap")
     if len(witnesses) < num_witnesses:
         witnesses = [best[0]]
-    return permissive_from_witnesses(d, spec, witnesses[:num_witnesses],
+    cand = permissive_from_witnesses(d, spec, witnesses[:num_witnesses],
                                      eps=Fraction(repr(cfg.min_prob)))
+    cand.stats = search_stats(runs)
+    return cand
 
 
 def _value_better(a, b, spec):

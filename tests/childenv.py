@@ -9,19 +9,11 @@ import fscsynth
 PACKAGE_ROOT = str(Path(fscsynth.__file__).resolve().parent.parent)
 
 
-def child_env(pure_python: bool = False) -> dict:
-    """The parent's environment with this fscsynth first on PYTHONPATH.
-
-    FSCSYNTH_PURE_PYTHON is set or removed explicitly, so the child's
-    backend choice does not depend on how the parent was started.
-    """
+def child_env() -> dict:
+    """The parent's environment with this fscsynth first on PYTHONPATH."""
     env = dict(os.environ)
     path = [PACKAGE_ROOT]
     if env.get("PYTHONPATH"):
         path.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(path)
-    if pure_python:
-        env["FSCSYNTH_PURE_PYTHON"] = "1"
-    else:
-        env.pop("FSCSYNTH_PURE_PYTHON", None)
     return env

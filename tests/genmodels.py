@@ -101,6 +101,41 @@ def biased_choice_pmc() -> PmcT:
                 goal={3}, bad={4}, param_groups=[["p"]])
 
 
+def wide_group_pmc(reward=False) -> PmcT:
+    """A ten-way choice (nine parameters plus residual) feeding two kinds
+    of follow-up states, one of them through a product b0*c0.
+
+    Parameter groups have 10, 3 and 2 coordinates, and the residual entry
+    1 - (a0 + ... + a8) has ten terms. With reward=True the bad state
+    returns to the start instead of absorbing, every step costs 1 and the
+    start costs 2 - a0, so the goal is reached almost surely.
+    """
+    a = ["a%d" % i for i in range(9)]
+    one = C(1)
+    rest = one
+    for name in a:
+        rest = rest - V(name)
+    b0, b1, c0 = V("b0"), V("b1"), V("c0")
+    trans = {0: {1 + i: V(name) for i, name in enumerate(a)}}
+    trans[0][10] = rest
+    for j in range(1, 11):
+        if j % 2:
+            trans[j] = {11: b0, 12: b1, 0: one - b0 - b1}
+        else:
+            trans[j] = {11: b0 * c0, 12: one - b0 * c0}
+    trans[11] = {11: one}
+    trans[12] = {0: one} if reward else {12: one}
+    params = ParameterTable(a + ["b0", "b1", "c0"])
+    groups = [a, ["b0", "b1"], ["c0"]]
+    if reward:
+        rewards = {s: one for s in range(11)}
+        rewards[0] = C(2) - V("a0")
+        return PmcT(13, 0, trans, params=params, goal={11}, rewards=rewards,
+                    param_groups=groups)
+    return PmcT(13, 0, trans, params=params, goal={11}, bad={12},
+                param_groups=groups)
+
+
 def sticky_start_pomdp() -> Pomdp:
     """Move on or stay put, indistinguishably.
 

@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import genmodels as g
+from fscsynth import analysis
 from fscsynth.analysis import (
     ExactPmcEvaluator,
     FloatPmcEvaluator,
@@ -29,6 +31,7 @@ from fscsynth.models import (
     ModelError,
     ParameterTable,
     PmcT,
+    apply_instantiation,
     is_infinite,
     parse_spec,
 )
@@ -325,3 +328,46 @@ class TestEvaluators:
         ev = ExactPmcEvaluator(d, SPEC)
         with pytest.raises(ModelError, match="not well-defined"):
             ev.evaluate({"p": F(2)})
+
+
+class TestBatchedEvaluation:
+    """evaluate_vector on a matrix: the interior rows share stacked dense
+    solves, a boundary row takes the counted from-scratch analysis."""
+
+    @pytest.mark.parametrize("reward", [False, True])
+    @pytest.mark.parametrize("block_bytes", [None, 3000])
+    def test_rows_match_lone_dense_solves(self, reward, block_bytes, monkeypatch):
+        if block_bytes is not None:   # several blocks of a few rows each
+            monkeypatch.setattr(analysis, "SOLVE_BLOCK_BYTES", block_bytes)
+        d = g.wide_group_pmc(reward)
+        spec = parse_spec("Emin<= 3 [F goal]" if reward else "P>= 1/2 [!bad U goal]")
+        ev = FloatPmcEvaluator(d, spec)
+        names = list(d.params.names)
+        rng = np.random.default_rng(7)
+        X = np.empty((33, len(names)))
+        for group in d.ensure_param_groups():
+            cols = [names.index(nm) for nm in group]
+            X[:, cols] = rng.dirichlet(np.ones(len(group) + 1), size=len(X))[:, :-1]
+        boundary = 11
+        X[boundary, names.index("a1")] = 0.0
+        got = ev.evaluate_vector(X)
+        assert ev.recompute_count == 1
+        n = len(ev.U)
+        for i, x in enumerate(X):
+            if i == boundary:
+                u = Instantiation({nm: float(v) for nm, v in zip(names, x)})
+                want = float(check_mc(apply_instantiation(d, u).model, spec))
+            else:
+                vals = ev.table.evaluate(x)
+                A = np.zeros((n, n))
+                A[ev.a_rows, ev.a_cols] = vals[ev.a_edges]
+                if reward:
+                    c = ev.reward_table.evaluate(x)
+                else:
+                    c = np.zeros(n)
+                    np.add.at(c, ev.c_rows, vals[ev.c_edges])
+                want = np.linalg.solve(np.eye(n) - A, c)[ev.idx[d.initial]]
+            assert got[i] == want, i
+        one = ev.evaluate_vector(X[0])
+        assert isinstance(one, float) and one == got[0]
+        assert ev.recompute_count == 1

@@ -350,3 +350,59 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+
+class TestPermissiveGroups:
+    """permissive reads the parameter groups transform writes next to a
+    non-simple chain."""
+
+    def test_non_simple_chain_from_transform(self, workdir, capsys):
+        inp = _pomdp_file(workdir)
+        assert main(["transform", str(inp), "-o", "k2.pmc", "--memory", "2"]) == EXIT_OK
+        assert not formats.parse_pmc(Path("k2.pmc").read_text()).simple
+        rc = main(["permissive", "k2.pmc", "--spec", "P> 0.6 [!bad U goal]",
+                   "-o", "k2.region", "--iterations", "20", "--swarm", "10"])
+        assert rc in (EXIT_OK, EXIT_UNSAT)
+        reg = formats.parse_region(Path("k2.region").read_text())
+        assert sorted(reg.intervals) == sorted(
+            formats.parse_pmc(Path("k2.pmc").read_text()).params.names)
+        assert "input k2.pmc.params sha256=" in Path("k2.region").read_text()
+        man = _manifest(Path("k2.region.manifest.json"))
+        assert "k2.pmc.params" in man["inputs"]
+
+    def test_sidecar_with_unknown_name_is_rejected(self, workdir, capsys):
+        inp = _pomdp_file(workdir)
+        assert main(["transform", str(inp), "-o", "k2.pmc", "--memory", "2"]) == EXIT_OK
+        side = Path("k2.pmc.params")
+        side.write_text(side.read_text() + "group nosuch\n")
+        rc = main(["permissive", "k2.pmc", "--spec", "P> 0.6 [!bad U goal]",
+                   "-o", "k2.region", "--iterations", "5", "--swarm", "4"])
+        assert rc == EXIT_INPUT
+        assert "nosuch" in capsys.readouterr().err
+        assert not Path("k2.region").exists()
+
+
+class TestSearchStats:
+    def test_synthesize_manifest_counts_the_search(self, workdir, capsys):
+        inp = _pomdp_file(workdir)
+        rc = main(["synthesize", str(inp), "-o", "best.fsc",
+                   "--spec", "P>= 0.7 [!bad U goal]", "--memory", "1",
+                   "--seed", "0", "--iterations", "20", "--swarm", "10"])
+        assert rc == EXIT_OK
+        stats = _manifest(Path("best.fsc.manifest.json"))["stats"]
+        assert set(stats) == {"evaluations", "first_satisfied_eval", "recomputes",
+                              "budget_exhausted"}
+        assert stats["evaluations"] == 210
+        assert 1 <= stats["first_satisfied_eval"] <= 210
+        assert stats["recomputes"] == 0 and stats["budget_exhausted"] is False
+        assert "210 evaluations" in capsys.readouterr().out
+
+    def test_permissive_manifest_counts_every_run(self, workdir):
+        inp = _pmc_file(workdir)
+        rc = main(["permissive", str(inp), "--spec", "P> 0.6 [!bad U goal]",
+                   "-o", "good.region", "--seed", "3", "--iterations", "30"])
+        assert rc == EXIT_OK
+        stats = _manifest(Path("good.region.manifest.json"))["stats"]
+        assert stats["evaluations"] % (40 * 31) == 0 and stats["evaluations"] > 0
+        assert stats["first_satisfied_eval"] is not None
+        assert stats["budget_exhausted"] is False

@@ -1,59 +1,14 @@
-"""Backend parity for the numeric kernels and their table encoding."""
+"""The numeric kernels and their table encoding."""
 
-import importlib.util
 import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from childenv import child_env
-from fscsynth._kernels import TermTable, backend_name, eval_edges, solve_linear
-from fscsynth._kernels import _fallback
+from fscsynth._kernels import TermTable, solve_linear
 from fscsynth.polynomials import Polynomial
 
 F = Fraction
-
-# a core built in place (setup.py build_ext --inplace) next to the sources
-HAVE_CORE = importlib.util.find_spec("fscsynth._kernels._core") is not None
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_CC = shlex.split(sysconfig.get_config_var("CC") or "")[:1]
-needs_cc = pytest.mark.skipif(
-    not _CC or shutil.which(_CC[0]) is None,
-    reason="no C compiler (sysconfig CC) on PATH")
-
-BACKEND_SCRIPT = "from fscsynth._kernels import backend_name; print(backend_name())"
-
-
-@pytest.fixture(scope="session")
-def built_core(tmp_path_factory):
-    """The compiled core as the project's setup.py builds it, out of tree.
-
-    setup.py only warns when the C build fails (the install must go on with
-    the fallback), so a missing module is reported here as a failure.
-    """
-    out = tmp_path_factory.mktemp("core-build")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    built = sorted((out / "fscsynth" / "_kernels").glob("_core.*"))
-    if build.returncode != 0 or not built:
-        pytest.fail("setup.py build_ext produced no compiled core "
-                    "(exit %d):\n%s%s" % (build.returncode, build.stdout,
-                                          build.stderr))
-    spec = importlib.util.spec_from_file_location(
-        "fscsynth._kernels._core", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _random_poly(rng, names):
@@ -80,32 +35,6 @@ def _csr(rows, n):
             np.asarray(data, dtype=np.float64))
 
 
-class TestSelection:
-    def test_backend_is_one_of_the_two(self):
-        assert backend_name() in ("compiled", "python")
-
-    @needs_cc
-    def test_compiled_core_is_available_here(self, built_core):
-        # a C compiler is enough to build the core; anything else is a
-        # packaging bug
-        assert built_core.NAME == "compiled"
-
-    def test_env_var_forces_the_fallback(self):
-        out = subprocess.run(
-            [sys.executable, "-c", BACKEND_SCRIPT],
-            capture_output=True, text=True, check=True,
-            env=child_env(pure_python=True))
-        assert out.stdout.strip() == "python"
-
-    @pytest.mark.skipif(not HAVE_CORE, reason="extension not built")
-    def test_default_prefers_the_compiled_core(self):
-        out = subprocess.run(
-            [sys.executable, "-c", BACKEND_SCRIPT],
-            capture_output=True, text=True, check=True,
-            env=child_env())
-        assert out.stdout.strip() == "compiled"
-
-
 class TestTermTable:
     def test_matches_direct_evaluation(self):
         rng = random.Random(60)
@@ -120,6 +49,29 @@ class TestTermTable:
             want = [p.evaluate_float({n: x[pidx[n]] for n in names})
                     for p in polys]
             assert np.allclose(got, want, atol=1e-12)
+
+    def test_matrix_rows_match_lone_vectors(self):
+        # long polynomials (up to 12 terms) reach numpy's pairwise summation
+        rng = random.Random(64)
+        names = ["a", "b", "c", "d"]
+        pidx = {n: i for i, n in enumerate(names)}
+        polys = [_random_poly(rng, names) for _ in range(20)]
+        for _ in range(6):
+            polys.append(sum((_random_poly(rng, names) for _ in range(4)),
+                             Polynomial()))
+        assert max(len(p.sorted_terms()) for p in polys) >= 8
+        table = TermTable(polys, pidx)
+        X = np.random.default_rng(64).uniform(0.05, 0.95, (25, len(names)))
+        got = table.evaluate(X)
+        for x, row in zip(X, got):
+            # the one-vector algorithm, segment by segment
+            xx = np.append(x, 1.0)
+            fv = xx[table.factor_var] ** table.factor_exp
+            prods = np.multiply.reduceat(fv, table.factor_offsets[:-1]) * table.term_coeffs
+            want = np.add.reduceat(prods, table.term_offsets[:-1])
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == table.evaluate(x).tobytes()
+        assert TermTable([], {}).evaluate(np.zeros((3, 0))).shape == (3, 0)
 
     def test_constants_and_zero_polynomials(self):
         pidx = {"a": 0}
@@ -156,32 +108,6 @@ class TestSolveLinear:
             assert delta <= 1e-12
             assert sweeps >= 1
             assert np.allclose(x, want, atol=1e-9)
-
-    @needs_cc
-    def test_backends_agree_within_tolerance(self, built_core):
-        rng = random.Random(62)
-        n = 8
-        rows = {i: {(i + 1) % n: 0.5, i: 0.25} for i in range(n)}
-        c = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
-        indptr, indices, data = _csr(rows, n)
-        xa = np.zeros(n)
-        xb = np.zeros(n)
-        built_core.solve_linear(indptr, indices, data, c.copy(), xa, 1e-13, 100000)
-        _fallback.solve_linear(indptr, indices, data, c.copy(), xb, 1e-13, 100000)
-        assert np.allclose(xa, xb, atol=1e-10)
-
-    @needs_cc
-    def test_eval_edges_parity(self, built_core):
-        rng = random.Random(63)
-        names = ["a", "b"]
-        pidx = {n: i for i, n in enumerate(names)}
-        polys = [_random_poly(rng, names) for _ in range(12)]
-        table = TermTable(polys, pidx)
-        xx = np.array([0.3, 0.7, 1.0])
-        args = (table.term_coeffs, table.term_offsets, table.factor_offsets,
-                table.factor_var, table.factor_exp, xx)
-        assert np.allclose(built_core.eval_edges(*args), _fallback.eval_edges(*args),
-                           atol=1e-14)
 
     def test_self_loop_row_is_stable(self):
         # a row whose only entry is a unit self-loop must not divide by zero

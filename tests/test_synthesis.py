@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import genmodels as g
@@ -33,8 +34,6 @@ class TestSearchConfig:
             sy.SearchConfig(swarm_size=1)
         with pytest.raises(ModelError, match="floor"):
             sy.SearchConfig(min_prob=0.5)
-        with pytest.raises(ModelError, match="thread"):
-            sy.SearchConfig(threads=0)
 
 
 class TestCertify:
@@ -95,16 +94,6 @@ class TestPsoSearch:
         d = g.biased_choice_pmc()
         a = sy.pso_search(d, SPEC76, sy.SearchConfig(seed=7, max_iterations=20))
         b = sy.pso_search(d, SPEC76, sy.SearchConfig(seed=7, max_iterations=20))
-        assert a.instantiation == b.instantiation
-        assert a.trace == b.trace
-
-    def test_thread_count_does_not_change_the_run(self):
-        m = g.two_coin_pomdp()
-        d = induced_pmc(m, 2)
-        spec = parse_spec("P>= 0.7 [!bad U goal]")
-        a = sy.pso_search(d, spec, sy.SearchConfig(seed=3, max_iterations=15))
-        b = sy.pso_search(d, spec, sy.SearchConfig(seed=3, max_iterations=15,
-                                                   threads=2))
         assert a.instantiation == b.instantiation
         assert a.trace == b.trace
 
@@ -226,3 +215,68 @@ class TestPermissive:
         cand = sy.permissive_from_witnesses(d, spec, wits)
         assert not cand.verified
         assert cand.lower == F(13, 20)
+
+
+class TestBatchedSwarm:
+    """The swarm is decoded and evaluated as one matrix; every particle must
+    come out as the per-particle algorithm gives it, bit for bit."""
+
+    @staticmethod
+    def _decode_row(codec, d, logits):
+        # the per-particle algorithm: per-segment softmax with seg.sum()
+        order = {name: i for i, name in enumerate(d.params.names)}
+        x = np.empty(len(d.params.names))
+        pos = 0
+        for group in d.ensure_param_groups():
+            m = len(group) + 1
+            seg = logits[pos:pos + m]
+            seg = seg - seg.max()
+            e = np.exp(seg)
+            v = codec.eps + (1.0 - m * codec.eps) * (e / e.sum())
+            x[[order[nm] for nm in group]] = v[:-1]
+            pos += m
+        return x
+
+    def test_decode_matches_per_row_reference(self):
+        d = g.wide_group_pmc()
+        assert max(len(grp) + 1 for grp in d.ensure_param_groups()) >= 8
+        codec = sy._SimplexCodec(d, 1e-4)
+        logits = np.random.default_rng(5).standard_normal((64, codec.dims)) * 3
+        got = codec.decode(logits)
+        want = np.array([self._decode_row(codec, d, row) for row in logits])
+        assert got.tobytes() == want.tobytes()
+
+    def test_golden_run(self):
+        # recorded from the per-particle implementation
+        res = sy.pso_search(g.wide_group_pmc(), parse_spec("P>= 0.95 [!bad U goal]"),
+                            sy.SearchConfig(seed=0, swarm_size=10, max_iterations=8))
+        assert [float(t) for t in res.trace] == [
+            0.47196121816987613, 0.5873034684467101, 0.8264489609720026,
+            0.9430181152964894, 0.9826144445035788, 0.9969204962883599,
+            0.9991609202294456, 0.9996341088773619, 0.9997538115300004]
+        assert res.evaluations == 90
+        assert res.first_satisfied_eval == 41
+        assert res.satisfied
+        assert {k: str(v) for k, v in res.instantiation.values.items()} == {
+            "a0": "10000062469681713/100000000000000000000",
+            "a1": "156462826061929/1562500000000000000",
+            "a2": "1000535040288499/10000000000000000000",
+            "a3": "10022273481247963/100000000000000000000",
+            "a4": "1226562621222861/5000000000000000000",
+            "a5": "253438910330539/2500000000000000000",
+            "a6": "2497375620532527/2500000000000000",
+            "a7": "1254169668056501/12500000000000000000",
+            "a8": "5050648143353407/50000000000000000000",
+            "b0": "399603684710817/400000000000000",
+            "b1": "5021831702048163/50000000000000000000",
+            "c0": "1778722222035121/2500000000000000",
+        }
+
+    def test_search_stats_count_across_runs(self):
+        runs = [sy.SearchResult(None, None, 0.0, False, evaluations=50,
+                                recomputes=1),
+                sy.SearchResult(None, None, 0.0, True, evaluations=30,
+                                first_satisfied_eval=7, budget_exhausted=True)]
+        assert sy.search_stats(runs) == {
+            "evaluations": 80, "first_satisfied_eval": 57, "recomputes": 1,
+            "budget_exhausted": True}
