@@ -1,12 +1,13 @@
 """Quantitative analysis: chain/MDP model checking, qualitative sets,
 closed forms by state elimination, and sound bounds over parameter regions.
 
-Exact mode works in Fractions end to end (fraction-free Gaussian elimination
-for linear systems, policy iteration for optima); float mode assembles the
-same systems in numpy and uses dense solves up to DENSE_LIMIT unknowns and
-Jacobi sweeps (_kernels.solve_linear) above it. FloatPmcEvaluator evaluates
-a whole matrix of parameter vectors at once: one term-table pass for all
-edges and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES.
+Exact mode works in Fractions end to end (sparse state elimination for
+linear systems, the same step that builds the closed forms, and policy
+iteration for optima); float mode assembles the same systems in numpy and
+uses dense solves up to DENSE_LIMIT unknowns and Jacobi sweeps
+(_kernels.solve_linear) above it. FloatPmcEvaluator evaluates a whole matrix
+of parameter vectors at once: one term-table pass for all edges and one
+stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -103,50 +104,47 @@ def _reachable(graph, start, absorbing=frozenset()):
 # linear solving
 
 
-def solve_exact(rows, c):
-    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1.
+# sink columns of elimination: _GOOD holds constant terms and the merged
+# value-one states, _REWARD the state rewards of reward closed forms. Only
+# _GOOD counts toward the degree order; counting _REWARD as well lengthened
+# reward forms on random models.
+_GOOD = -1
+_REWARD = -2
 
-    Fraction-free (Bareiss) elimination on an integer-scaled augmented
-    matrix; intermediate divisions are exact by construction.
+
+def solve_exact(rows, c):
+    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
+    substochastic (nonnegative, rows summing to at most one).
+
+    Sparse state elimination (the same _eliminate step as the closed forms):
+    c is a sink column, pivots go in min in*out degree order, and each
+    eliminated row is kept for the back-substitution. I - A is then an
+    M-matrix, so every pivot 1 - a_ss of a nonsingular system is positive; a
+    zero pivot means the system is singular.
     """
     n = len(c)
-    if n == 0:
-        return []
-    M = []
+    w = {}
+    preds = {i: set() for i in range(n)}
+    preds[_GOOD] = set()
     for i in range(n):
-        row = [Fraction(0)] * (n + 1)
-        row[i] = Fraction(1)
-        for j, a in rows[i].items():
-            row[j] -= a
-        row[n] = Fraction(c[i])
-        scale = math.lcm(*[v.denominator for v in row])
-        M.append([int(v * scale) for v in row])
-    prev = 1
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if M[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ModelError("singular linear system")
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-        mk = M[k]
-        for i in range(k + 1, n):
-            mi = M[i]
-            mik = mi[k]
-            for j in range(k + 1, n + 1):
-                mi[j] = (mk[k] * mi[j] - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = mk[k]
+        row = {j: Fraction(a) for j, a in rows[i].items() if a}
+        if c[i]:
+            row[_GOOD] = Fraction(c[i])
+        w[i] = row
+        for j in row:
+            preds[j].add(i)
+    eliminated = []
+    try:
+        for s in _pick_elimination_order(w, preds, range(n), "degree"):
+            eliminated.append((s, _eliminate(w, preds, s)))
+    except ZeroDivisionError:
+        raise ModelError("singular linear system") from None
     x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        acc = Fraction(M[i][n])
-        for j in range(i + 1, n):
-            if M[i][j]:
-                acc -= M[i][j] * x[j]
-        x[i] = acc / M[i][i]
+    for s, out in reversed(eliminated):
+        acc = Fraction(0)
+        for t, v in out:
+            acc += v if t == _GOOD else v * x[t]
+        x[s] = acc
     return x
 
 
@@ -310,16 +308,17 @@ def _prob1e(mdp: Mdp, goal, bad):
     return frozenset(X), witness
 
 
-def _proper_initial_policy(mdp, U, known):
-    """Pick actions so every U state leaks toward `known` (assignment by
-    backward layers); the induced system is then nonsingular."""
+def _proper_initial_policy(mdp, U, known, acts):
+    """Pick actions among acts(s) so every U state leaks toward `known`
+    (assignment by backward layers); the induced system is then
+    nonsingular."""
     policy = {}
     settled = set(known)
     unassigned = set(U)
     while unassigned:
         progress = False
         for s in list(unassigned):
-            for a in mdp.actions(s):
+            for a in acts(s):
                 if any(t in settled for t in mdp.trans[(s, a)]):
                     policy[s] = a
                     unassigned.discard(s)
@@ -348,25 +347,6 @@ def _policy_value(mdp, U, idx, policy, val_of, reward_of=None):
         rows.append(row)
         c.append(acc)
     return solve_exact(rows, c)
-
-
-def _proper_initial_policy_restricted(mdp, U, known, acts):
-    policy = {}
-    settled = set(known)
-    unassigned = set(U)
-    while unassigned:
-        progress = False
-        for s in list(unassigned):
-            for a in acts(s):
-                if any(t in settled for t in mdp.trans[(s, a)]):
-                    policy[s] = a
-                    unassigned.discard(s)
-                    settled.add(s)
-                    progress = True
-                    break
-        if not progress:
-            raise ModelError("no proper policy exists on the uncertain states")
-    return policy
 
 
 def mdp_optimal(mdp: Mdp, spec: Specification) -> MdpResult:
@@ -410,7 +390,8 @@ def _mdp_max_reach(mdp, goal, bad):
 
 def _policy_iterate_reach(mdp, U, s_one, s_zero):
     idx = {s: i for i, s in enumerate(U)}
-    policy = _proper_initial_policy(mdp, U, list(s_one) + list(s_zero))
+    policy = _proper_initial_policy(mdp, U, list(s_one) + list(s_zero),
+                                    mdp.actions)
 
     def boundary(t):
         return Fraction(1) if t in s_one else Fraction(0)
@@ -454,7 +435,7 @@ def _mdp_min_reward(mdp, goal):
 
     U = [s for s in mdp.states if s in p1e and s not in goal]
     idx = {s: i for i, s in enumerate(U)}
-    policy = _proper_initial_policy_restricted(mdp, U, list(goal), acts)
+    policy = _proper_initial_policy(mdp, U, list(goal), acts)
 
     def reward_of(s, a):
         return mdp.rewards.get((s, a), Fraction(0))
@@ -553,9 +534,6 @@ def _pmc_graph(d: PmcT):
     return {s: tuple(d.row(s)) for s in d.states}
 
 
-_GOOD = -1  # merged value-one sink during elimination
-
-
 def _pick_elimination_order(w, preds, candidates, order):
     if order == "sequential":
         ordered = sorted(candidates)
@@ -563,27 +541,31 @@ def _pick_elimination_order(w, preds, candidates, order):
             yield ordered.pop(0)
         return
     remaining = set(candidates)
+
+    def degree(s):
+        # in*out degree, self-loops left out; ties go to the lowest id
+        ins = len(preds[s]) - (s in preds[s])
+        outs = len(w[s]) - (s in w[s]) - (_REWARD in w[s])
+        return ins * outs, s
+
     while remaining:
-        best = None
-        best_deg = None
-        for s in sorted(remaining):
-            ins = sum(1 for p in preds[s] if p != s)
-            outs = sum(1 for t in w[s] if t != s)
-            deg = ins * outs
-            if best_deg is None or deg < best_deg:
-                best, best_deg = s, deg
+        best = min(remaining, key=degree)
         remaining.discard(best)
         yield best
 
 
 def _eliminate(w, preds, s):
+    """Remove state s by rerouting every pred -> s -> succ through
+    1/(1 - selfloop). Generic over the value field (Fraction or
+    RationalFunction); returns s's rerouted row [(succ, value)], which
+    refers only to states still present."""
     loop = w[s].pop(s, None)
     if loop is not None:
         preds[s].discard(s)
-        inv = RF_ONE / (RF_ONE - loop)
+        inv = 1 / (1 - loop)
+        out = [(t, inv * wst) for t, wst in w[s].items()]
     else:
-        inv = RF_ONE
-    out = [(t, inv * wst) for t, wst in w[s].items()]
+        out = list(w[s].items())
     for t, _ in out:
         preds[t].discard(s)
     for p in list(preds[s]):
@@ -596,7 +578,18 @@ def _eliminate(w, preds, s):
                 preds[t].add(p)
     del w[s]
     preds[s] = set()
-    return inv
+    return out
+
+
+def _eliminate_to_initial(w, preds, U, initial, order, sink):
+    """Eliminate every state of U but the initial one from w; the value is
+    the initial row's sink entry over 1 - its loop."""
+    for s in _pick_elimination_order(w, preds, [s for s in U if s != initial], order):
+        _eliminate(w, preds, s)
+    row = w[initial]
+    value = row.get(sink, RF_ZERO)
+    loop = row.get(initial)
+    return value if loop is None else value / (1 - loop)
 
 
 def state_eliminate(d: PmcT, goal=None, bad=None, order="degree") -> RationalFunction:
@@ -604,8 +597,9 @@ def state_eliminate(d: PmcT, goal=None, bad=None, order="degree") -> RationalFun
     parameters, valid at every graph-preserving well-defined valuation.
 
     States other than the initial one are eliminated by rerouting
-    pred -> s -> succ through 1/(1 - selfloop); order is the in*out degree
-    heuristic or plain ascending ids."""
+    pred -> s -> succ through 1/(1 - selfloop); edges into the value-one
+    states merge into one sink column. order is the in*out degree heuristic
+    or plain ascending ids."""
     goal = d.goal if goal is None else frozenset(goal)
     bad = d.bad if bad is None else frozenset(bad)
     q = qualitative_precompute(_pmc_graph(d), goal, bad)
@@ -627,21 +621,14 @@ def state_eliminate(d: PmcT, goal=None, bad=None, order="degree") -> RationalFun
         w[s] = row
         for t in row:
             preds[t].add(s)
-    for s in _pick_elimination_order(w, preds, [s for s in U if s != d.initial], order):
-        _eliminate(w, preds, s)
-    row = w[d.initial]
-    good = row.get(_GOOD, RF_ZERO)
-    loop = row.get(d.initial)
-    if loop is not None:
-        good = good / (RF_ONE - loop)
-    return good
+    return _eliminate_to_initial(w, preds, U, d.initial, order, _GOOD)
 
 
 def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFunction:
     """Closed-form expected reward until goal. Requires that every
     graph-preserving valuation reaches the goal almost surely (a property of
     the graph alone); otherwise the value is infinite everywhere and no
-    rational function exists."""
+    rational function exists. The state rewards form the sink column."""
     goal = d.goal if goal is None else frozenset(goal)
     graph = _pmc_graph(d)
     if d.initial in goal:
@@ -656,43 +643,19 @@ def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFuncti
     U = [s for s in sorted(relevant) if s not in goal]
     w = {}
     preds = {s: set() for s in U}
-    rew = {}
+    preds[_REWARD] = set()
     for s in U:
         row = {}
         for t, poly in d.row(s).items():
             if t not in goal:
                 row[t] = RationalFunction(poly)
+        r = d.rewards.get(s)
+        if r is not None and not r.is_zero():
+            row[_REWARD] = RationalFunction(r)
         w[s] = row
         for t in row:
             preds[t].add(s)
-        r = d.rewards.get(s)
-        rew[s] = RationalFunction(r) if r is not None else RF_ZERO
-    for s in _pick_elimination_order(w, preds, [s for s in U if s != d.initial], order):
-        loop = w[s].pop(s, None)
-        if loop is not None:
-            preds[s].discard(s)
-            inv = RF_ONE / (RF_ONE - loop)
-        else:
-            inv = RF_ONE
-        out = [(t, inv * wst) for t, wst in w[s].items()]
-        r_s = inv * rew[s]
-        for t, _ in out:
-            preds[t].discard(s)
-        for p in list(preds[s]):
-            wps = w[p].pop(s)
-            rew[p] = rew[p] + wps * r_s
-            for t, wst in out:
-                if t in w[p]:
-                    w[p][t] = w[p][t] + wps * wst
-                else:
-                    w[p][t] = wps * wst
-                    preds[t].add(p)
-        del w[s]
-    loop = w[d.initial].get(d.initial)
-    result = rew[d.initial]
-    if loop is not None:
-        result = result / (RF_ONE - loop)
-    return result
+    return _eliminate_to_initial(w, preds, U, d.initial, order, _REWARD)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,13 @@ _TOKEN_RE = re.compile(
 )
 
 
+class _NonPolynomial(Exception):
+    """A polynomial parse met a non-constant divisor."""
+
+
 class _ExprParser:
+    """Recursive-descent parser over RationalFunction values."""
+
     def __init__(self, text: str, line=None, col_offset: int = 0):
         self.line = line
         self.tokens = []
@@ -115,7 +121,15 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def parse(self) -> RationalFunction:
+    def _lift(self, p: Polynomial):
+        return RationalFunction(p)
+
+    def _divide(self, v, rhs, col):
+        if rhs.num.is_zero():
+            raise FormatError("division by zero", self.line, col)
+        return v / rhs
+
+    def parse(self):
         v = self._expr()
         if self.i < len(self.tokens):
             kind, text, col = self.tokens[self.i]
@@ -136,12 +150,7 @@ class _ExprParser:
             _, op, col = self.tokens[self.i]
             self.i += 1
             rhs = self._unary()
-            if op == "*":
-                v = v * rhs
-            else:
-                if rhs.num.is_zero():
-                    raise FormatError("division by zero", self.line, col)
-                v = v / rhs
+            v = v * rhs if op == "*" else self._divide(v, rhs, col)
         return v
 
     def _unary(self):
@@ -158,7 +167,7 @@ class _ExprParser:
             if kind != "num" or not text.isdigit():
                 raise FormatError("exponent must be a nonnegative integer", self.line, col)
             e = int(text)
-            out = RationalFunction(Polynomial.one())
+            out = self._lift(Polynomial.one())
             for _ in range(e):
                 out = out * v
             return out
@@ -167,9 +176,9 @@ class _ExprParser:
     def _atom(self):
         kind, text, col = self._next()
         if kind == "num":
-            return RationalFunction(Polynomial.constant(Fraction(text)))
+            return self._lift(Polynomial.constant(Fraction(text)))
         if kind == "name":
-            return RationalFunction(Polynomial.variable(text))
+            return self._lift(Polynomial.variable(text))
         if text == "(":
             v = self._expr()
             kind2, text2, col2 = self._next()
@@ -183,9 +192,32 @@ def parse_expression(text: str, line=None, col_offset: int = 0) -> RationalFunct
     return _ExprParser(text, line, col_offset).parse()
 
 
+class _PolyParser(_ExprParser):
+    """The same grammar over Polynomials: a division by a constant is a
+    multiplication by its reciprocal, and any other divisor raises
+    _NonPolynomial."""
+
+    def _lift(self, p: Polynomial):
+        return p
+
+    def _divide(self, v, rhs, col):
+        if not rhs.is_constant():
+            raise _NonPolynomial
+        c = rhs.constant_value()
+        if c == 0:
+            raise FormatError("division by zero", self.line, col)
+        return v * Polynomial.constant(1 / c)
+
+
 def parse_poly(text: str, line=None, col_offset: int = 0) -> Polynomial:
     """Parse an expression that must denote a polynomial (constant
-    denominators fold into the coefficients)."""
+    denominators fold into the coefficients). Parsed straight into
+    Polynomials; a parametric divisor re-parses it as a rational function,
+    which must then have a constant denominator."""
+    try:
+        return _PolyParser(text, line, col_offset).parse()
+    except _NonPolynomial:
+        pass
     rf = parse_expression(text, line, col_offset)
     if not rf.den.is_constant():
         raise FormatError(

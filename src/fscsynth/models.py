@@ -777,11 +777,14 @@ def check_well_defined(model, u, eps=None) -> WellDefinedness:
 
     defects = list(res.defects)
     if res.well_defined:
+        # apply_instantiation evaluated every entry and kept the nonzero ones
+        zero = Fraction(0) if u.is_rational else 0.0
         for s in model.states:
+            row = res.model.trans[s]
             for t, p in model.row(s).items():
                 if p.is_constant():
                     continue
-                v = _eval_entry(p, u)
+                v = row.get(t, zero)
                 if not (0 < v < 1):
                     graph = False
                     defects.append("entry (%d,%d) evaluates to boundary value %s"

@@ -192,8 +192,10 @@ def _param_level_eps(d: PmcT, u: Instantiation, eps: Fraction) -> bool:
     return True
 
 
-def _emission_check(d: PmcT, u: Instantiation, eps: Fraction) -> WellDefinedness:
-    base = check_well_defined(d, u)
+def _emission_check(d: PmcT, u: Instantiation, base: WellDefinedness,
+                    eps: Fraction) -> WellDefinedness:
+    """Adds parameter-level min-eps to the entry-level verdict `certify`
+    returned for u."""
     epsp = _param_level_eps(d, u, eps)
     well = WellDefinedness(base.well_defined, base.graph_preserving, epsp,
                            base.defects)
@@ -227,8 +229,8 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     cfg = cfg or SearchConfig()
     codec = _SimplexCodec(d, cfg.min_prob)
     if codec.dims == 0:
-        u, value, sat, _ = certify(d, spec, Instantiation({}))
-        well = _emission_check(d, u, Fraction(repr(cfg.min_prob)))
+        u, value, sat, base = certify(d, spec, Instantiation({}))
+        well = _emission_check(d, u, base, Fraction(repr(cfg.min_prob)))
         fv = math.inf if is_infinite(value) else float(value)
         return SearchResult(u, value, fv, sat, trace=[fv], evaluations=1,
                             first_satisfied_eval=1 if sat else None, well=well)
@@ -299,8 +301,8 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
             gbest_x = pbest_x[i_best].copy()
         trace.append(-gbest_f if maximizing else gbest_f)
 
-    u, value, sat, _ = certify(d, spec, codec.rationalize(gbest_x, d.params.names))
-    well = _emission_check(d, u, Fraction(repr(cfg.min_prob)))
+    u, value, sat, base = certify(d, spec, codec.rationalize(gbest_x, d.params.names))
+    well = _emission_check(d, u, base, Fraction(repr(cfg.min_prob)))
     float_value = -gbest_f if maximizing else gbest_f
     return SearchResult(u, value, float_value, sat, trace=trace,
                         evaluations=evaluations, first_satisfied_eval=first_sat,
@@ -412,12 +414,12 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
         res = pso_search(d, spec, dataclasses.replace(cfg, seed=cfg.seed + i),
                          collect_satisfied=num_witnesses)
         runs.append(res)
-        candidates = [codec.rationalize(x, d.params.names)
+        # float-sampled witnesses need an exact check; the swarm's best
+        # point is already certified
+        candidates = [certify(d, spec, codec.rationalize(x, d.params.names))[:3]
                       for x in res.satisfied_samples]
-        if res.satisfied:
-            candidates.append(res.instantiation)
-        for u in candidates:
-            u, value, sat, _well = certify(d, spec, u, None)
+        candidates.append((res.instantiation, res.value, res.satisfied))
+        for u, value, sat in candidates:
             if not sat:
                 continue  # float verdict did not survive exact checking
             if all(u != w for w in witnesses):

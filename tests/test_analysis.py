@@ -70,7 +70,7 @@ class TestSolvers:
         assert reach_avoid_prob(mc2) == 0
 
     def test_float_chain_tracks_exact_chain(self):
-        # the iterative float solver against fraction-free elimination
+        # the float solver against exact sparse elimination
         rng = random.Random(41)
         for _ in range(15):
             d = g.random_simple_pmc(rng, max_states=15)
@@ -107,6 +107,60 @@ class TestSolvers:
         q = qualitative_precompute(_pmc_graph(d), d.goal, d.bad)
         assert 1 in q.s_one
         assert 0 in q.s_one  # under graph-preserving semantics the loop escapes
+
+
+def _substochastic_system(rng, n, width, loops, constant):
+    """Rows over width(n) random successors (self-loops kept or dropped),
+    each row keeping back a positive weight, so every row sums to less than
+    one and I - A is nonsingular."""
+    rows = []
+    c = []
+    for i in range(n):
+        succ = rng.sample(range(n), min(n, width(n)))
+        if not loops and i in succ:
+            succ.remove(i)
+        weights = [rng.randint(0, 9) for _ in succ]
+        total = sum(weights) + rng.randint(1, 9)
+        rows.append({j: F(w, total) for j, w in zip(succ, weights) if w})
+        has_c = constant == "all" or (constant == "some" and rng.random() < 0.5)
+        c.append(F(rng.randint(0, 5), rng.randint(1, 7)) if has_c else F(0))
+    return rows, c
+
+
+class TestSolveExact:
+    SIZES = list(range(1, 13)) + [20, 40, 80, 120]
+    WIDTHS = {
+        "sparse": lambda n: 3,
+        "near-dense": lambda n: max(1, n - 2),
+    }
+
+    @pytest.mark.parametrize("shape", ["sparse", "near-dense"])
+    @pytest.mark.parametrize("loops", [True, False])
+    @pytest.mark.parametrize("constant", ["all", "some", "none"])
+    def test_solution_satisfies_the_system_exactly(self, shape, loops, constant):
+        rng = random.Random("%s/%s/%s" % (shape, loops, constant))
+        # dense fill costs O(n^3) Fraction operations: keep dense systems small
+        sizes = [n for n in self.SIZES if shape == "sparse" or n <= 40]
+        for n in sizes:
+            rows, c = _substochastic_system(rng, n, self.WIDTHS[shape], loops, constant)
+            x = solve_exact(rows, c)
+            assert len(x) == n
+            assert all(type(v) is F for v in x)
+            for i in range(n):
+                assert x[i] == sum(a * x[j] for j, a in rows[i].items()) + c[i]
+            if constant == "none":
+                assert x == [0] * n
+
+    @pytest.mark.parametrize("rows, c", [
+        # states 1 and 2 form a closed class inside the unknowns
+        ([{1: F(1, 2)}, {2: F(1)}, {1: F(1)}], [F(1, 2), F(0), F(0)]),
+        ([{0: F(1)}], [F(0)]),
+        ([{1: F(1, 3), 2: F(1, 3)}, {1: F(1, 2), 2: F(1, 2)}, {1: F(1)}],
+         [F(1, 3), F(0), F(0)]),
+    ])
+    def test_singular_system_raises(self, rows, c):
+        with pytest.raises(ModelError, match="^singular linear system$"):
+            solve_exact(rows, c)
 
 
 class TestMdpOptimal:

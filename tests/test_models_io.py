@@ -1,6 +1,7 @@
 """Model types, validation, specifications, and the text formats."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ import genmodels as g
 from fscsynth.formats import (
     FormatError,
     parse_fsc,
+    parse_expression,
     parse_instantiation,
     parse_param_groups,
     parse_pmc,
     parse_pomdp,
+    parse_poly,
     parse_rational_function,
     parse_region,
     write_fsc,
@@ -28,6 +31,7 @@ from fscsynth.models import (
     Instantiation,
     Mdp,
     ModelError,
+    PmcT,
     Pomdp,
     apply_instantiation,
     check_well_defined,
@@ -37,7 +41,8 @@ from fscsynth.models import (
 )
 from fscsynth.analysis import Region, reach_avoid_prob, expected_reward, state_eliminate
 from fscsynth.fsc import uniform_fsc
-from fscsynth.transforms import induced_pmc
+from fscsynth.polynomials import Polynomial
+from fscsynth.transforms import induced_pmc, substituted_pmc
 
 F = Fraction
 
@@ -93,6 +98,77 @@ class TestRoundTrips:
     def test_comment_lines_ignored(self):
         text = "# produced by hand\n" + write_pomdp(g.two_coin_pomdp())
         assert parse_pomdp(text) == g.two_coin_pomdp()
+
+
+_TRANS_LINE = re.compile(r"trans (\d+) (\d+) (.*)$")
+
+
+def _rational_function_route(expr):
+    """An entry parsed as a rational function, its constant denominator
+    folded into the coefficients."""
+    rf = parse_expression(expr)
+    c = rf.den.constant_value()
+    return rf.num if c == 1 else rf.num * Polynomial.constant(1 / c)
+
+
+class TestPolynomialEntries:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_parse_pmc_matches_the_rational_function_route(self, k):
+        rng = random.Random(40 + k)
+        for _ in range(8):
+            m = g.random_pomdp(rng, max_states=5, with_rewards=True)
+            for d in (induced_pmc(m, k), substituted_pmc(m, k)):
+                text = write_pmc(d)
+                back = parse_pmc(text)
+                by_rf = {}
+                for line in text.splitlines():
+                    hit = _TRANS_LINE.match(line)
+                    if hit:
+                        s, t = int(hit.group(1)), int(hit.group(2))
+                        poly = _rational_function_route(hit.group(3))
+                        by_rf.setdefault(s, {})[t] = poly
+                        # same terms in the same order: float evaluation
+                        # sums them in that order
+                        assert list(back.trans[s][t].terms.items()) == list(poly.terms.items())
+                rf_model = PmcT(back.num_states, back.initial, by_rf, back.params,
+                                back.rewards, back.goal, back.bad)
+                assert write_pmc(back) == write_pmc(rf_model) == text
+
+    @pytest.mark.parametrize("expr", [
+        "(p + q)^3 - p^2*q/3",
+        "-(1 - p)*(q + 2*p)^2/5 + 0.25",
+        "q - p + p*(1/2)^2 + 3*p/4",
+    ])
+    def test_expressions_match_the_rational_function_route(self, expr):
+        poly = parse_poly(expr)
+        assert list(poly.terms.items()) == list(_rational_function_route(expr).terms.items())
+
+    def _entry(self, expr):
+        return parse_pmc("pmc\nstates 2\ninitial 0\nparams p q\n"
+                         "trans 0 0 3/4\ntrans 0 1 %s\ntrans 1 1 1\n" % expr)
+
+    def test_constant_divisions_fold_into_the_coefficients(self):
+        assert self._entry("2*(1/2)^3").trans[0][1] == Polynomial.constant(F(1, 4))
+        d = self._entry("(3*p - p*2)/8 + 1/(4*2) - p/8")
+        assert d.trans[0][1].terms == {(): F(1, 8)}
+
+    @pytest.mark.parametrize("expr, message, col", [
+        ("p/0 + 1", "line 6, col 12: division by zero", 12),
+        ("1/(p-p)", "line 6, col 12: division by zero", 12),
+        ("p/(1-q)", "line 6, col 11: expression 'p/(1-q)' divides by a parametric "
+                    "expression; a polynomial is required here", 11),
+        ("p*q/p + 1/(2-2)", "line 6, col 20: division by zero", 20),
+    ])
+    def test_errors_keep_their_message_and_position(self, expr, message, col):
+        with pytest.raises(FormatError) as err:
+            self._entry(expr)
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (6, col)
+
+    def test_parametric_divisor_that_cancels_is_a_polynomial(self):
+        d = parse_pmc("pmc\nstates 2\ninitial 0\nparams p q\n"
+                      "trans 0 0 1 - q\ntrans 0 1 p*q/p\ntrans 1 1 1\n")
+        assert d.trans[0][1] == Polynomial.variable("q")
 
 
 class TestValidation:
@@ -225,6 +301,15 @@ class TestNumbersAndInstantiations:
         assert w0.well_defined and not w0.graph_preserving
         weps = check_well_defined(d, Instantiation({"p": F(1, 100)}), eps=F(1, 10))
         assert weps.graph_preserving and not weps.eps_preserving
+
+    @pytest.mark.parametrize("p, zero, one", [(F(0), "0", "1"), (0.0, "0.0", "1.0")])
+    def test_boundary_defects_name_the_evaluated_values(self, p, zero, one):
+        # zero entries are dropped from the instantiated chain; the defect
+        # text still prints them in the instantiation's number type
+        w = check_well_defined(g.biased_choice_pmc(), Instantiation({"p": p}), eps=F(1, 10))
+        assert (w.well_defined, w.graph_preserving, w.eps_preserving) == (True, False, False)
+        assert w.defects == ["entry (0,1) evaluates to boundary value " + zero,
+                             "entry (0,2) evaluates to boundary value " + one]
 
 
 def Infinite_roundtrip():
