@@ -6,7 +6,10 @@ Two entry points:
                     row of a matrix of float parameter vectors
   solve_linear(...) iterate x = A x + c in place by Jacobi sweeps until the
                     largest update drops below tol (returns sweeps used and
-                    last delta)
+                    last delta). The package no longer calls it: float
+                    solves are dense. It stays only because the benchmark
+                    tracer (e2ebench/spans.py) wraps it by name, and goes
+                    together with that span.
 
 eval_edges works on the last axis only, so a whole swarm of parameter
 vectors goes through in one call, and each row comes out bit for bit as it

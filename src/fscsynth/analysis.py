@@ -1,24 +1,26 @@
 """Quantitative analysis: chain/MDP model checking, qualitative sets,
 closed forms by state elimination, and sound bounds over parameter regions.
 
-Exact mode works in Fractions end to end (sparse state elimination for
-linear systems, the same step that builds the closed forms, and policy
-iteration for optima); float mode assembles the same systems in numpy and
-uses dense solves up to DENSE_LIMIT unknowns and Jacobi sweeps
-(_kernels.solve_linear) above it. FloatPmcEvaluator evaluates a whole matrix
-of parameter vectors at once: one term-table pass for all edges and one
-stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES.
+Exact mode works in Fractions end to end: sparse state elimination for
+linear systems (the same step that builds the closed forms), and one policy
+iteration engine, _policy_iterate, for the MDP optima and for the robust
+region bounds, where the greedy interval allocation is the one choice per
+state. Float mode assembles the same systems in numpy and solves them
+densely. FloatPmcEvaluator evaluates a whole matrix of parameter vectors at
+once: one term-table pass for all edges and one stacked dense solve, in
+blocks of at most SOLVE_BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import TermTable, solve_linear
+from ._kernels import TermTable
 from .models import (
     EXPECTED_REWARD,
     INFINITE,
@@ -34,9 +36,6 @@ from .models import (
 )
 from .polynomials import RF_ONE, RF_ZERO, Polynomial, RationalFunction
 
-ITER_TOL = 1e-12
-ITER_CAP = 10 ** 6
-DENSE_LIMIT = 600
 # byte budget of one stacked (rows x n x n) block of float evaluation solves
 SOLVE_BLOCK_BYTES = 2 ** 21
 
@@ -149,39 +148,16 @@ def solve_exact(rows, c):
 
 
 def solve_float(rows, c):
-    """Float companion of solve_exact: dense up to DENSE_LIMIT, otherwise
-    Jacobi sweeps with a dense rescue if the cap is hit."""
+    """Float companion of solve_exact: one dense solve. Float values only
+    rank candidates; every verdict is certified exactly."""
     n = len(c)
     if n == 0:
         return np.zeros(0)
-    cv = np.asarray([float(v) for v in c], dtype=np.float64)
-    if n <= DENSE_LIMIT:
-        return _dense_solve(rows, cv)
-    indptr = [0]
-    indices = []
-    data = []
-    for i in range(n):
-        for j, a in rows[i].items():
-            indices.append(j)
-            data.append(float(a))
-        indptr.append(len(indices))
-    x = np.zeros(n)
-    _, delta = solve_linear(
-        np.asarray(indptr, dtype=np.intc), np.asarray(indices, dtype=np.intc),
-        np.asarray(data), cv, x, ITER_TOL, ITER_CAP,
-    )
-    if delta > ITER_TOL:
-        return _dense_solve(rows, cv)
-    return x
-
-
-def _dense_solve(rows, cv):
-    n = len(cv)
     A = np.zeros((n, n))
     for i in range(n):
         for j, a in rows[i].items():
             A[i, j] += float(a)
-    return np.linalg.solve(np.eye(n) - A, cv)
+    return np.linalg.solve(np.eye(n) - A, np.asarray([float(v) for v in c]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +284,20 @@ def _prob1e(mdp: Mdp, goal, bad):
     return frozenset(X), witness
 
 
-def _proper_initial_policy(mdp, U, known, acts):
-    """Pick actions among acts(s) so every U state leaks toward `known`
-    (assignment by backward layers); the induced system is then
-    nonsingular."""
+def _proper_initial_policy(U, known, choices, dist):
+    """Pick a choice among choices(s) for every U state so that it leaks
+    toward `known` (assignment by backward layers): some successor with
+    positive probability under dist(s, choice) is known or already
+    assigned. The induced system is then nonsingular."""
     policy = {}
     settled = set(known)
     unassigned = set(U)
     while unassigned:
         progress = False
         for s in list(unassigned):
-            for a in acts(s):
-                if any(t in settled for t in mdp.trans[(s, a)]):
-                    policy[s] = a
+            for ch in choices(s):
+                if any(p and t in settled for t, p in dist(s, ch).items()):
+                    policy[s] = ch
                     unassigned.discard(s)
                     settled.add(s)
                     progress = True
@@ -330,23 +307,69 @@ def _proper_initial_policy(mdp, U, known, acts):
     return policy
 
 
-def _policy_value(mdp, U, idx, policy, val_of, reward_of=None):
-    rows = []
-    c = []
-    for s in U:
-        a = policy[s]
-        row = {}
-        acc = Fraction(0)
-        for t, p in mdp.trans[(s, a)].items():
-            if t in idx:
-                row[idx[t]] = p
-            else:
-                acc += p * val_of(t)
-        if reward_of is not None:
-            acc += reward_of(s, a)
-        rows.append(row)
-        c.append(acc)
-    return solve_exact(rows, c)
+def _policy_iterate(U, policy, choices, dist, boundary, reward, better):
+    """Exact policy iteration (Howard) on the states U, from `policy`.
+
+    Each round solves x = A x + c for the current choices, then switches a
+    state to its best candidate among choices(s, val) only where that is
+    strictly better than the state's current value; ties keep the first.
+    dist(s, ch) gives the successor distribution {t: p} of a choice,
+    boundary(t) the fixed value of a state outside U, reward(s, ch) the
+    constant term, and better(a, b) is a strict comparison. From a proper
+    policy every strict improvement stays proper, so each system is
+    nonsingular; a reward maximum needs that no choice can trap mass in U
+    (callers return INFINITE first, see _avoiders). Returns the values on
+    U and the policy, updated in place.
+    """
+    idx = {s: i for i, s in enumerate(U)}
+    x = {}
+
+    def val(t):
+        return x[t] if t in idx else boundary(t)
+
+    while True:
+        rows = []
+        c = []
+        for s in U:
+            ch = policy[s]
+            row = {}
+            acc = reward(s, ch)
+            for t, p in dist(s, ch).items():
+                if t in idx:
+                    row[idx[t]] = p
+                else:
+                    acc += p * boundary(t)
+            rows.append(row)
+            c.append(acc)
+        x = dict(zip(U, solve_exact(rows, c)))
+        switched = False
+        for s in U:
+            best, best_q = policy[s], x[s]
+            for ch in choices(s, val):
+                if ch == policy[s]:
+                    continue
+                q = reward(s, ch) + sum(p * val(t) for t, p in dist(s, ch).items())
+                if better(q, best_q):
+                    best, best_q = ch, q
+            if best != policy[s]:
+                policy[s] = best
+                switched = True
+        if not switched:
+            return x, policy
+
+
+def _avoiders(graph, goal, stays):
+    """States from which some strategy keeps away from goal forever with
+    positive probability: those that can reach, avoiding goal, the greatest
+    set Z outside goal in which every state has a choice staying inside Z
+    (stays(s, Z)). The maximal expected reward is infinite there."""
+    Z = set(graph) - set(goal)
+    while True:
+        keep = {s for s in Z if stays(s, Z)}
+        if keep == Z:
+            break
+        Z = keep
+    return set(graph) - qualitative_precompute(graph, Z, goal).s_zero
 
 
 def mdp_optimal(mdp: Mdp, spec: Specification) -> MdpResult:
@@ -360,68 +383,33 @@ def mdp_optimal(mdp: Mdp, spec: Specification) -> MdpResult:
     return _mdp_max_reward(mdp, mdp.goal)
 
 
+def _zero(*_args):
+    return Fraction(0)
+
+
 def _mdp_max_reach(mdp, goal, bad):
-    goal = set(goal)
-    bad = set(bad)
-    rev = {s: [] for s in mdp.states}
-    for (s, _a), row in mdp.trans.items():
-        for t in row:
-            rev[t].append(s)
-    reach = set(goal)
-    stack = list(goal)
-    while stack:
-        t = stack.pop()
-        for s in rev[t]:
-            if s not in reach and s not in bad:
-                reach.add(s)
-                stack.append(s)
-    s_zero = frozenset(s for s in mdp.states if s not in reach)
+    s_zero = qualitative_precompute(_mdp_any_graph(mdp), goal, bad).s_zero
     s_one, witness = _prob1e(mdp, goal, bad)
-    U = [s for s in mdp.states if s not in s_one and s not in s_zero]
     if mdp.initial in s_one:
         return MdpResult(Fraction(1), dict(witness))
     if mdp.initial in s_zero:
         return MdpResult(Fraction(0), dict(witness))
-    values, policy = _policy_iterate_reach(mdp, U, s_one, s_zero)
+    U = [s for s in mdp.states if s not in s_one and s not in s_zero]
+    start = _proper_initial_policy(U, s_one | s_zero, mdp.actions, mdp.row)
+    x, policy = _policy_iterate(
+        U, start, lambda s, _val: mdp.actions(s), mdp.row,
+        lambda t: Fraction(1) if t in s_one else Fraction(0), _zero, operator.gt)
     strategy = dict(witness)
     strategy.update(policy)
-    return MdpResult(values[mdp.initial], strategy)
+    return MdpResult(x[mdp.initial], strategy)
 
 
-def _policy_iterate_reach(mdp, U, s_one, s_zero):
-    idx = {s: i for i, s in enumerate(U)}
-    policy = _proper_initial_policy(mdp, U, list(s_one) + list(s_zero),
-                                    mdp.actions)
-
-    def boundary(t):
-        return Fraction(1) if t in s_one else Fraction(0)
-
-    while True:
-        x = _policy_value(mdp, U, idx, policy, boundary)
-
-        switched = False
-        for s in U:
-            best_a = policy[s]
-            best_q = x[idx[s]]
-            for a in mdp.actions(s):
-                if a == policy[s]:
-                    continue
-                acc = Fraction(0)
-                for t, p in mdp.trans[(s, a)].items():
-                    acc += p * (x[idx[t]] if t in idx else boundary(t))
-                if acc > best_q:
-                    best_q = acc
-                    best_a = a
-            if best_a != policy[s]:
-                policy[s] = best_a
-                switched = True
-        if not switched:
-            return {s: x[idx[s]] for s in U}, policy
+def _mdp_reward(mdp):
+    return lambda s, a: mdp.rewards.get((s, a), Fraction(0))
 
 
 def _mdp_min_reward(mdp, goal):
-    goal = set(goal)
-    p1e, witness = _prob1e(mdp, goal, ())
+    p1e, _witness = _prob1e(mdp, goal, ())
     if mdp.initial not in p1e:
         return MdpResult(INFINITE, {})
     if mdp.initial in goal:
@@ -429,101 +417,33 @@ def _mdp_min_reward(mdp, goal):
 
     def acts(s):
         # actions leaving the almost-sure set risk infinite cost
-        out = [a for a in mdp.actions(s)
-               if all(t in p1e for t in mdp.trans[(s, a)])]
-        return out
+        return [a for a in mdp.actions(s)
+                if all(t in p1e for t in mdp.trans[(s, a)])]
 
     U = [s for s in mdp.states if s in p1e and s not in goal]
-    idx = {s: i for i, s in enumerate(U)}
-    policy = _proper_initial_policy(mdp, U, list(goal), acts)
-
-    def reward_of(s, a):
-        return mdp.rewards.get((s, a), Fraction(0))
-
-    while True:
-        x = _policy_value(mdp, U, idx, policy,
-                          lambda t: Fraction(0), reward_of)
-        switched = False
-        for s in U:
-            best_a = policy[s]
-            best_q = x[idx[s]]
-            for a in acts(s):
-                if a == policy[s]:
-                    continue
-                acc = reward_of(s, a)
-                for t, p in mdp.trans[(s, a)].items():
-                    if t in idx:
-                        acc += p * x[idx[t]]
-                if acc < best_q:
-                    best_q = acc
-                    best_a = a
-            if best_a != policy[s]:
-                policy[s] = best_a
-                switched = True
-        if not switched:
-            return MdpResult(x[idx[mdp.initial]], policy)
+    start = _proper_initial_policy(U, goal, acts, mdp.row)
+    x, policy = _policy_iterate(U, start, lambda s, _val: acts(s), mdp.row,
+                                _zero, _mdp_reward(mdp), operator.lt)
+    return MdpResult(x[mdp.initial], policy)
 
 
 def _mdp_max_reward(mdp, goal):
-    goal = set(goal)
     if mdp.initial in goal:
         return MdpResult(Fraction(0), {})
-    # states that can avoid the goal forever under some strategy
-    Z = set(mdp.states) - goal
-    while True:
-        keep = set()
-        for s in Z:
-            for a in mdp.actions(s):
-                if all(t in Z for t in mdp.trans[(s, a)]):
-                    keep.add(s)
-                    break
-        if keep == Z:
-            break
-        Z = keep
-    rev = {s: [] for s in mdp.states}
-    for (s, _a), row in mdp.trans.items():
-        if s not in goal:
-            for t in row:
-                rev[t].append(s)
-    danger = set(Z)
-    stack = list(Z)
-    while stack:
-        t = stack.pop()
-        for s in rev[t]:
-            if s not in danger and s not in goal:
-                danger.add(s)
-                stack.append(s)
-    if mdp.initial in danger:
+    graph = _mdp_any_graph(mdp)
+
+    def stays(s, Z):
+        return any(all(t in Z for t in mdp.trans[(s, a)]) for a in mdp.actions(s))
+
+    if mdp.initial in _avoiders(graph, goal, stays):
         return MdpResult(INFINITE, {})
-    relevant = _reachable(_mdp_any_graph(mdp), mdp.initial, absorbing=goal)
+    relevant = _reachable(graph, mdp.initial, absorbing=goal)
     U = [s for s in sorted(relevant) if s not in goal]
-    idx = {s: i for i, s in enumerate(U)}
-    policy = {s: mdp.actions(s)[0] for s in U}
-
-    def reward_of(s, a):
-        return mdp.rewards.get((s, a), Fraction(0))
-
-    while True:
-        x = _policy_value(mdp, U, idx, policy, lambda t: Fraction(0), reward_of)
-        switched = False
-        for s in U:
-            best_a = policy[s]
-            best_q = x[idx[s]]
-            for a in mdp.actions(s):
-                if a == policy[s]:
-                    continue
-                acc = reward_of(s, a)
-                for t, p in mdp.trans[(s, a)].items():
-                    if t in idx:
-                        acc += p * x[idx[t]]
-                if acc > best_q:
-                    best_q = acc
-                    best_a = a
-            if best_a != policy[s]:
-                policy[s] = best_a
-                switched = True
-        if not switched:
-            return MdpResult(x[idx[mdp.initial]], policy)
+    # every strategy reaches the goal almost surely here, so any start is proper
+    x, policy = _policy_iterate(U, {s: mdp.actions(s)[0] for s in U},
+                                lambda s, _val: mdp.actions(s), mdp.row,
+                                _zero, _mdp_reward(mdp), operator.gt)
+    return MdpResult(x[mdp.initial], policy)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +625,8 @@ class Region:
         return name, self.intervals[name][1] - self.intervals[name][0]
 
     def split(self):
+        if not self.intervals:
+            raise ModelError("cannot split a point region")
         name, width = self.widest()
         if width == 0:
             raise ModelError("cannot split a point region")
@@ -816,51 +738,35 @@ def _greedy_allocation(entries, val_of, maximize):
     return alloc
 
 
+def _robust_values(table, U, known, boundary, reward, maximize):
+    """Optimum over the interval relaxation on U: policy iteration whose one
+    candidate per state is the greedy allocation at the current values
+    (interval-MDP policy iteration, Nilim & El Ghaoui 2005). It starts from
+    a proper allocation: each state pours its free mass first into one
+    successor, tried in order until that successor leaks toward `known`."""
+    def pour_first(s):
+        for t, _lo, _hi in table[s]:
+            yield _greedy_allocation(table[s], lambda u: int(u == t), True)
+
+    def dist(_s, alloc):
+        return alloc
+
+    start = _proper_initial_policy(U, known, pour_first, dist)
+    return _policy_iterate(
+        U, start, lambda s, val: [_greedy_allocation(table[s], val, maximize)],
+        dist, boundary, reward, operator.gt if maximize else operator.lt)[0]
+
+
 def _robust_prob(d, table, q, maximize):
     if d.initial in q.s_one:
         return Fraction(1)
     if d.initial in q.s_zero:
         return Fraction(0)
     U = [s for s in d.states if s not in q.s_one and s not in q.s_zero]
-    idx = {s: i for i, s in enumerate(U)}
-    x = {s: Fraction(0) for s in U}
-
-    def val_of(t):
-        if t in q.s_one:
-            return Fraction(1)
-        if t in q.s_zero:
-            return Fraction(0)
-        return x[t]
-
-    alloc = {s: _greedy_allocation(table[s], val_of, maximize) for s in U}
-    while True:
-        rows = []
-        c = []
-        for s in U:
-            row = {}
-            acc = Fraction(0)
-            for t, p in alloc[s].items():
-                if p == 0:
-                    continue
-                if t in idx:
-                    row[idx[t]] = p
-                elif t in q.s_one:
-                    acc += p
-            rows.append(row)
-            c.append(acc)
-        sol = solve_exact(rows, c)
-        x = {s: sol[idx[s]] for s in U}
-        switched = False
-        for s in U:
-            cand = _greedy_allocation(table[s], val_of, maximize)
-            if cand == alloc[s]:
-                continue
-            q_new = sum(p * val_of(t) for t, p in cand.items())
-            if (maximize and q_new > x[s]) or (not maximize and q_new < x[s]):
-                alloc[s] = cand
-                switched = True
-        if not switched:
-            return x.get(d.initial, Fraction(0))
+    x = _robust_values(table, U, q.s_one | q.s_zero,
+                       lambda t: Fraction(1) if t in q.s_one else Fraction(0),
+                       _zero, maximize)
+    return x[d.initial]
 
 
 def _robust_reward(d, table, goal, maximize, region):
@@ -871,9 +777,16 @@ def _robust_reward(d, table, goal, maximize, region):
     relevant = _reachable(graph, d.initial, absorbing=goal)
     if any(s not in q.s_one for s in relevant):
         return INFINITE
+
+    def stays(s, Z):
+        # some allocation keeps all mass in Z: every edge leaving Z may be
+        # zero and the edges into Z can carry the whole row
+        return (all(lo == 0 for t, lo, _hi in table[s] if t not in Z)
+                and sum(hi for t, _lo, hi in table[s] if t in Z) >= 1)
+
+    if maximize and d.initial in _avoiders(graph, goal, stays):
+        return INFINITE
     U = [s for s in sorted(relevant) if s not in goal]
-    idx = {s: i for i, s in enumerate(U)}
-    x = {s: Fraction(0) for s in U}
     rbound = {}
     for s in U:
         poly = d.rewards.get(s)
@@ -882,35 +795,9 @@ def _robust_reward(d, table, goal, maximize, region):
         else:
             lo, hi, _ = _poly_interval(poly, region.intervals)
             rbound[s] = max(hi, Fraction(0)) if maximize else max(lo, Fraction(0))
-
-    def val_of(t):
-        return x[t] if t in x else Fraction(0)
-
-    alloc = {s: _greedy_allocation(table[s], val_of, maximize) for s in U}
-    while True:
-        rows = []
-        c = []
-        for s in U:
-            row = {}
-            for t, p in alloc[s].items():
-                if p == 0 or t not in idx:
-                    continue
-                row[idx[t]] = p
-            rows.append(row)
-            c.append(rbound[s])
-        sol = solve_exact(rows, c)
-        x = {s: sol[idx[s]] for s in U}
-        switched = False
-        for s in U:
-            cand = _greedy_allocation(table[s], val_of, maximize)
-            if cand == alloc[s]:
-                continue
-            q_new = rbound[s] + sum(p * val_of(t) for t, p in cand.items())
-            if (maximize and q_new > x[s]) or (not maximize and q_new < x[s]):
-                alloc[s] = cand
-                switched = True
-        if not switched:
-            return x.get(d.initial, Fraction(0))
+    x = _robust_values(table, U, goal, _zero, lambda s, _alloc: rbound[s],
+                       maximize)
+    return x[d.initial]
 
 
 def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:

@@ -231,6 +231,25 @@ def random_pomdp(rng, max_states=8, max_actions=3, max_obs=4,
     return Pomdp(mdp, num_obs, obs)
 
 
+def random_mdp(rng, max_states=5, max_actions=3) -> Mdp:
+    """Small random MDP with rewards whose values are rarely 0 or 1: the
+    last state is an absorbing goal, the one before it an absorbing trap
+    (labelled bad half of the time), and every other state has one to
+    max_actions actions over one to three successors."""
+    n = rng.randint(3, max_states)
+    trans = {(n - 1, "a0"): {n - 1: F(1)}, (n - 2, "a0"): {n - 2: F(1)}}
+    rewards = {}
+    for s in range(n - 2):
+        for i in range(rng.randint(1, max_actions)):
+            support = rng.sample(range(n), rng.randint(1, 3))
+            weights = [rng.randint(1, 5) for _ in support]
+            tot = sum(weights)
+            trans[(s, "a%d" % i)] = {t: F(w, tot) for t, w in zip(support, weights)}
+            rewards[(s, "a%d" % i)] = F(rng.randint(0, 4))
+    bad = {n - 2} if rng.random() < 0.5 else set()
+    return Mdp(n, 0, trans, rewards, goal={n - 1}, bad=bad)
+
+
 def fixed_size_pomdp(rng, num_states, num_obs, max_actions=3) -> Pomdp:
     """Like random_pomdp but with exact state and observation counts."""
     obs = list(range(num_obs)) + [rng.randrange(num_obs)

@@ -1,5 +1,6 @@
 """Model checking, closed forms, region bounds, and the evaluators."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -189,6 +190,50 @@ class TestMdpOptimal:
             assert v <= mdp_optimal(m.mdp, SPEC).value
 
 
+def _md_strategies(mdp):
+    """Every memoryless deterministic strategy of a small MDP."""
+    return [dict(zip(mdp.states, pick))
+            for pick in itertools.product(*(mdp.actions(s) for s in mdp.states))]
+
+
+def _strategy_chain(mdp, strategy):
+    return Mc(mdp.states, mdp.initial,
+              {s: mdp.trans[(s, a)] for s, a in strategy.items()},
+              {s: mdp.rewards.get((s, a), F(0)) for s, a in strategy.items()},
+              mdp.goal, mdp.bad)
+
+
+class TestMdpOptimalIsExact:
+    """mdp_optimal against brute force over every memoryless deterministic
+    strategy, which attains the optimum of each of these objectives."""
+
+    @pytest.mark.parametrize("text, pick", [
+        ("P>= 1/2 [!bad U goal]", max),
+        ("P>= 1/2 [F goal]", max),
+        ("Emin<= 5 [F goal]", min),
+        ("Emax>= 5 [F goal]", max),
+    ])
+    def test_value_and_strategy_are_optimal(self, text, pick):
+        spec = parse_spec(text)
+        rng = random.Random("mdp-optimal/" + text)
+        # random_mdp's trap makes reach values fractional; random_pomdp's
+        # chains make expected rewards finite more often
+        mdps = [g.random_mdp(rng, max_states=5, max_actions=3) for _ in range(40)]
+        mdps += [g.random_pomdp(rng, max_states=5, max_actions=3,
+                                with_rewards=True).mdp for _ in range(40)]
+        for mdp in mdps:
+            values = [check_mc(_strategy_chain(mdp, st), spec)
+                      for st in _md_strategies(mdp)]
+            res = mdp_optimal(mdp, spec)
+            assert res.value == pick(values)
+            if not is_infinite(res.value):
+                # the returned strategy attains the value; states it leaves
+                # open are never visited or do not matter
+                st = {s: mdp.actions(s)[0] for s in mdp.states}
+                st.update(res.strategy)
+                assert check_mc(_strategy_chain(mdp, st), spec) == res.value
+
+
 class TestClosedForm:
     def test_golden_linear_form(self):
         rf = state_eliminate(g.biased_choice_pmc())
@@ -278,6 +323,9 @@ class TestRegions:
             assert r.contains_point(r.sample(rng))
         with pytest.raises(ModelError):
             Region({"p": (F(0), F(1, 2))})
+        for point in (Region({}), Region({"p": (F(1, 2), F(1, 2))})):
+            with pytest.raises(ModelError, match="cannot split a point region"):
+                point.split()
 
     def test_bounds_golden(self):
         d = g.biased_choice_pmc()
@@ -297,6 +345,56 @@ class TestRegions:
             for _ in range(10):
                 v = ev.evaluate(Instantiation(reg.sample(rng)))
                 assert b.lower <= v <= b.upper
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bounds_of_induced_chains_contain_sampled_values(self, k):
+        # some edges of induced chains (residuals 1 - p - q) have interval
+        # lower ends clamped to 0, so an allocation can trap mass inside
+        # the uncertain states; the bounds must still come out and hold
+        rng = random.Random(6)
+        specs = [SPEC, parse_spec("Emin<= 5 [F goal]")]
+        checked = 0
+        for _ in range(12):
+            d = induced_pmc(g.random_pomdp(rng, max_states=6, with_rewards=True), k)
+            reg = g.random_region_for(d, rng)
+            for spec in specs:
+                b = region_bounds(d, reg, spec)
+                ev = ExactPmcEvaluator(d, spec)
+                for _ in range(6):
+                    u = Instantiation(reg.sample(rng))
+                    # the evaluator also accepts points that break the
+                    # parameter-group constraint: skip those
+                    if not apply_instantiation(d, u).well_defined:
+                        continue
+                    assert b.lower <= ev.evaluate(u) <= b.upper
+                    checked += 1
+        assert checked >= 50
+
+    def test_reward_upper_bound_is_infinite_when_mass_can_be_trapped(self):
+        # the exit 1 - p - q may be zero inside the box while p + q carries
+        # the whole row, so states 0 and 2 can keep away from the goal
+        p, q = V("p"), V("q")
+        d = PmcT(3, 0, {0: {0: p, 1: C(1) - p - q, 2: q}, 1: {1: C(1)}, 2: {0: C(1)}},
+                 params=ParameterTable(["p", "q"]), goal={1}, rewards={0: C(1)},
+                 param_groups=[["p", "q"]])
+        reg = Region({"p": (F(1, 4), F(3, 4)), "q": (F(1, 4), F(1, 2))})
+        b = region_bounds(d, reg, parse_spec("Emax>= 5 [F goal]"))
+        assert b.upper is INFINITE
+        assert b.lower == 2   # 1 / (1 - p - q) at the least p + q
+
+    def test_reward_upper_bound_is_finite_when_no_allocation_traps(self):
+        # every exit of state 0 may be zero by interval arithmetic, but the
+        # self-loop a*m carries at most 81/100 of the row
+        a, m = V("a"), V("m")
+        one = C(1)
+        d = PmcT(4, 0, {0: {0: a * m, 1: a - a * m, 2: m - a * m,
+                            3: one - a - m + a * m},
+                        1: {1: one}, 2: {2: one}, 3: {3: one}},
+                 params=ParameterTable(["a", "m"]), goal={1, 2, 3},
+                 rewards={0: one}, param_groups=[["a"], ["m"]])
+        reg = Region({"a": (F(1, 2), F(9, 10)), "m": (F(1, 2), F(9, 10))})
+        b = region_bounds(d, reg, parse_spec("Emax>= 5 [F goal]"))
+        assert (b.lower, b.upper) == (F(4, 3), F(100, 19))
 
     def test_shrinking_never_loosens(self):
         rng = random.Random(47)

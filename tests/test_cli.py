@@ -19,10 +19,12 @@ from fscsynth import formats
 from fscsynth.analysis import state_eliminate
 from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, _fmt_value, main
 from fscsynth.fsc import Fsc
-from fscsynth.models import Instantiation
+from fscsynth.models import Instantiation, PmcT
+from fscsynth.polynomials import Polynomial
 from fscsynth.analysis import Region
 
 F = Fraction
+C = Polynomial.constant
 
 
 @pytest.fixture
@@ -269,6 +271,21 @@ class TestProve:
         rc = main(["prove", str(inp), "--spec", "P> 0.6 [!bad U goal]"])
         assert rc == EXIT_UNSAT
         assert "inconclusive" in capsys.readouterr().out
+
+    def test_parameterless_chain_is_inconclusive_not_a_crash(self, workdir, capsys):
+        # a constant chain gives an empty box, which cannot be split
+        one = C(1)
+        d = PmcT(3, 0, {0: {1: C(F(1, 2)), 2: C(F(1, 2))}, 1: {1: one}, 2: {2: one}},
+                 goal={1})
+        inp = _write(workdir / "const.pmc", formats.write_pmc(d))
+        rc = main(["prove", str(inp), "--spec", "P> 0.4 [F goal]",
+                   "--max-depth", "2", "--manifest", "prove.manifest.json"])
+        assert rc == EXIT_UNSAT
+        out = capsys.readouterr().out
+        assert out.startswith("inconclusive: the region bound does not refute")
+        assert "bound = 1/2" in out
+        assert _manifest(Path("prove.manifest.json"))["result"] == {
+            "no_controller": False, "bound": "0.5", "regions_checked": 1}
 
 
 class TestPermissive:
