@@ -677,13 +677,14 @@ class RegionBounds:
     lower: object
     upper: object
     tight: bool
+    graph_preserving: bool
 
 
 def _edge_intervals(d: PmcT, region: Region):
     for name in d.params.names:
         if name not in region:
             raise ModelError("region gives no interval for parameter %r" % name)
-    tight = True
+    tight = preserving = True
     table = {}
     for s in d.states:
         entries = []
@@ -691,6 +692,8 @@ def _edge_intervals(d: PmcT, region: Region):
         hi_sum = Fraction(0)
         for t, poly in d.row(s).items():
             lo, hi, exact = _poly_interval(poly, region.intervals)
+            if lo <= 0 and not poly.is_constant():
+                preserving = False
             lo = max(lo, Fraction(0))
             hi = min(hi, Fraction(1))
             if lo > hi:
@@ -717,7 +720,7 @@ def _edge_intervals(d: PmcT, region: Region):
         tight = False
     if not d.rows_in_simple_form():
         tight = False
-    return table, tight
+    return table, tight, preserving
 
 
 def _greedy_allocation(entries, val_of, maximize):
@@ -802,13 +805,18 @@ def _robust_reward(d, table, goal, maximize, region):
 
 def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
     """Sound lower/upper bounds on the spec value over every well-defined
-    valuation inside the region.
+    valuation inside the region, except that the lower reach bound holds at
+    graph-preserving points only: the value-0 and value-1 states come from
+    the graph of all edges, so at a point where an edge polynomial vanishes
+    the value can fall below it. `graph_preserving` is set when every
+    non-constant edge polynomial's interval bound has a lower end > 0, so
+    that every point of the region is graph-preserving.
 
     Parameter dependencies are relaxed per row: each row may pick any
     successor distribution inside the per-edge interval box, optimized by
     exact robust policy iteration. `tight` marks instances (simple pMC,
     single-row parameters) where the relaxation provably loses nothing."""
-    table, tight = _edge_intervals(d, region)
+    table, tight, preserving = _edge_intervals(d, region)
     if spec.kind == REACH_AVOID:
         q = qualitative_precompute(_pmc_graph(d), d.goal, _spec_bad(d, spec))
         upper = _robust_prob(d, table, q, True)
@@ -816,7 +824,7 @@ def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
     else:
         upper = _robust_reward(d, table, d.goal, True, region)
         lower = _robust_reward(d, table, d.goal, False, region)
-    return RegionBounds(lower, upper, tight)
+    return RegionBounds(lower, upper, tight, preserving)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ class _ExprParser:
             if kind != "num" or not text.isdigit():
                 raise FormatError("exponent must be a nonnegative integer", self.line, col)
             e = int(text)
-            out = self._lift(Polynomial.one())
+            out = self._lift(Polynomial.constant(1))
             for _ in range(e):
                 out = out * v
             return out

@@ -1,15 +1,17 @@
 """Exact multivariate polynomials and rational functions over named parameters.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction). Monomials
-are stored sparsely as sorted ((name, exponent), ...) tuples; term order is
-graded lexicographic (total degree first, then the monomial tuple), which
-fixes a canonical serialization. A parallel float evaluation path exists for
-search loops; the exact path never touches binary floats.
-
-Rational functions past GCD_TERM_THRESHOLD terms are cancelled by their gcd
-in sympy's sparse polynomial ring over QQ (one ring per parameter set).
-sympy is imported lazily on that path only, so commands that never cancel a
-large rational function never load it.
+Polynomials use the packed-exponent layout of Monagan and Pearce (CASC 2007;
+ISSAC 2009): a monomial is one int whose field i, w bits wide, holds the
+exponent of parameter i (indexed per process in first-use order) and whose
+field 0 holds the total degree, so a monomial product is one int addition.
+Each polynomial has its own w, 8 at first and doubled, operands repacked,
+when a result's degree would not fit: no field carries into its neighbour.
+Coefficients are ints over one positive denominator that shares no factor
+with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
+tuples mapped to Fractions, rendered in graded lexicographic order. Rational
+functions past GCD_TERM_THRESHOLD terms are cancelled by the gcd of their
+integer coefficient polynomials in sympy's sparse ring over ZZ, with sympy
+imported on that path only. The exact path never touches binary floats.
 """
 
 from __future__ import annotations
@@ -17,13 +19,21 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 Coeffable = Union[int, str, Fraction]
 
-# a monomial is a tuple of (variable name, positive exponent) pairs, sorted
-# by name; the empty tuple is the constant monomial
+# a monomial, as `terms` shows it, is a tuple of (variable name, positive
+# exponent) pairs, sorted by name; the empty tuple is the constant monomial
 Monomial = tuple
+
+# field width, in bits, that every polynomial starts from
+_WIDTH = 8
+
+# parameter name <-> field index; no result depends on the index order
+_FIELD: dict = {}
+_NAMES: list = [None]
 
 
 class MissingParameterError(KeyError):
@@ -38,61 +48,74 @@ class MissingParameterError(KeyError):
 def _coeff(value) -> Fraction:
     # floats are rejected on purpose: exact coefficients only. Decimal
     # strings ("0.6") convert exactly via Fraction's string constructor.
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, str)):
+        return value if isinstance(value, Fraction) else Fraction(value)
     raise TypeError("exact coefficient expected, got %r" % (value,))
 
 
-def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict = {}
-    for name, e in a:
-        exps[name] = exps.get(name, 0) + e
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+def _field(name: str) -> int:
+    if name not in _FIELD:
+        _FIELD[name] = len(_NAMES)
+        _NAMES.append(name)
+    return _FIELD[name]
 
 
-def _monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _width(deg: int, w: int = _WIDTH) -> int:
+    """The width w, doubled until a field holds total degree deg."""
+    while deg >= 1 << w:
+        w *= 2
+    return w
 
 
-def _grlex_key(m: Monomial):
-    return (_monomial_degree(m), m)
+def _fields(m: int, w: int):
+    """(shift, exponent) of each nonzero parameter field of a packed
+    monomial; zero fields are skipped, not visited."""
+    mask = (1 << w) - 1
+    m &= ~mask
+    while m:
+        sh = (m & -m).bit_length() - 1
+        sh -= sh % w
+        e = (m >> sh) & mask
+        yield sh, e
+        m ^= e << sh
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _decode(m: int, w: int) -> Monomial:
+    return tuple(sorted((_NAMES[sh // w], e) for sh, e in _fields(m, w)))
 
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable. `terms` maps monomials to nonzero Fraction coefficients;
-    zero-coefficient entries are dropped on construction so equality is
-    structural.
+    Immutable. `_mons` maps packed monomials to nonzero int coefficients
+    over `_den`; `_w` is the field width and `_deg` a bound on the total
+    degree that fits in it. The form is unique per width, so equality is
+    structural. `terms` is a read-only view of the store, in its order.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_mons", "_den", "_w", "_deg")
 
     def __init__(self, terms: Mapping[Monomial, Coeffable] | None = None):
-        cleaned = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coeff(c)
-                if c != 0:
-                    mono = tuple(sorted((n, e) for n, e in mono if e != 0))
-                    if mono in cleaned:
-                        c = cleaned[mono] + c
-                        if c == 0:
-                            del cleaned[mono]
-                            continue
-                    cleaned[mono] = c
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "_hash", None)
+        items = [(mono, _coeff(c)) for mono, c in (terms or {}).items()]
+        deg = max((sum(e for _, e in mono) for mono, c in items if c), default=0)
+        w = _width(deg)
+        acc = {}
+        for mono, c in items:
+            if c != 0:
+                m = 0
+                for name, e in mono:
+                    if e < 0:
+                        raise ValueError("nonnegative exponent expected, got %r" % (e,))
+                    m += (e << (w * _field(name))) + e
+                s = acc.get(m, 0) + c
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        _packed({m: c.numerator * (den // c.denominator) for m, c in acc.items()},
+                den, w, deg, self)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -101,57 +124,48 @@ class Polynomial:
 
     @staticmethod
     def constant(value: Coeffable) -> "Polynomial":
-        return Polynomial({(): _coeff(value)})
+        c = _coeff(value)
+        return _packed({0: c.numerator} if c else {}, c.denominator, _WIDTH, 0)
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({((name, 1),): Fraction(1)})
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial.constant(1)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
+        return _packed({(1 << (_WIDTH * _field(name))) + 1: 1}, 1, _WIDTH, 1)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        w, d = self._w, self._den
+        return MappingProxyType(
+            {_decode(m, w): Fraction(c, d) for m, c in self._mons.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._mons
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self._mons or (len(self._mons) == 1 and 0 in self._mons)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
         if self.is_constant():
-            return self.terms[()]
+            return Fraction(self._mons.get(0, 0), self._den)
         raise ValueError("polynomial %s is not constant" % self)
 
     def variables(self) -> frozenset:
-        out = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                out.add(name)
-        return frozenset(out)
+        # a field of the OR of all monomials is nonzero iff some monomial's is
+        acc = 0
+        for m in self._mons:
+            acc |= m
+        return frozenset(_NAMES[sh // self._w] for sh, _ in _fields(acc, self._w))
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_monomial_degree(m) for m in self.terms)
+        return max((m & ((1 << self._w) - 1) for m in self._mons), default=0)
 
     def sorted_terms(self):
         """Terms in canonical (ascending graded-lex) order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the graded-lex largest monomial (0 for the zero poly)."""
-        if not self.terms:
-            return Fraction(0)
-        mono = max(self.terms, key=_grlex_key)
-        return self.terms[mono]
+        w, d = self._w, self._den
+        mask = (1 << w) - 1
+        keyed = sorted((m & mask, _decode(m, w), c) for m, c in self._mons.items())
+        return [(mono, Fraction(c, d)) for _, mono, c in keyed]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -159,19 +173,22 @@ class Polynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
+        a, b = _common(self, other)
+        den = math.lcm(a._den, b._den)
+        sa, sb = den // a._den, den // b._den
+        out = dict(a._mons) if sa == 1 else {m: c * sa for m, c in a._mons.items()}
+        for m, c in b._mons.items():
+            s = out.get(m, 0) + c * sb
+            if s:
+                out[m] = s
             else:
-                out[mono] = s
-        return _raw(out)
+                del out[m]
+        return _packed(out, den, a._w, max(a._deg, b._deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({m: -c for m, c in self.terms.items()})
+        return _packed({m: -c for m, c in self._mons.items()}, self._den, self._w, self._deg)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -189,25 +206,29 @@ class Polynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self._mons or not other._mons:
             return Polynomial()
+        deg = self._deg + other._deg
+        a, b = _common(self, other, deg)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _monomial_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
+        get = out.get
+        right = b._mons.items()
+        for m1, c1 in a._mons.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
+                if s:
+                    out[m] = s
                 else:
-                    out[mono] = s
-        return _raw(out)
+                    del out[m]
+        return _packed(out, a._den * b._den, a._w, deg)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer exponent expected")
-        result = Polynomial.one()
+        result = POLY_ONE
         base = self
         while n:
             if n & 1:
@@ -221,64 +242,39 @@ class Polynomial:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        a, b = _common(self, other)
+        return a._den == b._den and a._mons == b._mons
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, valuation: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation. Raises MissingParameterError for absent names."""
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for name, e in mono:
-                try:
-                    x = valuation[name]
-                except KeyError:
-                    raise MissingParameterError(name) from None
-                v *= Fraction(x) ** e
-            total += v
-        return total
+        return self._sum(valuation, Fraction, int) / self._den
 
     def evaluate_float(self, valuation: Mapping[str, float]) -> float:
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = float(c)
-            for name, e in mono:
+        # int division rounds correctly, as float(Fraction) does
+        return self._sum(valuation, float, lambda c: c / self._den)
+
+    def _sum(self, valuation, number, coeff):
+        total = number(0)
+        for m, c in self._mons.items():
+            v = coeff(c)
+            for name, e in _decode(m, self._w):
                 try:
                     x = valuation[name]
                 except KeyError:
                     raise MissingParameterError(name) from None
-                v *= float(x) ** e
+                v *= number(x) ** e
             total += v
         return total
-
-    def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Replace some variables by polynomials (or exact constants)."""
-        subst = {}
-        for name, repl in mapping.items():
-            subst[name] = repl if isinstance(repl, Polynomial) else Polynomial.constant(repl)
-        out = Polynomial()
-        for mono, c in self.terms.items():
-            part = Polynomial.constant(c)
-            for name, e in mono:
-                if name in subst:
-                    part = part * subst[name] ** e
-                else:
-                    part = part * Polynomial({((name, e),): Fraction(1)})
-            out = out + part
-        return out
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._mons:
             return "0"
         pieces = []
         for mono, c in self.sorted_terms():
@@ -305,10 +301,29 @@ def _coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
-def _raw(terms: dict) -> Polynomial:
-    p = Polynomial()
-    object.__setattr__(p, "terms", terms)
+def _packed(mons: dict, den: int, w: int, deg: int, p=None) -> Polynomial:
+    """Polynomial (p, or a new one) of int coefficients over den, less the
+    factor they share with den."""
+    if den != 1:
+        g = math.gcd(den, *mons.values())
+        if g != 1:
+            mons = {m: c // g for m, c in mons.items()}
+            den //= g
+    p = object.__new__(Polynomial) if p is None else p
+    for slot, value in zip(Polynomial.__slots__, (mons, den, w, deg)):
+        object.__setattr__(p, slot, value)
     return p
+
+
+def _common(a: Polynomial, b: Polynomial, deg: int = 0):
+    """a and b repacked to one field width that also holds total degree deg."""
+    w = a._w
+    if w == b._w and deg < 1 << w:
+        return a, b
+    w = _width(deg, max(w, b._w))
+    return tuple(p if p._w == w else _packed({
+        sum(e << (sh // p._w * w) for sh, e in _fields(m, p._w)) + (m & ((1 << p._w) - 1)): c
+        for m, c in p._mons.items()}, p._den, w, p._deg) for p in (a, b))
 
 
 def _as_poly(x):
@@ -319,8 +334,8 @@ def _as_poly(x):
     return NotImplemented
 
 
-POLY_ZERO = Polynomial.zero()
-POLY_ONE = Polynomial.one()
+POLY_ZERO = Polynomial()
+POLY_ONE = Polynomial.constant(1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +344,17 @@ POLY_ONE = Polynomial.one()
 
 def _integer_normal(num: Polynomial, den: Polynomial):
     """Scale so both polynomials have integer coefficients with content 1 and
-    the denominator's leading coefficient positive."""
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    scale = Fraction(math.lcm(*[c.denominator for c in coeffs])) if coeffs else Fraction(1)
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs((c * scale).numerator))
-    factor = scale / g if g else scale
-    if den.leading_coefficient() < 0:
+    the denominator's leading coefficient positive. Each side's coefficients
+    are already ints over its denominator, so this is int lcm and gcds."""
+    scale = math.lcm(num._den, den._den)
+    g = math.gcd(math.gcd(*num._mons.values()) * (scale // num._den),
+                 math.gcd(*den._mons.values()) * (scale // den._den))
+    factor = Fraction(scale, g)
+    # sign of the graded-lex largest monomial of den
+    w = den._w
+    top = den.degree()
+    if den._mons[max((m for m in den._mons if m & ((1 << w) - 1) == top),
+                     key=lambda m: _decode(m, w))] < 0:
         factor = -factor
     if factor != 1:
         num = num * Polynomial.constant(factor)
@@ -344,35 +362,21 @@ def _integer_normal(num: Polynomial, den: Polynomial):
     return num, den
 
 
-def _monomial_content(p: Polynomial) -> Monomial:
-    """Largest monomial dividing every term of p."""
-    mins: dict | None = None
-    for mono in p.terms:
-        cur = dict(mono)
-        if mins is None:
-            mins = cur
-        else:
-            mins = {n: min(e, cur[n]) for n, e in mins.items() if n in cur}
+def _content(p: Polynomial, mins: dict) -> dict:
+    """The monomial mins ({shift: positive exponent}) lowered to the largest
+    one that divides every term of p: a per-field minimum."""
+    mask = (1 << p._w) - 1
+    for m in p._mons:
+        for sh, e in list(mins.items()):
+            f = (m >> sh) & mask
+            if f < e:
+                if f:
+                    mins[sh] = f
+                else:
+                    del mins[sh]
         if not mins:
-            return ()
-    if not mins:
-        return ()
-    return tuple(sorted(mins.items()))
-
-
-def _monomial_divide(p: Polynomial, mono: Monomial) -> Polynomial:
-    if not mono:
-        return p
-    div = dict(mono)
-    out = {}
-    for m, c in p.terms.items():
-        cur = dict(m)
-        for n, e in div.items():
-            cur[n] -= e
-            if cur[n] == 0:
-                del cur[n]
-        out[tuple(sorted(cur.items()))] = c
-    return _raw(out)
+            break
+    return mins
 
 
 # gcd cancellation is expensive; only triggered past this term count
@@ -381,53 +385,50 @@ GCD_TERM_THRESHOLD = 64
 
 @functools.lru_cache(maxsize=None)
 def _ring(names: tuple):
-    """sympy's sparse polynomial ring over QQ in `names` (imports sympy)."""
-    from sympy.polys.domains import QQ
+    """sympy's sparse polynomial ring over ZZ in `names` (imports sympy)."""
+    from sympy.polys.domains import ZZ
     from sympy.polys.rings import ring
 
-    return ring(names, QQ)[0]
+    return ring(names, ZZ)[0]
 
 
 def _sympy_cancel(num: Polynomial, den: Polynomial):
-    """Divide num and den by their gcd, computed in sympy's sparse
-    polynomial ring over QQ. Returns the inputs when the gcd is a constant."""
+    """Divide num and den by the gcd of their integer coefficient
+    polynomials, computed in sympy's sparse polynomial ring over ZZ. Each
+    side keeps its denominator, so the quotient is unchanged. Returns the
+    inputs when the gcd is a constant."""
+    a, b = _common(num, den)
+    w = a._w
+    mask = (1 << w) - 1
     names = tuple(sorted(num.variables() | den.variables()))
+    shifts = [w * _FIELD[n] for n in names]
     R = _ring(names)
-    QQ = R.domain
-    index = {n: i for i, n in enumerate(names)}
-    zeros = [0] * len(names)
 
     def to_ring(p):
-        out = {}
-        for mono, c in p.terms.items():
-            exps = list(zeros)
-            for name, e in mono:
-                exps[index[name]] = e
-            out[tuple(exps)] = QQ(c.numerator, c.denominator)
-        return R.from_dict(out)
+        return R.from_dict({tuple((m >> sh) & mask for sh in shifts): c
+                            for m, c in p._mons.items()})
 
-    def from_ring(f):
-        return _raw({
-            tuple((names[i], e) for i, e in enumerate(exps) if e):
-                Fraction(int(c.numerator), int(c.denominator))
-            for exps, c in f.items()
-        })
+    def from_ring(f, p):
+        return _packed({sum(exps) + sum(e << sh for e, sh in zip(exps, shifts)): int(c)
+                         for exps, c in f.items()}, p._den, w, p._deg)
 
-    g, qn, qd = to_ring(num).cofactors(to_ring(den))
+    g, qn, qd = to_ring(a).cofactors(to_ring(b))
     if g.is_ground:
         return num, den
-    return from_ring(qn), from_ring(qd)
+    return from_ring(qn, a), from_ring(qd, b)
 
 
 class RationalFunction:
     """Quotient of two Polynomials, kept in a cheap canonical form.
 
-    Normalization always clears coefficient denominators, divides out integer
-    and monomial content, and fixes the denominator sign; full gcd
-    cancellation (the gcd of sympy's sparse ring over QQ, with sympy imported
-    on first use) only runs when either side exceeds GCD_TERM_THRESHOLD
-    terms, since gcd cost dominates otherwise. Equality is mathematical
-    (cross multiplication), not representational.
+    Normalization works on the packed store: it divides out the shared
+    monomial content (per-field exponent minima), clears coefficient
+    denominators, divides out the integer content with int gcds and fixes
+    the denominator sign. Full gcd cancellation (sympy's sparse ring over ZZ,
+    imported on first use) runs only past GCD_TERM_THRESHOLD terms on either
+    side, since gcd cost dominates otherwise; the gcd is unique up to a
+    constant, which the integer normalization fixes. Equality is
+    mathematical (cross multiplication), not representational.
     """
 
     __slots__ = ("num", "den")
@@ -440,21 +441,19 @@ class RationalFunction:
         if num.is_zero():
             num, den = POLY_ZERO, POLY_ONE
         else:
-            ncontent = dict(_monomial_content(num))
-            if ncontent:
-                dcontent = dict(_monomial_content(den))
-                shared = tuple(sorted(
-                    (n, min(e, dcontent[n]))
-                    for n, e in ncontent.items() if n in dcontent
-                ))
-                if shared:
-                    num = _monomial_divide(num, shared)
-                    den = _monomial_divide(den, shared)
-            if num.terms == den.terms:
+            num, den = _common(num, den)
+            shared = dict(_fields(next(iter(num._mons)), num._w))
+            shared = _content(den, _content(num, shared))
+            if shared:  # a monomial division is one int subtraction per term
+                k = sum(shared.values())
+                c = k + sum(e << sh for sh, e in shared.items())
+                num, den = (_packed({m - c: v for m, v in p._mons.items()},
+                                    p._den, p._w, p._deg - k) for p in (num, den))
+            if num == den:
                 num, den = POLY_ONE, POLY_ONE
             else:
-                if (len(num.terms) > GCD_TERM_THRESHOLD
-                        or len(den.terms) > GCD_TERM_THRESHOLD):
+                if (len(num._mons) > GCD_TERM_THRESHOLD
+                        or len(den._mons) > GCD_TERM_THRESHOLD):
                     num, den = _sympy_cancel(num, den)
                 num, den = _integer_normal(num, den)
         object.__setattr__(self, "num", num)
@@ -480,7 +479,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -555,8 +554,8 @@ class RationalFunction:
         den = self.den
         if den == POLY_ONE:
             return str(num)
-        ns = str(num) if len(num.terms) <= 1 else "(%s)" % num
-        ds = str(den) if len(den.terms) <= 1 else "(%s)" % den
+        ns = str(num) if len(num._mons) <= 1 else "(%s)" % num
+        ds = str(den) if len(den._mons) <= 1 else "(%s)" % den
         return "%s/%s" % (ns, ds)
 
     def __repr__(self):

@@ -150,12 +150,12 @@ class _SimplexCodec:
         group residual recomputed exactly, with a deterministic repair if
         rounding pushed the residual below the floor."""
         eps = Fraction(repr(self.eps))
+        index = {nm: i for i, nm in enumerate(names)}
         values = {}
         for g in self.groups:
             vals = {}
             for nm in g:
-                idx = list(names).index(nm)
-                vals[nm] = Fraction(repr(float(x[idx])))
+                vals[nm] = Fraction(repr(float(x[index[nm]])))
             residual = 1 - sum(vals.values())
             if residual < eps and vals:
                 deficit = eps - residual
@@ -377,7 +377,9 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
                               eps=Fraction(1, 10 ** 4)) -> PermissiveCandidate:
     """Bounding box of the witnesses, clipped to [eps, 1-eps], verified via
     the sound region bounds: verified means every point of the region
-    satisfies the spec."""
+    satisfies the spec. The lower bounds hold at graph-preserving points
+    only, so a region where an edge polynomial may vanish is never
+    verified."""
     if not witnesses:
         raise ModelError("need at least one witness")
     eps = Fraction(eps)
@@ -393,10 +395,10 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
         intervals[name] = (lo, hi)
     region = Region(intervals)
     b = region_bounds(d, region, spec)
-    # all region values sit inside [lower, upper]; the pessimistic end
-    # satisfying the spec certifies every point
+    # graph-preserving region values sit inside [lower, upper]; the
+    # pessimistic end satisfying the spec certifies every point
     bound = b.lower if spec.maximizing else b.upper
-    verified = spec.satisfied_by(bound)
+    verified = b.graph_preserving and spec.satisfied_by(bound)
     return PermissiveCandidate(region, witnesses, verified, b.lower, b.upper)
 
 

@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import genmodels as g
 from fscsynth import polynomials
 from fscsynth.analysis import reach_avoid_prob, state_eliminate
+from fscsynth.formats import parse_poly
 from fscsynth.models import apply_instantiation
 from fscsynth.polynomials import (
     GCD_TERM_THRESHOLD,
@@ -208,6 +210,158 @@ class TestSympyCancel:
         half = Polynomial({(("x", e),): F(e) for e in range(1, GCD_TERM_THRESHOLD + 2)})
         assert f.num == half and f.den == C(2)
         assert f.evaluate({"x": F(1, 3)}) == big.evaluate({"x": F(1, 3)}) / 4
+
+
+# ---------------------------------------------------------------------------
+# differential test against the tuple-monomial / Fraction storage that the
+# packed one replaced (sparse dicts; zero terms dropped as they appear, which
+# fixes the term order)
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, F(0)) + c
+        if s == 0:
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return out
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            mono = tuple(sorted(exps.items()))
+            s = out.get(mono, F(0)) + c1 * c2
+            if s == 0:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return out
+
+
+def _ref_pow(p, n):
+    result, base = {(): F(1)}, p
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _ref_evaluate(p, u):
+    total = F(0)
+    for mono, c in p.items():
+        for name, e in mono:
+            c *= F(u[name]) ** e
+        total += c
+    return total
+
+
+def _ref_str(p):
+    pieces = []
+    for mono, c in sorted(p.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])):
+        factors = "*".join(name for name, e in mono for _ in range(e))
+        a = str(abs(c))
+        body = factors if factors and abs(c) == 1 else a + "*" + factors if factors else a
+        sign = ("-" if c < 0 else "") if not pieces else (" - " if c < 0 else " + ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+def _ref_normal(num, den):
+    """RationalFunction's normal form below the gcd threshold."""
+    if not num:
+        return {}, {(): F(1)}
+    shared = None
+    for mono in list(num) + list(den):
+        cur = dict(mono)
+        shared = cur if shared is None else {
+            n: min(e, cur[n]) for n, e in shared.items() if n in cur}
+    num, den = ({tuple((n, e - shared.get(n, 0)) for n, e in mono
+                       if e > shared.get(n, 0)): c for mono, c in p.items()}
+                for p in (num, den))
+    if num == den:
+        return {(): F(1)}, {(): F(1)}
+    coeffs = list(num.values()) + list(den.values())
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    factor = F(scale, math.gcd(*((c * scale).numerator for c in coeffs)))
+    lead = max(den, key=lambda mono: (sum(e for _, e in mono), mono))
+    if den[lead] < 0:
+        factor = -factor
+    return ({m: c * factor for m, c in num.items()},
+            {m: c * factor for m, c in den.items()})
+
+
+# 240 names, so that field indices run past 200; exponents at and past the
+# 8- and 16-bit field widths
+WIDE_NAMES = ["w%03d" % i for i in range(240)]
+WIDE_POINT = {n: (F(1, 2), F(-1), F(1), F(-1, 2), F(1, 4))[i % 5]
+              for i, n in enumerate(WIDE_NAMES)}
+wide_exps = st.sampled_from([1, 2, 3] * 4 + [127, 128, 255, 256, 65535, 65536])
+wide_monos = st.lists(st.tuples(st.sampled_from(WIDE_NAMES), wide_exps),
+                      max_size=3, unique_by=lambda f: f[0]).map(lambda m: tuple(sorted(m)))
+wide_terms = st.dictionaries(wide_monos, coeffs, max_size=4).map(
+    lambda t: {m: c for m, c in t.items() if c != 0})
+
+
+class TestAgainstTupleStorage:
+    """The packed polynomials against the storage they replaced."""
+
+    @staticmethod
+    def _same(poly, ref):
+        # same terms in the same order: float evaluation sums in that order
+        assert list(poly.terms.items()) == list(ref.items())
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_terms, wide_terms, st.integers(0, 3))
+    def test_arithmetic_agrees(self, p, q, n):
+        a, b = Polynomial(p), Polynomial(q)
+        self._same(a, p)
+        self._same(a + b, _ref_add(p, q))
+        self._same(a - b, _ref_add(p, {m: -c for m, c in q.items()}))
+        self._same(a * b, _ref_mul(p, q))
+        self._same(a ** n, _ref_pow(p, n))
+        assert (a == b) == (p == q)
+        # equality is structural, so results must come out in normal form
+        assert a * b == Polynomial(_ref_mul(p, q))
+        assert a + b == Polynomial(_ref_add(p, q))
+        if (a * b).degree() > 600:
+            return  # big powers of WIDE_POINT and long renderings take seconds
+        assert str(a * b) == _ref_str(_ref_mul(p, q))
+        assert (a * b).evaluate(WIDE_POINT) == _ref_evaluate(_ref_mul(p, q), WIDE_POINT)
+        float_point = {k: float(v) for k, v in WIDE_POINT.items()}
+        assert a.evaluate_float(float_point) == sum(
+            float(c) * math.prod(float_point[nm] ** e for nm, e in mono)
+            for mono, c in p.items())
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_terms, wide_terms, wide_terms)
+    def test_rational_function_normal_form_agrees(self, p, q, r):
+        num, den = _ref_mul(p, r), _ref_mul(q, r)
+        if not den:
+            return
+        f = RationalFunction(Polynomial(p) * Polynomial(r), Polynomial(q) * Polynomial(r))
+        ref_num, ref_den = _ref_normal(num, den)
+        self._same(f.num, ref_num)
+        self._same(f.den, ref_den)
+
+    def test_exponents_past_the_field_width(self):
+        x, y = V("x"), V("y")
+        for e in (255, 256, 65535, 65536, 70000, 2 ** 33):
+            p = x ** e * y + C(1)
+            assert p.terms == {(("x", e), ("y", 1)): 1, (): 1}
+            assert (p * x).terms == {(("x", e + 1), ("y", 1)): 1, (("x", 1),): 1}
+            assert p.degree() == e + 1
+        d = parse_poly("1 - p^70000")
+        assert d.terms == {(): 1, (("p", 70000),): -1}
+        assert (d * V("q")).variables() == frozenset({"p", "q"})
 
 
 # state elimination on g.random_pomdp(Random(39)) with k = 1 (5 states,

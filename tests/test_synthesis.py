@@ -216,6 +216,29 @@ class TestPermissive:
         assert not cand.verified
         assert cand.lower == F(13, 20)
 
+    def test_region_where_an_edge_may_vanish_is_not_verified(self):
+        # the box spans p = 3/4, q = 1/4, where 1 - p - q vanishes and the
+        # goal is never reached; the region bounds read the graph of all
+        # edges and give [1, 1]
+        p, q = V("p"), V("q")
+        trans = {0: {0: p, 1: C(1) - p - q, 2: q}, 1: {1: C(1)}, 2: {0: C(1)}}
+        d = PmcT(3, 0, trans, params=ParameterTable(["p", "q"]), goal={1})
+        spec = parse_spec("P> 1/2 [F goal]")
+        wits = [Instantiation({"p": F(1, 4), "q": F(1, 4)}),
+                Instantiation({"p": F(3, 4), "q": F(1, 5)}),
+                Instantiation({"p": F(1, 4), "q": F(1, 2)})]
+        for w in wits:
+            _u, value, sat, well = sy.certify(d, spec, w)
+            assert value == 1 and sat and well.well_defined
+        cand = sy.permissive_from_witnesses(d, spec, wits)
+        assert (cand.lower, cand.upper) == (1, 1)
+        assert not cand.verified
+        vanishing = Instantiation({"p": F(3, 4), "q": F(1, 4)})
+        assert cand.region.contains_point(vanishing.values)
+        _u, value, sat, well = sy.certify(d, spec, vanishing)
+        assert well.well_defined and not well.graph_preserving
+        assert value == 0 and not sat
+
 
 class TestBatchedSwarm:
     """The swarm is decoded and evaluated as one matrix; every particle must
