@@ -5,10 +5,18 @@ All formats are UTF-8 with `#` comments. Numbers are exact rationals, written
 as integers, terminating decimals, or a/b fractions. Syntax errors carry line
 (and for expressions, column) positions; semantic defects re-use the model
 validation messages.
+
+pMC entries are polynomials, read by the first of three routes that applies
+(parse_poly): text in the form Polynomial.__str__ prints, which is every
+entry write_pmc writes, is read directly with int arithmetic; any other text
+(parentheses, `^`, decimals, other spacing) goes through the recursive-descent
+grammar over Polynomials; and an entry with a parametric divisor is parsed
+again as a rational function, whose denominator must then be constant.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -22,7 +30,7 @@ from .models import (
     Pomdp,
     format_number,
 )
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import _WIDTH, Polynomial, RationalFunction, _field, _packed, _unlimited
 
 
 class FormatError(ValueError):
@@ -166,17 +174,26 @@ class _ExprParser:
             kind, text, col = self._next()
             if kind != "num" or not text.isdigit():
                 raise FormatError("exponent must be a nonnegative integer", self.line, col)
+            # square-and-multiply: RationalFunction has no __pow__
             e = int(text)
             out = self._lift(Polynomial.constant(1))
-            for _ in range(e):
-                out = out * v
+            while e:
+                if e & 1:
+                    out = out * v
+                e >>= 1
+                if e:
+                    v = v * v
             return out
         return v
 
     def _atom(self):
         kind, text, col = self._next()
         if kind == "num":
-            return self._lift(Polynomial.constant(Fraction(text)))
+            try:
+                c = Fraction(text)
+            except ValueError:  # past the int/str digit limit
+                c = _unlimited(Fraction, text)
+            return self._lift(Polynomial.constant(c))
         if kind == "name":
             return self._lift(Polynomial.variable(text))
         if text == "(":
@@ -209,11 +226,73 @@ class _PolyParser(_ExprParser):
         return v * Polynomial.constant(1 / c)
 
 
+# The text Polynomial.__str__ prints: terms `c`, `n/d*x*y` or `x*y` joined
+# by ' + ' and ' - ', the first one optionally negated. No token can run on
+# into the next, so the match never backtracks: linear in the text.
+_PRINTED_TERM = r"(?:\d+(?:/\d+)?|[A-Za-z_]\w*)(?:\*[A-Za-z_]\w*)*"
+_PRINTED_RE = re.compile(r"-?{0}(?: [+-] {0})*".format(_PRINTED_TERM), re.ASCII)
+
+
+def _read_printed(text: str):
+    """The Polynomial of a text that _PRINTED_RE matches, built with int
+    arithmetic to the store the grammar builds: terms summed left to right
+    over the lcm of their denominators, a term that cancels dropped where it
+    cancels. None for a term of 256 or more factors (past the 8-bit field)
+    or a zero denominator, which the grammar handles."""
+    terms = []
+    den = 1
+    deg = 0
+    for term in text.replace(" - ", " + -").split(" + "):
+        n = d = 1
+        if term[0] == "-":
+            n, term = -1, term[1:]
+        factors = term.split("*")
+        if term[0].isdigit():
+            num, _, d = factors.pop(0).partition("/")
+            n *= int(num)
+            d = int(d) if d else 1
+            if not d:
+                return None
+        if len(factors) > 255:
+            return None
+        m = 0
+        for name in factors:
+            m += (1 << (_WIDTH * _field(name))) + 1
+        # a zero term is the grammar's Polynomial(): no monomial, degree 0
+        if n:
+            terms.append((m, n, d))
+            den = math.lcm(den, d)
+            deg = max(deg, len(factors))
+    acc = {}
+    for m, n, d in terms:
+        s = acc.get(m, 0) + n * (den // d)
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+    return _packed(acc, den, _WIDTH, deg)
+
+
 def parse_poly(text: str, line=None, col_offset: int = 0) -> Polynomial:
     """Parse an expression that must denote a polynomial (constant
-    denominators fold into the coefficients). Parsed straight into
-    Polynomials; a parametric divisor re-parses it as a rational function,
-    which must then have a constant denominator."""
+    denominators fold into the coefficients). Three routes, the first that
+    applies wins:
+
+    1. Text in the form Polynomial.__str__ prints (every entry write_pmc
+       writes) is read directly with int arithmetic by _read_printed.
+    2. Any other text is parsed straight into Polynomials by _PolyParser.
+    3. A parametric divisor re-parses the text as a rational function,
+       which must then have a constant denominator.
+
+    All three give the same store for the same text; errors (messages,
+    lines and columns) come from routes 2 and 3 only."""
+    if _PRINTED_RE.fullmatch(text):
+        try:
+            p = _read_printed(text)
+        except ValueError:  # a number past the int/str digit limit
+            p = _unlimited(_read_printed, text)
+        if p is not None:
+            return p
     try:
         return _PolyParser(text, line, col_offset).parse()
     except _NonPolynomial:
@@ -377,6 +456,7 @@ def parse_pmc(text: str) -> PmcT:
     trans = {}
     trans_lines = {}
     rewards = {}
+    reward_lines = {}
     labels = _LabelCollector()
     for lineno, line in lines:
         toks = line.split()
@@ -409,6 +489,7 @@ def parse_pmc(text: str) -> PmcT:
             if s in rewards:
                 raise FormatError("duplicate reward for state %d" % s, lineno)
             rewards[s] = parse_poly(m.group(2), lineno, m.start(2))
+            reward_lines[s] = lineno
         elif kw == "label":
             labels.feed(toks, lineno)
         else:
@@ -421,10 +502,10 @@ def parse_pmc(text: str) -> PmcT:
         for name in trans[s][t].variables():
             if name not in declared:
                 raise FormatError("parameter %r is not declared" % name, lineno)
-    for s, r in rewards.items():
-        for name in r.variables():
+    for s, lineno in reward_lines.items():
+        for name in rewards[s].variables():
             if name not in declared:
-                raise FormatError("parameter %r is not declared" % name)
+                raise FormatError("parameter %r is not declared" % name, lineno)
     try:
         return PmcT(num_states, initial, trans, ParameterTable(params or ()),
                     rewards, labels.sets["goal"], labels.sets["bad"])

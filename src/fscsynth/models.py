@@ -7,12 +7,11 @@ Exact entries are Fractions or Polynomials over Fractions; a float mode
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomials import Polynomial, MissingParameterError
+from .polynomials import Polynomial, MissingParameterError, _int_str, fraction_str
 
 
 class ModelError(ValueError):
@@ -55,30 +54,6 @@ def is_infinite(value) -> bool:
     import math
 
     return isinstance(value, Infinite) or (isinstance(value, float) and math.isinf(value))
-
-
-def _int_str(n: int) -> str:
-    """Decimal text of an integer of any length.
-
-    The interpreter refuses int-to-str conversions past 4300 digits by
-    default; exact values can be longer, so the limit is lifted for this
-    one conversion and restored afterwards."""
-    try:
-        return str(n)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
-def fraction_str(f: Fraction) -> str:
-    """'n' for an integer, 'n/d' otherwise, at any length."""
-    if f.denominator == 1:
-        return _int_str(f.numerator)
-    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
 
 
 def format_number(x) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -282,11 +283,11 @@ class Polynomial:
             for name, e in mono:
                 factor_strs.extend([name] * e)
             if not factor_strs:
-                body = _coeff_str(abs(c))
+                body = fraction_str(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factor_strs)
             else:
-                body = _coeff_str(abs(c)) + "*" + "*".join(factor_strs)
+                body = fraction_str(abs(c)) + "*" + "*".join(factor_strs)
             if not pieces:
                 pieces.append(body if c > 0 else "-" + body)
             else:
@@ -297,8 +298,34 @@ class Polynomial:
         return "Polynomial(%s)" % self
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+def _unlimited(convert, value):
+    """convert(value) with the interpreter's int/str digit limit lifted.
+
+    The interpreter refuses int/str conversions past 4300 digits by default;
+    exact values can be longer. Callers try the conversion first and redo it
+    here when it raises ValueError; the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _int_str(n: int) -> str:
+    """Decimal text of an integer of any length."""
+    try:
+        return str(n)
+    except ValueError:
+        return _unlimited(str, n)
+
+
+def fraction_str(f: Fraction) -> str:
+    """'n' for an integer, 'n/d' otherwise, at any length."""
+    try:
+        return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:
+        return _unlimited(fraction_str, f)
 
 
 def _packed(mons: dict, den: int, w: int, deg: int, p=None) -> Polynomial:

@@ -101,6 +101,17 @@ def biased_choice_pmc() -> PmcT:
                 goal={3}, bad={4}, param_groups=[["p"]])
 
 
+def long_coefficient_pmc() -> PmcT:
+    """biased_choice_pmc with p scaled by c = 1 - 10^-5000, whose numerator
+    and denominator have 5000 and 5001 digits: past the interpreter's
+    default int/str conversion limit of 4300 digits. The reach probability
+    is 1/2 + 3cp/10."""
+    d = biased_choice_pmc()
+    cp = C(1 - F(1, 10 ** 5000)) * V("p")
+    return PmcT(d.num_states, d.initial, {**d.trans, 0: {1: cp, 2: C(1) - cp}},
+                d.params, goal=d.goal, bad=d.bad, param_groups=[["p"]])
+
+
 def wide_group_pmc(reward=False) -> PmcT:
     """A ten-way choice (nine parameters plus residual) feeding two kinds
     of follow-up states, one of them through a product b0*c0.

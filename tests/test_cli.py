@@ -152,6 +152,15 @@ class TestCheck:
         assert rc == EXIT_UNSAT
         assert Path("fscsynth-check.manifest.json").exists()
 
+    def test_entries_past_the_int_to_str_digit_limit(self, workdir, capsys):
+        inp = _write(workdir / "long.pmc", formats.write_pmc(g.long_coefficient_pmc()))
+        upath = _write(workdir / "point.inst",
+                       formats.write_instantiation(Instantiation({"p": F(3, 4)})))
+        rc = main(["check", str(inp), "--spec", "P> 0.7 [!bad U goal]",
+                   "--instantiation", str(upath)])
+        assert rc == EXIT_OK
+        assert "satisfied: yes" in capsys.readouterr().out
+
     def test_pomdp_with_controller(self, workdir, capsys):
         inp = _pomdp_file(workdir)
         fsc = Fsc(1, 0,

@@ -2,11 +2,13 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 import genmodels as g
+from fscsynth import formats
 from fscsynth.formats import (
     FormatError,
     parse_fsc,
@@ -41,7 +43,7 @@ from fscsynth.models import (
 )
 from fscsynth.analysis import Region, reach_avoid_prob, expected_reward, state_eliminate
 from fscsynth.fsc import uniform_fsc
-from fscsynth.polynomials import Polynomial
+from fscsynth.polynomials import Polynomial, RationalFunction
 from fscsynth.transforms import induced_pmc, substituted_pmc
 
 F = Fraction
@@ -165,6 +167,53 @@ class TestPolynomialEntries:
         assert str(err.value) == message
         assert (err.value.line, err.value.col) == (6, col)
 
+    @pytest.mark.parametrize("expr", [
+        "1-p-q", "20/23*r+1/2-p*q",   # the printed form without its spaces
+        "2/4*p", "p + p", "p - p + q", "0/5*p", "1/2 - 2/3*p + p*q - 1/6",
+        "1/2/3", "2/0*p", "1 - 2/3*p + 0/0", "1 - -p", "1e-2*p",
+    ] + [pytest.param("*".join(["p"] * n), id="%d-factors" % n) for n in (255, 256, 300)])
+    def test_respellings_give_the_grammars_result(self, expr, monkeypatch):
+        def parse():
+            try:
+                p = parse_poly(expr, 6, 10)
+            except FormatError as e:
+                return str(e), e.line, e.col
+            return list(p._mons.items()), p._den, p._w, p._deg
+
+        read = parse()
+        monkeypatch.setattr(formats, "_PRINTED_RE", re.compile(r"(?!)"))
+        assert read == parse()
+
+    @pytest.mark.parametrize("parse, text, cls, expected", [
+        (parse_poly, "1 - p^70000", Polynomial, 1 - Polynomial.variable("p") ** 70000),
+        (parse_expression, "(p/q)^70000", RationalFunction,
+         RationalFunction(Polynomial.variable("p") ** 70000,
+                          Polynomial.variable("q") ** 70000)),
+    ])
+    def test_powers_square_and_multiply(self, monkeypatch, parse, text, cls, expected):
+        calls = []
+        mul = cls.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        got = parse(text)
+        assert len(calls) <= 2 * (70000).bit_length()
+        assert got == expected
+
+    def test_coefficients_past_the_int_to_str_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        d = g.long_coefficient_pmc()
+        text = write_pmc(d)
+        back = parse_pmc(text)
+        assert back == d
+        assert write_pmc(back) == text
+        # the grammar's route: c = 99...9/100...0
+        assert parse_poly("(%s)*p/1%s" % ("9" * 5000, "0" * 5000)) == d.trans[0][1]
+        assert sys.get_int_max_str_digits() == limit
+
     def test_parametric_divisor_that_cancels_is_a_polynomial(self):
         d = parse_pmc("pmc\nstates 2\ninitial 0\nparams p q\n"
                       "trans 0 0 1 - q\ntrans 0 1 p*q/p\ntrans 1 1 1\n")
@@ -204,6 +253,15 @@ class TestValidation:
                                                        "trans 0 a 1 0.x")
         with pytest.raises(FormatError, match="line"):
             parse_pomdp(text)
+
+    @pytest.mark.parametrize("body, line", [
+        ("trans 0 0 1 - p + q\nreward 0 p\n", 5),
+        ("trans 0 0 1\nreward 0 2*q\n", 6),
+    ])
+    def test_undeclared_parameter_errors_name_their_line(self, body, line):
+        with pytest.raises(FormatError) as err:
+            parse_pmc("pmc\nstates 1\ninitial 0\nparams p\n" + body)
+        assert str(err.value) == "line %d: parameter 'q' is not declared" % line
 
     def test_goal_at_initial_is_accepted_and_trivial(self):
         mdp = Mdp(1, 0, {(0, "a"): {0: F(1)}}, goal={0})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels as g
-from fscsynth import polynomials
+from fscsynth import formats, polynomials
 from fscsynth.analysis import reach_avoid_prob, state_eliminate
 from fscsynth.formats import parse_poly
 from fscsynth.models import apply_instantiation
@@ -362,6 +362,24 @@ class TestAgainstTupleStorage:
         d = parse_poly("1 - p^70000")
         assert d.terms == {(): 1, (("p", 70000),): -1}
         assert (d * V("q")).variables() == frozenset({"p", "q"})
+
+
+class TestPrintedReader:
+    """parse_poly reads the text str prints into the store the grammar
+    builds from it: same monomial order, denominator, width and degree."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_terms)
+    def test_reader_builds_the_grammars_store(self, t):
+        p = Polynomial(t)
+        if p.degree() > 600:
+            return  # the grammar multiplies once per printed factor
+        text = str(p)
+        read, ref = parse_poly(text), formats._PolyParser(text).parse()
+        assert list(read._mons.items()) == list(ref._mons.items())
+        assert (read._den, read._w, read._deg) == (ref._den, ref._w, ref._deg)
+        assert list(read.terms.items()) == list(ref.terms.items())
+        assert read == p
 
 
 # state elimination on g.random_pomdp(Random(39)) with k = 1 (5 states,
