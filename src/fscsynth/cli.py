@@ -51,6 +51,14 @@ SUBSTITUTED = "substituted"
 ACTION_RESTRICTED = "action-restricted"
 NEXT_OBS = "next-obs"
 
+# chain variant -> builder in transforms, looked up when a command runs
+_BUILDERS = {
+    STANDARD: "induced_pmc",
+    SUBSTITUTED: "substituted_pmc",
+    ACTION_RESTRICTED: "action_restricted_pmc",
+    NEXT_OBS: "next_obs_pmc",
+}
+
 
 def _positive_int(text):
     try:
@@ -165,6 +173,10 @@ def _resolve_variant(variant, k) -> str:
     return SUBSTITUTED if k > 1 else STANDARD
 
 
+def _build_chain(m: Pomdp, k: int, topology: str, variant: str) -> PmcT:
+    return getattr(transforms, _BUILDERS[variant])(m, k, topology)
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -197,6 +209,9 @@ def cmd_transform(args) -> int:
             raise ModelError("unfolding exists only for the standard memory "
                              "construction; --variant %s cannot be unfolded"
                              % args.variant)
+        if args.topology != FscTopology.FULL:
+            raise ModelError("unfolding exists only for the full topology; "
+                             "--topology %s cannot be unfolded" % args.topology)
         unfolded = transforms.unfold(m, k)
         header = _provenance(args, [inp], ["mode: unfold, memory %d" % k])
         out.write_text(formats.write_pomdp(unfolded, header))
@@ -208,13 +223,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK
 
     variant = _resolve_variant(args.variant, k)
-    build = {
-        STANDARD: transforms.induced_pmc,
-        SUBSTITUTED: transforms.substituted_pmc,
-        ACTION_RESTRICTED: transforms.action_restricted_pmc,
-        NEXT_OBS: transforms.next_obs_pmc,
-    }[variant]
-    d = build(m, k, args.topology)
+    d = _build_chain(m, k, args.topology, variant)
     extras = ["mode: pmc, memory %d, topology %s, variant %s"
               % (k, args.topology, variant)]
     out.write_text(formats.write_pmc(d, _provenance(args, [inp], extras)))
@@ -297,9 +306,7 @@ def cmd_synthesize(args) -> int:
         exhausted = False
         stats = None
     else:
-        build = (transforms.substituted_pmc if variant == SUBSTITUTED
-                 else transforms.induced_pmc)
-        d = build(m, k, args.topology)
+        d = _build_chain(m, k, args.topology, variant)
         cfg = synthesis.SearchConfig(
             swarm_size=args.swarm, max_iterations=args.iterations,
             min_prob=args.min_prob, seed=args.seed,

@@ -51,7 +51,10 @@ class FormatError(ValueError):
 
 def parse_number(tok: str, line=None) -> Fraction:
     try:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ValueError:  # malformed, or past the int/str digit limit
+            return _unlimited(Fraction, tok)
     except (ValueError, ZeroDivisionError):
         raise FormatError("cannot parse number %r" % tok, line) from None
 

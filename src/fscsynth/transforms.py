@@ -1,11 +1,14 @@
 """Structure-level constructions.
 
-The controller-family chains: the standard parametric product of a POMDP
-with the k-node controller template, the substituted variant (one joint
-simplex per observation/node), the action-restricted and
-next-observation-keyed variants, and the memory unfolding back into a POMDP.
-Plus the normalizations (binary, simple), the intermediate-state insertion,
-and the translation of a simple pMC back into a POMDP.
+The controller-family chains are products of a POMDP with the k-node
+controller template, built by one loop (_product_pmc) from four parameter
+layouts: the standard one (an action simplex per observation/node and an
+update simplex per action), the substituted one (one joint simplex per
+observation/node), the action-restricted one (one update simplex per
+observation/node, shared by its actions) and the next-observation one (the
+update keyed by the successor's observation). Plus the memory unfolding back
+into a POMDP, the normalizations (binary, simple), the intermediate-state
+insertion, and the translation of a simple pMC back into a POMDP.
 
 Everything here is a pure function from immutable inputs to fresh outputs.
 Parameter naming is shared with module fsc so that instantiating a chain and
@@ -55,65 +58,67 @@ def next_obs_memory_param(z_next: int, n: int, target: int, action: str) -> str:
     return "qn_%d_%d_%d_%s" % (z_next, n, target, action)
 
 
-def _action_factors(z, n, acts):
-    """Per-action probability polynomial: free parameters for all but the
-    lexicographically last action, which carries 1 minus their sum."""
-    if len(acts) == 1:
-        return {acts[0]: POLY_ONE}, []
-    names = [action_param(z, n, a) for a in acts[:-1]]
-    factors = {a: _var(nm) for a, nm in zip(acts[:-1], names)}
-    residual = POLY_ONE
-    for nm in names:
-        residual = residual - _var(nm)
-    factors[acts[-1]] = residual
-    return factors, names
-
-
-def _memory_factors(names_of):
-    """Per-target polynomial from a list of (target, param name or None);
-    exactly one None entry marks the residual branch."""
-    factors = {}
-    residual_target = None
-    residual = POLY_ONE
-    for t, nm in names_of:
-        if nm is None:
-            residual_target = t
-        else:
-            factors[t] = _var(nm)
-            residual = residual - _var(nm)
-    factors[residual_target] = residual
-    return factors
-
-
-def _memory_names(z, n, k, topology, action):
-    targets, residual = memory_targets(n, k, topology)
-    return [(t, memory_param(z, n, action, t) if t != residual else None)
-            for t in targets]
-
-
 def _lift_labels(labels, k):
     return frozenset(product_state(s, n, k) for s in labels for n in range(k))
 
 
-def _product_rewards(m, k, action_factors):
+def _simplex(pairs, names, groups):
+    """Probability polynomial per key of [(key, parameter name)]: every key
+    but the last gets its parameter, the last one minus their sum. The free
+    names join names and, if any, form one group."""
+    free = [nm for _key, nm in pairs[:-1]]
+    names.extend(free)
+    if free:
+        groups.append(free)
+    factors = {key: _var(nm) for key, nm in pairs[:-1]}
+    residual = POLY_ONE
+    for nm in free:
+        residual = residual - _var(nm)
+    factors[pairs[-1][0]] = residual
+    return factors
+
+
+def _product_pmc(m, k, topology, kind, layout) -> PmcT:
+    """The product of m with the k-node controller template.
+
+    layout(names, groups) lays out the parameters through _simplex and
+    returns, per (z, n, a), the pair (joint, marginal): joint[z2][t2] weighs
+    "take a, move to node t2" when the successor observes z2, and the
+    marginal polynomials sum to the probability of a, which weighs a's
+    reward."""
+    if k < 1:
+        raise ModelError("memory bound must be at least 1")
+    FscTopology.check(topology)
+    names = []
+    groups = []
+    weights = layout(names, groups)
+    targets = [memory_targets(n, k, topology)[0] for n in range(k)]
+    trans = {}
     rewards = {}
     for s in m.states:
         z = m.obs[s]
+        acts = m.obs_actions(z)
         for n in range(k):
-            acc = Polynomial()
-            for a in m.actions(s):
+            row = {}
+            racc = Polynomial()
+            for a in acts:
+                joint, marginal = weights[(z, n, a)]
+                succ = m.mdp.row(s, a).items()
+                for t2 in targets[n]:
+                    for s2, pr in succ:
+                        key = product_state(s2, t2, k)
+                        add = joint[m.obs[s2]][t2] * _const(pr)
+                        row[key] = row[key] + add if key in row else add
                 r = m.rewards.get((s, a))
                 if r:
-                    acc = acc + action_factors[(z, n)][a] * _const(r)
-            if not acc.is_zero():
-                rewards[product_state(s, n, k)] = acc
-    return rewards
-
-
-def _finish_pmc(m, k, trans, names, groups, rewards, meta):
-    for row in trans.values():
-        for t in [t for t, p in row.items() if p.is_zero()]:
-            del row[t]
+                    for w in marginal:
+                        racc = racc + w * _const(r)
+            trans[product_state(s, n, k)] = {
+                t: p for t, p in row.items() if not p.is_zero()}
+            if not racc.is_zero():
+                rewards[product_state(s, n, k)] = racc
+    meta = {"transform": kind, "k": k, "topology": topology,
+            "source_states": m.num_states, "pomdp": m}
     return PmcT(
         num_states=m.num_states * k,
         initial=product_state(m.initial, 0, k),
@@ -127,6 +132,18 @@ def _finish_pmc(m, k, trans, names, groups, rewards, meta):
     )
 
 
+def _slots(m, k, topology):
+    """(z, n, A(z), reachable next nodes of n) in parameter order."""
+    for z in range(m.num_obs):
+        for n in range(k):
+            yield z, n, m.obs_actions(z), memory_targets(n, k, topology)[0]
+
+
+def _factored(m, af, mf, targets):
+    """Joint weights af * mf[t2] whatever the successor observes."""
+    return [{t: af * mf[t] for t in targets}] * m.num_obs, [af]
+
+
 def induced_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Parametric chain over states (s, n) whose instantiations are exactly
     the chains induced by k-node controllers of the given topology.
@@ -135,204 +152,75 @@ def induced_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     parameters q_z_n_n2_a cover all reachable target nodes but the residual
     one. Counter topology pins updates outside {n, n+1} to zero, so those
     edges never materialize."""
-    if k < 1:
-        raise ModelError("memory bound must be at least 1")
-    FscTopology.check(topology)
-    names = []
-    groups = []
-    afac = {}
-    mfac = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            afac[(z, n)], ag = _action_factors(z, n, acts)
-            names.extend(ag)
-            if ag:
-                groups.append(ag)
+    def layout(names, groups):
+        weights = {}
+        for z, n, acts, targets in _slots(m, k, topology):
+            af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
             for a in acts:
-                pairs = _memory_names(z, n, k, topology, a)
-                mfac[(z, n, a)] = _memory_factors(pairs)
-                mg = [nm for _t, nm in pairs if nm is not None]
-                names.extend(mg)
-                if mg:
-                    groups.append(mg)
-    trans = {}
-    for s in m.states:
-        z = m.obs[s]
-        for n in range(k):
-            row = {}
-            for a in m.actions(s):
-                af = afac[(z, n)][a]
-                for t2, mp in mfac[(z, n, a)].items():
-                    step = af * mp
-                    for s2, pr in m.mdp.row(s, a).items():
-                        key = product_state(s2, t2, k)
-                        add = step * _const(pr)
-                        row[key] = row[key] + add if key in row else add
-            trans[product_state(s, n, k)] = row
-    meta = {"transform": "induced", "k": k, "topology": topology,
-            "source_states": m.num_states, "pomdp": m}
-    return _finish_pmc(m, k, trans, names, groups,
-                       _product_rewards(m, k, afac), meta)
-
-
-def param_count(m: Pomdp, k: int) -> int:
-    """Size of the full-topology parameter table without building it."""
-    total = 0
-    for z in range(m.num_obs):
-        na = len(m.obs_actions(z))
-        total += k * (na - 1) + k * (k - 1) * na
-    return total
+                mf = _simplex([(t, memory_param(z, n, a, t)) for t in targets],
+                              names, groups)
+                weights[(z, n, a)] = _factored(m, af[a], mf, targets)
+        return weights
+    return _product_pmc(m, k, topology, "induced", layout)
 
 
 def substituted_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant with one joint parameter r_z_n_n2_a per (action, target node)
     pair: the whole per-(z, n) behavior is a single simplex, which removes
     the parameter products of the standard construction."""
-    if k < 1:
-        raise ModelError("memory bound must be at least 1")
-    FscTopology.check(topology)
-    names = []
-    groups = []
-    pairfac = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            targets, _res = memory_targets(n, k, topology)
-            pairs = [(a, t) for a in acts for t in targets]
-            free = pairs[:-1]
-            g = [substituted_param(z, n, t, a) for a, t in free]
-            fac = {pair: _var(nm) for pair, nm in zip(free, g)}
-            residual = POLY_ONE
-            for nm in g:
-                residual = residual - _var(nm)
-            fac[pairs[-1]] = residual
-            pairfac[(z, n)] = fac
-            names.extend(g)
-            if g:
-                groups.append(g)
-    trans = {}
-    rewards = {}
-    for s in m.states:
-        z = m.obs[s]
-        for n in range(k):
-            row = {}
-            racc = Polynomial()
-            for (a, t2), fac in pairfac[(z, n)].items():
-                for s2, pr in m.mdp.row(s, a).items():
-                    key = product_state(s2, t2, k)
-                    add = fac * _const(pr)
-                    row[key] = row[key] + add if key in row else add
-                r = m.rewards.get((s, a))
-                if r:
-                    racc = racc + fac * _const(r)
-            trans[product_state(s, n, k)] = row
-            if not racc.is_zero():
-                rewards[product_state(s, n, k)] = racc
-    meta = {"transform": "substituted", "k": k, "topology": topology,
-            "source_states": m.num_states, "pomdp": m}
-    return _finish_pmc(m, k, trans, names, groups, rewards, meta)
+    def layout(names, groups):
+        weights = {}
+        for z, n, acts, targets in _slots(m, k, topology):
+            pf = _simplex([((a, t), substituted_param(z, n, t, a))
+                           for a in acts for t in targets], names, groups)
+            for a in acts:
+                weights[(z, n, a)] = ([{t: pf[(a, t)] for t in targets}] * m.num_obs,
+                                      [pf[(a, t)] for t in targets])
+        return weights
+    return _product_pmc(m, k, topology, "substituted", layout)
 
 
 def action_restricted_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant where the memory update is shared across actions: one
     q_z_n_n2 family per (z, n), reused by every action factor."""
-    if k < 1:
-        raise ModelError("memory bound must be at least 1")
-    FscTopology.check(topology)
-    names = []
-    groups = []
-    afac = {}
-    mfac = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            afac[(z, n)], ag = _action_factors(z, n, acts)
-            names.extend(ag)
-            if ag:
-                groups.append(ag)
-            targets, res = memory_targets(n, k, topology)
-            pairs = [(t, restricted_memory_param(z, n, t) if t != res else None)
-                     for t in targets]
-            mfac[(z, n)] = _memory_factors(pairs)
-            mg = [nm for _t, nm in pairs if nm is not None]
-            names.extend(mg)
-            if mg:
-                groups.append(mg)
-    trans = {}
-    for s in m.states:
-        z = m.obs[s]
-        for n in range(k):
-            row = {}
-            for a in m.actions(s):
-                af = afac[(z, n)][a]
-                for t2, mp in mfac[(z, n)].items():
-                    step = af * mp
-                    for s2, pr in m.mdp.row(s, a).items():
-                        key = product_state(s2, t2, k)
-                        add = step * _const(pr)
-                        row[key] = row[key] + add if key in row else add
-            trans[product_state(s, n, k)] = row
-    meta = {"transform": "action-restricted", "k": k, "topology": topology,
-            "source_states": m.num_states, "pomdp": m}
-    return _finish_pmc(m, k, trans, names, groups,
-                       _product_rewards(m, k, afac), meta)
+    def layout(names, groups):
+        weights = {}
+        for z, n, acts, targets in _slots(m, k, topology):
+            af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
+            mf = _simplex([(t, restricted_memory_param(z, n, t)) for t in targets],
+                          names, groups)
+            for a in acts:
+                weights[(z, n, a)] = _factored(m, af[a], mf, targets)
+        return weights
+    return _product_pmc(m, k, topology, "action-restricted", layout)
 
 
 def next_obs_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant whose memory update is keyed by the observation of the
     successor state (qn_z2_n_n2_a). Analysis only: it has no unfolding."""
-    if k < 1:
-        raise ModelError("memory bound must be at least 1")
-    FscTopology.check(topology)
     # (successor obs, action) combinations that actually occur
-    combos = set()
-    for (s, a), row in m.trans.items():
-        for t in row:
-            combos.add((m.obs[t], a))
-    names = []
-    groups = []
-    mfac = {}
-    for z2 in range(m.num_obs):
-        for n in range(k):
+    combos = {(m.obs[t], a) for (_s, a), row in m.trans.items() for t in row}
+
+    def layout(names, groups):
+        afs = {(z, n): _simplex([(a, action_param(z, n, a)) for a in acts],
+                                names, groups)
+               for z, n, acts, _targets in _slots(m, k, topology)}
+        mfs = {}
+        for z2, n, _acts, targets in _slots(m, k, topology):
             for a in sorted(a for (zz, a) in combos if zz == z2):
-                targets, res = memory_targets(n, k, topology)
-                pairs = [(t, next_obs_memory_param(z2, n, t, a) if t != res else None)
-                         for t in targets]
-                mfac[(z2, n, a)] = _memory_factors(pairs)
-                mg = [nm for _t, nm in pairs if nm is not None]
-                names.extend(mg)
-                if mg:
-                    groups.append(mg)
-    afac = {}
-    act_names = []
-    act_groups = []
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            afac[(z, n)], ag = _action_factors(z, n, acts)
-            act_names.extend(ag)
-            if ag:
-                act_groups.append(ag)
-    names = act_names + names
-    groups = act_groups + groups
-    trans = {}
-    for s in m.states:
-        z = m.obs[s]
-        for n in range(k):
-            row = {}
-            for a in m.actions(s):
-                af = afac[(z, n)][a]
-                for s2, pr in m.mdp.row(s, a).items():
-                    for t2, mp in mfac[(m.obs[s2], n, a)].items():
-                        key = product_state(s2, t2, k)
-                        add = af * mp * _const(pr)
-                        row[key] = row[key] + add if key in row else add
-            trans[product_state(s, n, k)] = row
-    meta = {"transform": "next-obs", "k": k, "topology": topology,
-            "source_states": m.num_states, "pomdp": m}
-    return _finish_pmc(m, k, trans, names, groups,
-                       _product_rewards(m, k, afac), meta)
+                mfs[(z2, n, a)] = _simplex(
+                    [(t, next_obs_memory_param(z2, n, t, a)) for t in targets],
+                    names, groups)
+        weights = {}
+        for z, n, acts, targets in _slots(m, k, topology):
+            for a in acts:
+                af = afs[(z, n)][a]
+                joint = [{t: af * mfs[(z2, n, a)][t] for t in targets}
+                         if (z2, a) in combos else None
+                         for z2 in range(m.num_obs)]
+                weights[(z, n, a)] = joint, [af]
+        return weights
+    return _product_pmc(m, k, topology, "next-obs", layout)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ class TestTransform:
         rc = main(["transform", str(inp), "-o", "x", "--memory", "2",
                    "--unfold", "--variant", "substituted"])
         assert rc == EXIT_INPUT
+        rc = main(["transform", str(inp), "-o", "x", "--memory", "2",
+                   "--unfold", "--topology", "counter"])
+        assert rc == EXIT_INPUT
+        assert "full topology" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
         rc = main(["transform", str(inp), "-o", "x"])
         assert rc == EXIT_INPUT
 
@@ -160,6 +165,13 @@ class TestCheck:
                    "--instantiation", str(upath)])
         assert rc == EXIT_OK
         assert "satisfied: yes" in capsys.readouterr().out
+        # and a parameter value past it: p = 1/(10^5000 + 1) gives about 1/2
+        upath = _write(workdir / "tiny.inst", formats.write_instantiation(
+            Instantiation({"p": F(1, 10 ** 5000 + 1)})))
+        rc = main(["check", str(_pmc_file(workdir)), "--spec",
+                   "P> 0.7 [!bad U goal]", "--instantiation", str(upath)])
+        assert rc == EXIT_UNSAT
+        assert "satisfied: no" in capsys.readouterr().out
 
     def test_pomdp_with_controller(self, workdir, capsys):
         inp = _pomdp_file(workdir)

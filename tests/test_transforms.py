@@ -1,11 +1,14 @@
 """POMDP-to-chain constructions and the normalization pipeline."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import genmodels as g
+from fscsynth import transforms
+from fscsynth.formats import write_param_groups, write_pmc
 from fscsynth.analysis import ExactPmcEvaluator, check_mc, mdp_optimal
 from fscsynth.fsc import FscTopology, fsc_from_instantiation, induced_mc
 from fscsynth.models import Instantiation, ModelError, apply_instantiation, parse_spec
@@ -19,7 +22,6 @@ from fscsynth.transforms import (
     make_simple,
     map_unfolding_instantiation,
     next_obs_pmc,
-    param_count,
     pmc_to_pomdp,
     substituted_pmc,
     unfold,
@@ -53,6 +55,66 @@ def test_rows_sum_to_one_symbolically():
                 for p in d.row(s).values():
                     total = total + p
                 assert total == one, (build, s)
+
+
+# (builder, topology) -> sha256 of the write_pmc + write_param_groups text, and
+# sha256 of the rows and rewards in insertion order (None where that order is
+# free), over _GOLDEN_SEEDS x k = 1..3
+_GOLDEN_SEEDS = range(20)
+GOLDEN_CHAINS = {
+    ("induced_pmc", "full"): (
+        "9bf785753e142f681452fe1f7fcceeb035412a8fe1e79b8ddec6e0889f7c0a97",
+        "eb0a7088fabe7f87e9c41ba0fb33972cb4bfb03fea6efa82fa1916c5aabade10"),
+    ("induced_pmc", "counter"): (
+        "7f80095cc559b7a787a942c5b15548c8a886c5a32fe064200ab888fc998d652f",
+        "e59ace68c96c90cfe06d17544a0b082d5bf6ec74c001139bea01aaa4b26dcd9f"),
+    ("substituted_pmc", "full"): (
+        "8c3feea1575801a2e415b44220dbd8edeff165619a90aeae4b0d7d196cee272a",
+        "2929d19ac1f0386c6b0c58ce5ac28f7cb73d7e006cb30866ac446c883e1f3df6"),
+    ("substituted_pmc", "counter"): (
+        "110490e2d2e71357d1efd1cf539c08002a81e2b8ed1d7296f91f47120ebb6779",
+        "5117350af34fbd1bfb3a15c46525111cf4614f72dc2a57021beb096a9cbddcaa"),
+    ("action_restricted_pmc", "full"): (
+        "8da802c4050271ce5943dfdd508678a0fc7f6a1c089f4baa5d758e11d99f7ab9",
+        "ba86d81b7a066af03b165ba0c6967183058926de0b54aaa830c13b991cac7376"),
+    ("action_restricted_pmc", "counter"): (
+        "1391798e09ed80c77a6fe038472102f108134ff7215f7e6ef6b84bc8a9fc6dc4",
+        "8437b7b7fd25f30e3e2fbf7435766ce4b668910ff5f015a652e0c15b4f29fc7f"),
+    ("next_obs_pmc", "full"): (
+        "ca83d8daacdef78777ee2d2ccab9fda44bd306cedff96dbb3accb9c7bab2d9bd",
+        None),
+    ("next_obs_pmc", "counter"): (
+        "20acad032183efc8c4715ddfec6541dc7b52b3d276f989b9e5d0288bbd9465db",
+        None),
+}
+
+
+def _chain_digests(build, topology):
+    text = hashlib.sha256()
+    order = hashlib.sha256()
+    for seed in _GOLDEN_SEEDS:
+        m = g.random_pomdp(random.Random(seed), max_states=7, max_actions=3,
+                           max_obs=3, with_rewards=True)
+        for k in (1, 2, 3):
+            d = build(m, k, topology)
+            text.update(write_pmc(d).encode())
+            text.update(write_param_groups(d.ensure_param_groups()).encode())
+            rows = [(s, [(t, str(p)) for t, p in row.items()])
+                    for s, row in d.trans.items()]
+            rewards = [(s, str(r)) for s, r in d.rewards.items()]
+            order.update(repr((rows, rewards)).encode())
+    return text.hexdigest(), order.hexdigest()
+
+
+@pytest.mark.parametrize("name,topology", sorted(GOLDEN_CHAINS))
+def test_chain_constructions_golden(name, topology):
+    # pins every construction's parameters, groups, entries and rewards, and
+    # for all but next-obs the row order the float evaluator sums in
+    text, order = _chain_digests(getattr(transforms, name), topology)
+    want_text, want_order = GOLDEN_CHAINS[(name, topology)]
+    assert text == want_text
+    if want_order is not None:
+        assert order == want_order
 
 
 def test_product_matches_chain_edge_for_edge():
@@ -142,7 +204,7 @@ def test_next_obs_matches_standard_on_intermediate_insertion():
     assert mdp_optimal(mi.mdp, SPEC).value == mdp_optimal(m.mdp, SPEC).value
 
 
-def test_param_count_matches_table():
+def test_param_table_size():
     rng = random.Random(34)
     for _ in range(15):
         m = g.random_pomdp(rng, max_states=6, max_obs=3)
@@ -151,7 +213,6 @@ def test_param_count_matches_table():
             expected = sum(
                 k * (len(m.obs_actions(z)) - 1) + k * (k - 1) * len(m.obs_actions(z))
                 for z in range(m.num_obs))
-            assert param_count(m, k) == expected
             assert len(list(d.params.names)) == expected
 
 
