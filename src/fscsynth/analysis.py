@@ -1,6 +1,23 @@
 """Quantitative analysis: chain/MDP model checking, qualitative sets,
 closed forms by state elimination, and sound bounds over parameter regions.
 
+Every chain value, concrete (check_mc), parametric (the closed forms), boxed
+(region_bounds) or sampled (the evaluators), is one query on one frame:
+  - _query decides from the graph of possibly-positive edges alone which
+    states are uncertain (U) and which value the graph already settles at
+    the initial state (1 or 0 for reach-avoid; 0 at a goal or INFINITE when
+    the goal may be missed, for expected reward);
+  - _system builds x = A x + c over U in any value field (Fractions,
+    floats, rational functions, or edge numbers for the float evaluator):
+    A holds the edges inside U, c the state rewards plus the edges into
+    `one`, the value-1 states outside U. The region bounds solve one such
+    system per interval allocation, in _policy_iterate;
+  - _elimination_graph turns (rows, c) into the weights that _eliminate
+    works on, with c as one sink column, for solve_exact and the closed
+    forms alike.
+The MDP optima and _avoiders decide their own value-1 states (by _prob1e
+and a fixpoint) and stay outside this frame.
+
 Exact mode works in Fractions end to end: sparse state elimination for
 linear systems (the same step that builds the closed forms), and one policy
 iteration engine, _policy_iterate, for the MDP optima and for the robust
@@ -13,10 +30,10 @@ blocks of at most SOLVE_BLOCK_BYTES.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +51,7 @@ from .models import (
     apply_instantiation,
     is_infinite,
 )
-from .polynomials import RF_ONE, RF_ZERO, Polynomial, RationalFunction
+from .polynomials import RF_ZERO, Polynomial, RationalFunction
 
 # byte budget of one stacked (rows x n x n) block of float evaluation solves
 SOLVE_BLOCK_BYTES = 2 ** 21
@@ -99,6 +116,64 @@ def _reachable(graph, start, absorbing=frozenset()):
     return seen
 
 
+class _Query(NamedTuple):
+    value: object   # what the graph alone settles at the initial state, or None
+    U: list         # the uncertain states
+    one: frozenset  # the value-1 states outside U
+
+
+def _query(graph, initial, goal, bad, reward) -> _Query:
+    """One chain question, reach-avoid or (reward) expected reward until
+    goal, as far as the graph of possibly-positive edges decides it.
+
+    Reach: the value is 1 or 0 when the initial state is in s_one or
+    s_zero; otherwise U is every state outside both, in graph order, and
+    `one` is s_one. Reward: the value is 0 at a goal state and INFINITE when
+    the initial state is not in s_one of plain reach (the goal is missed
+    with positive probability); otherwise U is the non-goal states that the
+    initial one reaches before the goal, ascending, and `one` is empty.
+    """
+    if reward:
+        if initial in goal:
+            return _Query(Fraction(0), [], frozenset())
+        if initial not in qualitative_precompute(graph, goal, ()).s_one:
+            return _Query(INFINITE, [], frozenset())
+        relevant = _reachable(graph, initial, absorbing=goal)
+        return _Query(None, [s for s in sorted(relevant) if s not in goal], frozenset())
+    q = qualitative_precompute(graph, goal, bad)
+    if initial in q.s_one:
+        return _Query(Fraction(1), [], q.s_one)
+    if initial in q.s_zero:
+        return _Query(Fraction(0), [], q.s_one)
+    return _Query(None, [s for s in graph if s not in q.s_one and s not in q.s_zero],
+                  q.s_one)
+
+
+def _system(query, idx, row, reward, lift):
+    """x = A x + c over query.U, idx numbering U. row(s) gives the
+    (successor, entry) pairs of s and lift maps an entry into the value
+    field. rows[i] holds the lifted entries into U; c[i] starts at
+    reward(s), already lifted, and adds the entries into query.one in row
+    order."""
+    rows = []
+    c = []
+    for s in query.U:
+        out = {}
+        acc = reward(s)
+        for t, p in row(s):
+            if t in idx:
+                out[idx[t]] = lift(p)
+            elif t in query.one:
+                acc += lift(p)
+        rows.append(out)
+        c.append(acc)
+    return rows, c
+
+
+def _same(p):
+    return p
+
+
 # ---------------------------------------------------------------------------
 # linear solving
 
@@ -122,16 +197,9 @@ def solve_exact(rows, c):
     zero pivot means the system is singular.
     """
     n = len(c)
-    w = {}
-    preds = {i: set() for i in range(n)}
-    preds[_GOOD] = set()
-    for i in range(n):
-        row = {j: Fraction(a) for j, a in rows[i].items() if a}
-        if c[i]:
-            row[_GOOD] = Fraction(c[i])
-        w[i] = row
-        for j in row:
-            preds[j].add(i)
+    w, preds = _elimination_graph(
+        [{j: Fraction(a) for j, a in row.items()} for row in rows],
+        [Fraction(v) for v in c], _GOOD)
     eliminated = []
     try:
         for s in _pick_elimination_order(w, preds, range(n), "degree"):
@@ -145,6 +213,22 @@ def solve_exact(rows, c):
             acc += v if t == _GOOD else v * x[t]
         x[s] = acc
     return x
+
+
+def _elimination_graph(rows, c, sink):
+    """The weights _eliminate works on for x = A x + c: w[i] is row i over
+    0..n-1 with c[i] in the sink column, zero entries left out, and preds[j]
+    the rows with an entry in column j."""
+    w = {}
+    preds = {i: set() for i in range(len(c))}
+    preds[sink] = set()
+    for i, row in enumerate(rows):
+        w[i] = out = {j: a for j, a in row.items() if a}
+        if c[i]:
+            out[sink] = c[i]
+        for j in out:
+            preds[j].add(i)
+    return w, preds
 
 
 def solve_float(rows, c):
@@ -164,24 +248,18 @@ def solve_float(rows, c):
 # Markov chain values
 
 
-def _mc_graph(mc):
-    return {s: tuple(mc.row(s)) for s in mc.states}
-
-
-def _reach_system(mc, idx, q):
-    rows = []
-    c = []
-    for s in idx:
-        row = {}
-        acc = Fraction(0) if mc.exact else 0.0
-        for t, p in mc.row(s).items():
-            if t in q.s_one:
-                acc += p
-            elif t in idx:
-                row[idx[t]] = p
-        rows.append(row)
-        c.append(acc)
-    return rows, c
+def _mc_value(mc, goal, bad, reward):
+    q = _query(_pmc_graph(mc), mc.initial, goal, bad, reward)
+    if q.value is not None:
+        return q.value if mc.exact else float(q.value)
+    zero = Fraction(0) if mc.exact else 0.0
+    rewards = mc.rewards if reward else {}
+    idx = {s: i for i, s in enumerate(q.U)}
+    rows, c = _system(q, idx, lambda s: mc.row(s).items(),
+                      lambda s: rewards.get(s, zero), _same)
+    if mc.exact:
+        return solve_exact(rows, c)[idx[mc.initial]]
+    return float(solve_float(rows, c)[idx[mc.initial]])
 
 
 def reach_avoid_prob(mc: Mc, goal=None, bad=None):
@@ -189,44 +267,13 @@ def reach_avoid_prob(mc: Mc, goal=None, bad=None):
     state. Exact (Fraction) or float, following the chain's entry type."""
     goal = mc.goal if goal is None else frozenset(goal)
     bad = mc.bad if bad is None else frozenset(bad)
-    q = qualitative_precompute(_mc_graph(mc), goal, bad)
-    if mc.initial in q.s_one:
-        return Fraction(1) if mc.exact else 1.0
-    if mc.initial in q.s_zero:
-        return Fraction(0) if mc.exact else 0.0
-    idx = {s: i for i, s in enumerate(
-        s for s in mc.states if s not in q.s_zero and s not in q.s_one)}
-    rows, c = _reach_system(mc, idx, q)
-    if mc.exact:
-        return solve_exact(rows, c)[idx[mc.initial]]
-    return float(solve_float(rows, c)[idx[mc.initial]])
+    return _mc_value(mc, goal, bad, False)
 
 
 def expected_reward(mc: Mc, goal=None):
     """Expected accumulated reward until goal; infinite when the goal is
     reached with probability below one."""
-    goal = mc.goal if goal is None else frozenset(goal)
-    if mc.initial in goal:
-        return Fraction(0) if mc.exact else 0.0
-    graph = _mc_graph(mc)
-    q = qualitative_precompute(graph, goal, ())
-    if mc.initial not in q.s_one:
-        return INFINITE if mc.exact else math.inf
-    relevant = _reachable(graph, mc.initial, absorbing=goal)
-    idx = {s: i for i, s in enumerate(s for s in sorted(relevant) if s not in goal)}
-    rows = []
-    c = []
-    zero = Fraction(0) if mc.exact else 0.0
-    for s in idx:
-        row = {}
-        for t, p in mc.row(s).items():
-            if t not in goal:
-                row[idx[t]] = p
-        rows.append(row)
-        c.append(mc.rewards.get(s, zero))
-    if mc.exact:
-        return solve_exact(rows, c)[idx[mc.initial]]
-    return float(solve_float(rows, c)[idx[mc.initial]])
+    return _mc_value(mc, mc.goal if goal is None else frozenset(goal), (), True)
 
 
 def _spec_bad(model, spec):
@@ -234,10 +281,13 @@ def _spec_bad(model, spec):
     return model.bad if spec.bad_label is not None else frozenset()
 
 
+def _spec_query(d: PmcT, spec: Specification) -> _Query:
+    return _query(_pmc_graph(d), d.initial, d.goal, _spec_bad(d, spec),
+                  spec.kind == EXPECTED_REWARD)
+
+
 def check_mc(mc: Mc, spec: Specification):
-    if spec.kind == REACH_AVOID:
-        return reach_avoid_prob(mc, bad=_spec_bad(mc, spec))
-    return expected_reward(mc)
+    return _mc_value(mc, mc.goal, _spec_bad(mc, spec), spec.kind == EXPECTED_REWARD)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +500,8 @@ def _mdp_max_reward(mdp, goal):
 # state elimination (closed forms)
 
 
-def _pmc_graph(d: PmcT):
+def _pmc_graph(d):
+    """Successors of every state of a pMC or a chain."""
     return {s: tuple(d.row(s)) for s in d.states}
 
 
@@ -501,10 +552,22 @@ def _eliminate(w, preds, s):
     return out
 
 
-def _eliminate_to_initial(w, preds, U, initial, order, sink):
-    """Eliminate every state of U but the initial one from w; the value is
-    the initial row's sink entry over 1 - its loop."""
-    for s in _pick_elimination_order(w, preds, [s for s in U if s != initial], order):
+def _closed_form(d: PmcT, q: _Query, reward, order) -> RationalFunction:
+    """Eliminate every uncertain state but the initial one from x = A x + c
+    over q.U in rational functions; the value is the initial row's sink entry
+    over 1 - its loop. The states go by their index in U, which follows the
+    state order, so degree-order ties go to the lowest state."""
+    if q.value is not None:
+        return RationalFunction.constant(q.value)
+    sink = _REWARD if reward else _GOOD
+    rewards = d.rewards if reward else {}
+    idx = {s: i for i, s in enumerate(q.U)}
+    rows, c = _system(q, idx, lambda s: d.row(s).items(),
+                      lambda s: RationalFunction(rewards.get(s, Polynomial())),
+                      RationalFunction)
+    w, preds = _elimination_graph(rows, c, sink)
+    initial = idx[d.initial]
+    for s in _pick_elimination_order(w, preds, [s for s in w if s != initial], order):
         _eliminate(w, preds, s)
     row = w[initial]
     value = row.get(sink, RF_ZERO)
@@ -522,26 +585,7 @@ def state_eliminate(d: PmcT, goal=None, bad=None, order="degree") -> RationalFun
     or plain ascending ids."""
     goal = d.goal if goal is None else frozenset(goal)
     bad = d.bad if bad is None else frozenset(bad)
-    q = qualitative_precompute(_pmc_graph(d), goal, bad)
-    if d.initial in q.s_one:
-        return RF_ONE
-    if d.initial in q.s_zero:
-        return RF_ZERO
-    U = [s for s in d.states if s not in q.s_one and s not in q.s_zero]
-    w = {}
-    preds = {s: set() for s in U}
-    preds[_GOOD] = set()
-    for s in U:
-        row = {}
-        for t, poly in d.row(s).items():
-            if t in q.s_one:
-                row[_GOOD] = row.get(_GOOD, RF_ZERO) + RationalFunction(poly)
-            elif t not in q.s_zero:
-                row[t] = RationalFunction(poly)
-        w[s] = row
-        for t in row:
-            preds[t].add(s)
-    return _eliminate_to_initial(w, preds, U, d.initial, order, _GOOD)
+    return _closed_form(d, _query(_pmc_graph(d), d.initial, goal, bad, False), False, order)
 
 
 def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFunction:
@@ -550,32 +594,13 @@ def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFuncti
     the graph alone); otherwise the value is infinite everywhere and no
     rational function exists. The state rewards form the sink column."""
     goal = d.goal if goal is None else frozenset(goal)
-    graph = _pmc_graph(d)
-    if d.initial in goal:
-        return RF_ZERO
-    q = qualitative_precompute(graph, goal, ())
-    relevant = _reachable(graph, d.initial, absorbing=goal)
-    if any(s not in q.s_one for s in relevant):
+    q = _query(_pmc_graph(d), d.initial, goal, (), True)
+    if is_infinite(q.value):
         raise ModelError(
             "expected reward diverges on the graph-preserving region "
             "(goal missed with positive probability)"
         )
-    U = [s for s in sorted(relevant) if s not in goal]
-    w = {}
-    preds = {s: set() for s in U}
-    preds[_REWARD] = set()
-    for s in U:
-        row = {}
-        for t, poly in d.row(s).items():
-            if t not in goal:
-                row[t] = RationalFunction(poly)
-        r = d.rewards.get(s)
-        if r is not None and not r.is_zero():
-            row[_REWARD] = RationalFunction(r)
-        w[s] = row
-        for t in row:
-            preds[t].add(s)
-    return _eliminate_to_initial(w, preds, U, d.initial, order, _REWARD)
+    return _closed_form(d, q, True, order)
 
 
 # ---------------------------------------------------------------------------
@@ -760,46 +785,27 @@ def _robust_values(table, U, known, boundary, reward, maximize):
         dist, boundary, reward, operator.gt if maximize else operator.lt)[0]
 
 
-def _robust_prob(d, table, q, maximize):
-    if d.initial in q.s_one:
-        return Fraction(1)
-    if d.initial in q.s_zero:
-        return Fraction(0)
-    U = [s for s in d.states if s not in q.s_one and s not in q.s_zero]
-    x = _robust_values(table, U, q.s_one | q.s_zero,
-                       lambda t: Fraction(1) if t in q.s_one else Fraction(0),
-                       _zero, maximize)
-    return x[d.initial]
+def _robust_value(d, table, q, maximize, region, reward):
+    if q.value is not None:
+        return q.value
+    rbound = dict.fromkeys(q.U, Fraction(0))
+    if reward:
+        def stays(s, Z):
+            # some allocation keeps all mass in Z: every edge leaving Z may be
+            # zero and the edges into Z can carry the whole row
+            return (all(lo == 0 for t, lo, _hi in table[s] if t not in Z)
+                    and sum(hi for t, _lo, hi in table[s] if t in Z) >= 1)
 
-
-def _robust_reward(d, table, goal, maximize, region):
-    graph = _pmc_graph(d)
-    if d.initial in goal:
-        return Fraction(0)
-    q = qualitative_precompute(graph, goal, ())
-    relevant = _reachable(graph, d.initial, absorbing=goal)
-    if any(s not in q.s_one for s in relevant):
-        return INFINITE
-
-    def stays(s, Z):
-        # some allocation keeps all mass in Z: every edge leaving Z may be
-        # zero and the edges into Z can carry the whole row
-        return (all(lo == 0 for t, lo, _hi in table[s] if t not in Z)
-                and sum(hi for t, _lo, hi in table[s] if t in Z) >= 1)
-
-    if maximize and d.initial in _avoiders(graph, goal, stays):
-        return INFINITE
-    U = [s for s in sorted(relevant) if s not in goal]
-    rbound = {}
-    for s in U:
-        poly = d.rewards.get(s)
-        if poly is None:
-            rbound[s] = Fraction(0)
-        else:
-            lo, hi, _ = _poly_interval(poly, region.intervals)
-            rbound[s] = max(hi, Fraction(0)) if maximize else max(lo, Fraction(0))
-    x = _robust_values(table, U, goal, _zero, lambda s, _alloc: rbound[s],
-                       maximize)
+        if maximize and d.initial in _avoiders(_pmc_graph(d), d.goal, stays):
+            return INFINITE
+        for s in q.U:
+            poly = d.rewards.get(s)
+            if poly is not None:
+                lo, hi, _ = _poly_interval(poly, region.intervals)
+                rbound[s] = max(hi if maximize else lo, Fraction(0))
+    x = _robust_values(table, q.U, set(d.states).difference(q.U),
+                       lambda t: Fraction(1) if t in q.one else Fraction(0),
+                       lambda s, _alloc: rbound[s], maximize)
     return x[d.initial]
 
 
@@ -817,13 +823,10 @@ def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
     exact robust policy iteration. `tight` marks instances (simple pMC,
     single-row parameters) where the relaxation provably loses nothing."""
     table, tight, preserving = _edge_intervals(d, region)
-    if spec.kind == REACH_AVOID:
-        q = qualitative_precompute(_pmc_graph(d), d.goal, _spec_bad(d, spec))
-        upper = _robust_prob(d, table, q, True)
-        lower = _robust_prob(d, table, q, False)
-    else:
-        upper = _robust_reward(d, table, d.goal, True, region)
-        lower = _robust_reward(d, table, d.goal, False, region)
+    q = _spec_query(d, spec)
+    reward = spec.kind == EXPECTED_REWARD
+    upper = _robust_value(d, table, q, True, region, reward)
+    lower = _robust_value(d, table, q, False, region, reward)
     return RegionBounds(lower, upper, tight, preserving)
 
 
@@ -908,9 +911,9 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
 
 
 class _EvaluatorBase:
-    """Shared skeleton: qualitative sets are computed once under
-    graph-preserving semantics and reused; valuations that kill an edge
-    fall back to a from-scratch analysis (counted in recompute_count)."""
+    """Shared skeleton: the query is decided once under graph-preserving
+    semantics and reused; valuations that kill an edge fall back to a
+    from-scratch analysis (counted in recompute_count)."""
 
     def __init__(self, d: PmcT, spec: Specification):
         self.d = d
@@ -922,23 +925,8 @@ class _EvaluatorBase:
                 self.edges.append((s, t, poly))
         self.nonconst = [i for i, (_s, _t, p) in enumerate(self.edges)
                          if not p.is_constant()]
-        if spec.kind == REACH_AVOID:
-            self.q = qualitative_precompute(_pmc_graph(d), d.goal,
-                                            _spec_bad(d, spec))
-            self.trivial = None
-            if d.initial in self.q.s_one:
-                self.trivial = 1
-            elif d.initial in self.q.s_zero:
-                self.trivial = 0
-            self.U = [s for s in d.states
-                      if s not in self.q.s_one and s not in self.q.s_zero]
-        else:
-            graph = _pmc_graph(d)
-            q = qualitative_precompute(graph, d.goal, ())
-            relevant = _reachable(graph, d.initial, absorbing=d.goal)
-            self.diverges = any(s not in q.s_one for s in relevant)
-            self.trivial = 0 if d.initial in d.goal else None
-            self.U = [s for s in sorted(relevant) if s not in d.goal]
+        self.query = _spec_query(d, spec)
+        self.U = self.query.U
         self.idx = {s: i for i, s in enumerate(self.U)}
 
     def _fresh(self, u: Instantiation):
@@ -961,54 +949,27 @@ class ExactPmcEvaluator(_EvaluatorBase):
             raise ModelError("exact evaluation needs a rational instantiation")
         vals = {}
         boundary = False
-        for i, (s, t, poly) in enumerate(self.edges):
+        for s, t, poly in self.edges:
             v = poly.evaluate(u.values) if not poly.is_constant() else poly.constant_value()
             if v < 0 or v > 1:
                 raise ModelError(
                     "instantiation is not well-defined: entry (%d,%d) = %s" % (s, t, v))
             if v == 0 and not poly.is_constant():
                 boundary = True
-            vals[(s, t)] = v
-        sums = {}
-        for (s, _t), v in vals.items():
-            sums[s] = sums.get(s, Fraction(0)) + v
-        for s, total in sums.items():
+            vals.setdefault(s, {})[t] = v
+        for s, row in vals.items():
+            total = sum(row.values(), Fraction(0))
             if total != 1:
                 raise ModelError(
                     "instantiation is not well-defined: row %d sums to %s" % (s, total))
         if boundary:
             return self._fresh(u)
-        if self.spec.kind == REACH_AVOID:
-            if self.trivial is not None:
-                return Fraction(self.trivial)
-            rows = []
-            c = []
-            for s in self.U:
-                row = {}
-                acc = Fraction(0)
-                for t in self.d.row(s):
-                    v = vals[(s, t)]
-                    if t in self.idx:
-                        row[self.idx[t]] = v
-                    elif t in self.q.s_one:
-                        acc += v
-                rows.append(row)
-                c.append(acc)
-            return solve_exact(rows, c)[self.idx[self.d.initial]]
-        if self.diverges:
-            return INFINITE
-        if self.trivial is not None:
-            return Fraction(self.trivial)
-        rows = []
-        c = []
-        for s in self.U:
-            row = {}
-            for t in self.d.row(s):
-                if t in self.idx:
-                    row[self.idx[t]] = vals[(s, t)]
-            rows.append(row)
-            r = self.d.rewards.get(s)
-            c.append(r.evaluate(u.values) if r is not None else Fraction(0))
+        if self.query.value is not None:
+            return self.query.value
+        rewards = self.d.rewards if self.spec.kind == EXPECTED_REWARD else {}
+        rows, c = _system(
+            self.query, self.idx, lambda s: vals[s].items(),
+            lambda s: rewards[s].evaluate(u.values) if s in rewards else Fraction(0), _same)
         return solve_exact(rows, c)[self.idx[self.d.initial]]
 
 
@@ -1026,25 +987,17 @@ class FloatPmcEvaluator(_EvaluatorBase):
         pidx = {n: i for i, n in enumerate(self.param_order)}
         self.table = TermTable([p for (_s, _t, p) in self.edges], pidx)
         self.nonconst_idx = np.asarray(self.nonconst, dtype=np.intp)
-        # system skeleton over U
-        a_rows, a_cols, a_edges = [], [], []
-        c_rows, c_edges = [], []
-        edge_pos = {(s, t): i for i, (s, t, _p) in enumerate(self.edges)}
-        for s in self.U:
-            for t in self.d.row(s):
-                e = edge_pos[(s, t)]
-                if t in self.idx:
-                    a_rows.append(self.idx[s])
-                    a_cols.append(self.idx[t])
-                    a_edges.append(e)
-                elif self.spec.kind == REACH_AVOID and t in self.q.s_one:
-                    c_rows.append(self.idx[s])
-                    c_edges.append(e)
-        self.a_rows = np.asarray(a_rows, dtype=np.intp)
-        self.a_cols = np.asarray(a_cols, dtype=np.intp)
-        self.a_edges = np.asarray(a_edges, dtype=np.intp)
-        self.c_rows = np.asarray(c_rows, dtype=np.intp)
-        self.c_edges = np.asarray(c_edges, dtype=np.intp)
+        # the system over U with edge numbers for entries: A becomes (row,
+        # column, edge) triples, c the edges each row sums in edge order
+        numbered = {}
+        for e, (s, t, _p) in enumerate(self.edges):
+            numbered.setdefault(s, []).append((t, (e,)))
+        rows, c = _system(self.query, self.idx, numbered.__getitem__, lambda s: (), _same)
+        self.a_rows = np.asarray([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
+        self.a_cols = np.asarray([j for row in rows for j in row], dtype=np.intp)
+        self.a_edges = np.asarray([e for row in rows for (e,) in row.values()], dtype=np.intp)
+        self.c_rows = np.asarray([i for i, es in enumerate(c) for _ in es], dtype=np.intp)
+        self.c_edges = np.asarray([e for es in c for e in es], dtype=np.intp)
         if self.spec.kind == EXPECTED_REWARD:
             polys = [self.d.rewards.get(s, Polynomial()) for s in self.U]
             self.reward_table = TermTable(polys, pidx)
@@ -1078,10 +1031,8 @@ class FloatPmcEvaluator(_EvaluatorBase):
                 {n: float(v) for n, v in zip(self.param_order, X[i])})
             out[i] = float(self._fresh(ui))
         inner = np.flatnonzero(~boundary)
-        if self.spec.kind == EXPECTED_REWARD and self.diverges:
-            out[inner] = math.inf
-        elif self.trivial is not None:
-            out[inner] = float(self.trivial)
+        if self.query.value is not None:
+            out[inner] = float(self.query.value)
         elif inner.size:
             out[inner] = self._solve(X[inner], vals[inner])
         return float(out[0]) if single else out

@@ -138,13 +138,6 @@ class Fsc:
                 "controller has no update row for node %d, obs %d, action %s" % (n, z, a)
             ) from None
 
-    def respects_counter(self) -> bool:
-        for (n, _z, _a), row in self.memory_update.items():
-            allowed, _ = memory_targets(n, self.num_nodes, FscTopology.COUNTER)
-            if not set(row) <= set(allowed):
-                return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, Fsc):
             return NotImplemented

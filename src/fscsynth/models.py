@@ -195,6 +195,13 @@ class Specification:
     bad_label: str | None = "bad"
 
     def __post_init__(self):
+        # models carry exactly these two labels
+        if self.goal_label != "goal":
+            raise ModelError("unknown target label %r: models label only 'goal'"
+                             % self.goal_label)
+        if self.bad_label not in (None, "bad"):
+            raise ModelError("unknown avoid label %r: models label only 'bad'"
+                             % self.bad_label)
         if self.kind == REACH_AVOID:
             if self.comparison not in _PROB_COMPARISONS:
                 raise ModelError("probability specs use > or >=")
@@ -262,6 +269,8 @@ def parse_spec(text: str) -> Specification:
     Probability forms: ``P> 0.9 [!bad U goal]`` (also >=) and the avoid-free
     ``P> 0.9 [F goal]``. Reward form: ``Emin<= 10.5 [F goal]`` with min|max
     and any of < <= > >=. Thresholds are decimals or fractions, read exactly.
+    The target label must be goal and the avoid label bad, the only labels
+    a model carries.
     """
     m = _P_SPEC.match(text)
     if m:
@@ -302,6 +311,7 @@ class Mdp:
         self.goal = frozenset(goal)
         self.bad = frozenset(bad)
         self.meta = dict(meta or {})
+        self._actions = None
         if validate:
             self._validate()
 
@@ -310,11 +320,15 @@ class Mdp:
         return range(self.num_states)
 
     def actions(self, s) -> list:
-        return sorted(a for (s2, a) in self.trans if s2 == s)
-
-    @property
-    def action_labels(self) -> list:
-        return sorted({a for (_, a) in self.trans})
+        """Sorted action labels enabled at s, tabled once for all states."""
+        if self._actions is None:
+            table = {}
+            for s2, a in self.trans:
+                table.setdefault(s2, []).append(a)
+            for acts in table.values():
+                acts.sort()
+            self._actions = table
+        return self._actions.get(s, [])
 
     def row(self, s, a):
         return self.trans[(s, a)]
@@ -416,9 +430,6 @@ class Pomdp:
                 table.setdefault(self.obs[s], self.mdp.actions(s))
             self._obs_actions = table
         return self._obs_actions[z]
-
-    def states_of_obs(self, z) -> list:
-        return [s for s in self.states if self.obs[s] == z]
 
     def _validate(self):
         if len(self.obs) != self.mdp.num_states:

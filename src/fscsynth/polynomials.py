@@ -493,6 +493,9 @@ class RationalFunction:
     def constant(value) -> "RationalFunction":
         return RationalFunction(Polynomial.constant(value))
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 

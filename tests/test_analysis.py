@@ -523,3 +523,58 @@ class TestBatchedEvaluation:
         one = ev.evaluate_vector(X[0])
         assert isinstance(one, float) and one == got[0]
         assert ev.recompute_count == 1
+
+
+class TestOneFrame:
+    """Every way of computing a chain value poses the same query: at a
+    rational interior point the concrete check, both evaluators, the closed
+    form and the bounds over the point region agree, from initial states
+    whose value the graph settles (1, 0, a goal, a diverging reward) as well
+    as from uncertain ones."""
+
+    SPECS = [parse_spec("P>= 1/2 [!bad U goal]"), parse_spec("Emin<= 3 [F goal]")]
+
+    @staticmethod
+    def _kind(d, spec, value):
+        if spec.kind == "expected_reward":
+            if d.initial in d.goal:
+                return "goal"
+            return "diverges" if is_infinite(value) else "uncertain"
+        q = qualitative_precompute(analysis._pmc_graph(d), d.goal, d.bad)
+        if d.initial in q.s_one:
+            return "one"
+        return "zero" if d.initial in q.s_zero else "uncertain"
+
+    def test_every_value_agrees_at_interior_points(self):
+        rng = random.Random(46)
+        kinds = set()
+        for i in range(16):
+            if i % 2:
+                base = g.random_simple_pmc(rng, max_states=8)
+            else:
+                base = induced_pmc(g.random_pomdp(rng, max_states=5, max_actions=2,
+                                                  max_obs=3, with_rewards=True), 1)
+            u = g.random_instantiation_for(base, rng)
+            point = Region({name: (v, v) for name, v in u.items()})
+            for initial in base.states:
+                d = PmcT(base.num_states, initial, base.trans, params=base.params,
+                         rewards=base.rewards, goal=base.goal, bad=base.bad,
+                         param_groups=base.param_groups)
+                for spec in self.SPECS:
+                    value = check_mc(apply_instantiation(d, u).model, spec)
+                    kinds.add((spec.kind, self._kind(d, spec, value)))
+                    assert ExactPmcEvaluator(d, spec).evaluate(u) == value
+                    b = region_bounds(d, point, spec)
+                    assert b.lower == b.upper == value
+                    fl = FloatPmcEvaluator(d, spec).evaluate(u)
+                    if is_infinite(value):
+                        assert is_infinite(fl)
+                        with pytest.raises(ModelError, match="diverges"):
+                            state_eliminate_reward(d)
+                        continue
+                    assert abs(fl - float(value)) <= 1e-9
+                    rf = (state_eliminate(d) if spec.kind == "reach_avoid"
+                          else state_eliminate_reward(d))
+                    assert rf.evaluate(u.values) == value
+        assert kinds == {("reach_avoid", k) for k in ("one", "zero", "uncertain")} | {
+            ("expected_reward", k) for k in ("goal", "diverges", "uncertain")}

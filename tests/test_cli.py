@@ -18,7 +18,7 @@ from childenv import child_env
 from fscsynth import formats
 from fscsynth.analysis import state_eliminate
 from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, _fmt_value, main
-from fscsynth.fsc import Fsc
+from fscsynth.fsc import Fsc, uniform_fsc
 from fscsynth.models import Instantiation, PmcT
 from fscsynth.polynomials import Polynomial
 from fscsynth.analysis import Region
@@ -183,6 +183,14 @@ class TestCheck:
                    "--fsc", str(fpath)])
         assert rc == EXIT_OK
         assert "4/5" in capsys.readouterr().out
+
+    def test_unknown_spec_label_is_an_input_error(self, workdir, capsys):
+        inp = _write(workdir / "fork.pomdp", formats.write_pomdp(g.fork_pomdp()))
+        fpath = _write(workdir / "uniform.fsc",
+                       formats.write_fsc(uniform_fsc(g.fork_pomdp(), 1)))
+        rc = main(["check", str(inp), "--spec", "P> 0.5 [F bad]", "--fsc", str(fpath)])
+        assert rc == EXIT_INPUT
+        assert "label" in capsys.readouterr().err
 
     def test_missing_companion_file(self, workdir, capsys):
         rc = main(["check", str(_pomdp_file(workdir)),

@@ -298,6 +298,15 @@ class TestSpecifications:
         assert t.opt == "max"
         assert parse_spec(str(s)) == s
 
+    @pytest.mark.parametrize("text", [
+        "P> 0.5 [F bad]", "P> 0.5 [!goal U bad]", "P> 0.5 [!bad U target]",
+        "P> 0.5 [!trap U goal]", "Emin<= 3 [F done]"])
+    def test_labels_other_than_goal_and_bad_are_rejected(self, text):
+        # models carry only goal and bad: any other name used to be read
+        # as them, so "P> 0.5 [F bad]" gave the value of [!bad U goal]
+        with pytest.raises(ModelError, match="label"):
+            parse_spec(text)
+
     def test_satisfied_by(self):
         s = parse_spec("P> 0.5 [!bad U goal]")
         assert s.satisfied_by(F(3, 4))
