@@ -48,6 +48,7 @@ from .models import (
     PmcT,
     REACH_AVOID,
     Specification,
+    _group_defects,
     apply_instantiation,
     is_infinite,
 )
@@ -933,9 +934,12 @@ class _EvaluatorBase:
         self.recompute_count += 1
         res = apply_instantiation(self.d, u)
         if not res.well_defined:
-            raise ModelError("instantiation is not well-defined: "
-                             + "; ".join(res.defects[:4]))
+            raise _ill_defined(res.defects)
         return check_mc(res.model, self.spec)
+
+
+def _ill_defined(defects) -> ModelError:
+    return ModelError("instantiation is not well-defined: " + "; ".join(defects[:4]))
 
 
 class ExactPmcEvaluator(_EvaluatorBase):
@@ -947,6 +951,10 @@ class ExactPmcEvaluator(_EvaluatorBase):
             u = Instantiation(u)
         if not u.is_rational:
             raise ModelError("exact evaluation needs a rational instantiation")
+        # edge sums can hide a group defect the fresh path would catch
+        defects = _group_defects(self.d.param_groups, u)
+        if defects:
+            raise _ill_defined(defects)
         vals = {}
         boundary = False
         for s, t, poly in self.edges:

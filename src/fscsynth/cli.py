@@ -131,6 +131,11 @@ def _load_param_groups(d: PmcT, path: Path) -> list:
     return [side]
 
 
+def _number(v) -> str:
+    """format_number, or "infinite" for an infinite value."""
+    return "infinite" if is_infinite(v) else format_number(v)
+
+
 def _fmt_value(v) -> str:
     if is_infinite(v):
         return "infinite"
@@ -275,8 +280,7 @@ def cmd_check(args) -> int:
               % (format_number(eps), "yes" if well.eps_preserving else "no"))
 
     _write_manifest(args, inputs, None, started, None,
-                    {"value": format_number(value) if not is_infinite(value)
-                     else "infinite", "satisfied": sat})
+                    {"value": _number(value), "satisfied": sat})
     return EXIT_OK if sat else EXIT_UNSAT
 
 
@@ -334,8 +338,7 @@ def cmd_synthesize(args) -> int:
         "memory %d, topology %s, method %s" % (k, args.topology, args.method),
         "seed %d" % args.seed,
         "spec: %s" % spec,
-        "certified value: %s" % (format_number(certified)
-                                 if not is_infinite(certified) else "infinite"),
+        "certified value: %s" % _number(certified),
         "satisfied: %s" % ("yes" if sat else "no"),
     ])
     out.write_text(formats.write_fsc(controller, header))
@@ -348,8 +351,8 @@ def cmd_synthesize(args) -> int:
               % (format_number(spec.threshold), _gap_to_threshold(certified, spec)))
         print("best controller so far -> %s" % out)
     _write_manifest(args, [inp], out, started, args.seed,
-                    {"value": format_number(certified) if not is_infinite(certified)
-                     else "infinite", "satisfied": sat, "method": args.method},
+                    {"value": _number(certified), "satisfied": sat,
+                     "method": args.method},
                     stats)
     if sat:
         return EXIT_OK
@@ -409,8 +412,7 @@ def cmd_prove(args) -> int:
     print("regions checked: %d" % res.regions_checked)
     _write_manifest(args, inputs, None, started, None,
                     {"no_controller": res.no_fsc,
-                     "bound": format_number(res.bound)
-                     if not is_infinite(res.bound) else "infinite",
+                     "bound": _number(res.bound),
                      "regions_checked": res.regions_checked})
     return EXIT_OK if res.no_fsc else EXIT_UNSAT
 

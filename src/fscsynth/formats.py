@@ -500,19 +500,19 @@ def parse_pmc(text: str) -> PmcT:
     for what, v in (("states", num_states), ("initial", initial)):
         if v is None:
             raise FormatError("missing %r line" % what)
-    declared = set(params or ())
-    for (s, t), lineno in trans_lines.items():
-        for name in trans[s][t].variables():
-            if name not in declared:
-                raise FormatError("parameter %r is not declared" % name, lineno)
-    for s, lineno in reward_lines.items():
-        for name in rewards[s].variables():
-            if name not in declared:
-                raise FormatError("parameter %r is not declared" % name, lineno)
     try:
         return PmcT(num_states, initial, trans, ParameterTable(params or ()),
                     rewards, labels.sets["goal"], labels.sets["bad"])
     except ModelError as e:
+        # an undeclared name wins over whatever PmcT saw first, and is
+        # reported at its line
+        declared = set(params or ())
+        entries = [(trans[s][t], lineno) for (s, t), lineno in trans_lines.items()]
+        entries += [(rewards[s], lineno) for s, lineno in reward_lines.items()]
+        for poly, lineno in entries:
+            for name in poly.variables():
+                if name not in declared:
+                    raise FormatError("parameter %r is not declared" % name, lineno) from None
         raise FormatError(str(e)) from None
 
 

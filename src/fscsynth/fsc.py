@@ -1,10 +1,12 @@
-"""Finite-state controllers and the POMDP x controller product chain.
+"""Finite-state controllers, the parameter layouts of the controller-family
+chains, and the POMDP x controller product chain.
 
 A k-node FSC reads the current observation, draws an action from its action
-map, then draws a successor memory node from its update map. The parameter
-naming scheme used by the controller-family constructions (module transforms)
-lives here so that building a controller from an instantiation and building
-the parametric chain stay in lockstep.
+map, then draws a successor memory node from its update map. A valuation of
+a controller-family chain is such a controller: the four layouts below name
+the chain's parameters and give, per (observation, node, action), the
+polynomials module transforms builds the chain from, and fsc_from_layout
+reads the controller off the same polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .models import Instantiation, Mc, ModelError, Pomdp
+from .models import Instantiation, Mc, ModelError, Pomdp, _group_defects
+from .polynomials import POLY_ONE, Polynomial
 
 
 class FscTopology:
@@ -43,17 +46,119 @@ def memory_targets(n: int, k: int, topology: str):
     return list(range(k)), k - 1
 
 
-def remain_action(actions):
-    """The action whose probability is the residual: lexicographically last."""
-    return max(actions)
-
-
 def action_param(z: int, n: int, action: str) -> str:
     return "p_%d_%d_%s" % (z, n, action)
 
 
 def memory_param(z: int, n: int, action: str, target: int) -> str:
     return "q_%d_%d_%d_%s" % (z, n, target, action)
+
+
+def substituted_param(z: int, n: int, target: int, action: str) -> str:
+    return "r_%d_%d_%d_%s" % (z, n, target, action)
+
+
+def restricted_memory_param(z: int, n: int, target: int) -> str:
+    return "q_%d_%d_%d" % (z, n, target)
+
+
+def next_obs_memory_param(z_next: int, n: int, target: int, action: str) -> str:
+    return "qn_%d_%d_%d_%s" % (z_next, n, target, action)
+
+
+# ---------------------------------------------------------------------------
+# parameter layouts: X_layout lays out the chain transforms.X_pmc builds
+#
+# A layout(m, k, topology, names, groups) appends the chain's parameter
+# names and groups in order and returns, per (z, n, a), the pair (joint,
+# marginal): joint[z2][t2] weighs "take a, move to node t2" when the
+# successor observes z2, and the marginal polynomials sum to the
+# probability of a.
+
+
+def _simplex(pairs, names, groups):
+    """Probability polynomial per key of [(key, parameter name)]: every key
+    but the last gets its parameter, the last one minus their sum. The free
+    names join names and, if any, form one group."""
+    free = [nm for _key, nm in pairs[:-1]]
+    names.extend(free)
+    if free:
+        groups.append(free)
+    factors = {key: Polynomial.variable(nm) for key, nm in pairs[:-1]}
+    residual = POLY_ONE
+    for nm in free:
+        residual = residual - Polynomial.variable(nm)
+    factors[pairs[-1][0]] = residual
+    return factors
+
+
+def _slots(m, k, topology):
+    """(z, n, A(z), reachable next nodes of n) in parameter order."""
+    for z in range(m.num_obs):
+        for n in range(k):
+            yield z, n, m.obs_actions(z), memory_targets(n, k, topology)[0]
+
+
+def _factored(m, af, mf, targets):
+    """Joint weights af * mf[t2] whatever the successor observes."""
+    return [{t: af * mf[t] for t in targets}] * m.num_obs, [af]
+
+
+def induced_layout(m, k, topology, names, groups):
+    weights = {}
+    for z, n, acts, targets in _slots(m, k, topology):
+        af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
+        for a in acts:
+            mf = _simplex([(t, memory_param(z, n, a, t)) for t in targets],
+                          names, groups)
+            weights[(z, n, a)] = _factored(m, af[a], mf, targets)
+    return weights
+
+
+def substituted_layout(m, k, topology, names, groups):
+    weights = {}
+    for z, n, acts, targets in _slots(m, k, topology):
+        pf = _simplex([((a, t), substituted_param(z, n, t, a))
+                       for a in acts for t in targets], names, groups)
+        for a in acts:
+            weights[(z, n, a)] = ([{t: pf[(a, t)] for t in targets}] * m.num_obs,
+                                  [pf[(a, t)] for t in targets])
+    return weights
+
+
+def action_restricted_layout(m, k, topology, names, groups):
+    weights = {}
+    for z, n, acts, targets in _slots(m, k, topology):
+        af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
+        mf = _simplex([(t, restricted_memory_param(z, n, t)) for t in targets],
+                      names, groups)
+        for a in acts:
+            weights[(z, n, a)] = _factored(m, af[a], mf, targets)
+    return weights
+
+
+def next_obs_layout(m, k, topology, names, groups):
+    # (successor obs, action) combinations that actually occur; joint[z2]
+    # is None for the others
+    combos = {(m.obs[t], a) for (_s, a), row in m.trans.items() for t in row}
+    afs = {(z, n): _simplex([(a, action_param(z, n, a)) for a in acts],
+                            names, groups)
+           for z, n, acts, _targets in _slots(m, k, topology)}
+    mfs = {}
+    for z2, n, _acts, targets in _slots(m, k, topology):
+        for a in sorted(a for (zz, a) in combos if zz == z2):
+            mfs[(z2, n, a)] = _simplex(
+                [(t, next_obs_memory_param(z2, n, t, a)) for t in targets],
+                names, groups)
+    weights = {}
+    for z, n, acts, targets in _slots(m, k, topology):
+        for a in acts:
+            af = afs[(z, n)][a]
+            joint = [{t: af * mfs[(z2, n, a)][t] for t in targets}
+                     if (z2, a) in combos else None
+                     for z2 in range(m.num_obs)]
+            weights[(z, n, a)] = joint, [af]
+    return weights
 
 
 def _dist_ok(values, exact) -> bool:
@@ -177,59 +282,42 @@ def lift_fsc(a: Fsc, extra_nodes: int = 1) -> Fsc:
                a.action_map, a.memory_update)
 
 
-def fsc_from_instantiation(m: Pomdp, k: int, topology, u) -> Fsc:
-    """Rebuild the controller a parameter valuation describes.
+def fsc_from_layout(m: Pomdp, k: int, topology, layout, u) -> Fsc:
+    """The controller a valuation u of layout's chain denotes.
 
-    Free coordinates come from the valuation under the naming scheme above;
-    the residual action (lexicographically last) and residual node target
-    get one minus the rest. Valuations that put any branch outside [0, 1]
-    are rejected.
+    Valuations outside a parameter group's simplex are rejected. The action
+    weight gamma(a) is the sum of a's marginal polynomials at u, the update
+    weight delta(t) a's joint polynomial for node t at u over gamma(a).
+    Actions of weight 0 never fire and get no update row. A controller's
+    update ignores the successor's observation, so the joint weights are
+    read at observation 0: next_obs_layout denotes no controller. Floats
+    are read through their shortest decimal repr, so the quotients are
+    exact and the controller is too.
     """
     FscTopology.check(topology)
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
-    one = Fraction(1) if u.is_rational else 1.0
-    defects = []
-    action_map = {}
-    memory_update = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        remain = remain_action(acts)
-        for n in range(k):
-            row = {}
-            total = 0
-            for a in acts:
-                if a == remain:
-                    continue
-                v = u[action_param(z, n, a)]
-                row[a] = v
-                total = total + v
-            row[remain] = one - total
-            for a, v in row.items():
-                if v < 0 or v > 1:
-                    defects.append("action weight of %s at obs %d node %d is %s" % (a, z, n, v))
-            action_map[(n, z)] = {a: v for a, v in row.items() if v != 0}
-            targets, residual = memory_targets(n, k, topology)
-            for a in acts:
-                urow = {}
-                total = 0
-                for n2 in targets:
-                    if n2 == residual:
-                        continue
-                    v = u[memory_param(z, n, a, n2)]
-                    urow[n2] = v
-                    total = total + v
-                urow[residual] = one - total
-                for n2, v in urow.items():
-                    if v < 0 or v > 1:
-                        defects.append(
-                            "update weight to node %d at (obs %d, node %d, %s) is %s"
-                            % (n2, z, n, a, v)
-                        )
-                memory_update[(n, z, a)] = {n2: v for n2, v in urow.items() if v != 0}
+    u = u.rationalized()
+    groups = []
+    weights = layout(m, k, topology, [], groups)
+    defects = _group_defects(groups, u)
     if defects:
         raise ModelError("instantiation is not well-defined: " + "; ".join(defects))
+    action_map = {}
+    memory_update = {}
+    for (z, n, a), (joint, marginal) in weights.items():
+        gamma = action_map.setdefault((n, z), {})
+        ga = sum(w.evaluate(u.values) for w in marginal)
+        if ga != 0:
+            gamma[a] = ga
+            update = {t: w.evaluate(u.values) for t, w in joint[0].items()}
+            memory_update[(n, z, a)] = {t: v / ga for t, v in update.items() if v != 0}
     return Fsc(k, 0, action_map, memory_update)
+
+
+def fsc_from_instantiation(m: Pomdp, k: int, topology, u) -> Fsc:
+    """The controller a valuation of induced_pmc(m, k, topology) denotes."""
+    return fsc_from_layout(m, k, topology, induced_layout, u)
 
 
 def induced_mc(m: Pomdp, a: Fsc) -> Mc:

@@ -534,6 +534,10 @@ class PmcT:
             _check_state(s, self.num_states, "reward")
             if not isinstance(r, Polynomial):
                 raise ModelError("reward entries must be Polynomials")
+            for name in r.variables():
+                if name not in self.params:
+                    raise ModelError(
+                        "undeclared parameter '%s' in reward of state %d" % (name, s))
 
     @property
     def simple(self) -> bool:
@@ -675,17 +679,14 @@ class InstantiationResult:
     defects: list
 
 
-def _group_defects(model, u) -> list:
-    """Sub-distribution constraints from recorded parameter groups.
+def _group_defects(groups, u) -> list:
+    """Sub-distribution constraints from parameter groups (None for none).
 
     Groups catch strategy-level defects that edge sums can hide: a negative
     residual inside one summand may cancel against a positive sibling term.
     """
-    groups = getattr(model, "param_groups", None)
-    if not groups:
-        return []
     defects = []
-    for group in groups:
+    for group in groups or ():
         total = 0
         for name in group:
             v = u[name]
@@ -714,36 +715,34 @@ def apply_instantiation(model, u) -> InstantiationResult:
     the model records them). The returned concrete model skips validation in
     that case.
     """
+    if not isinstance(model, PmcT):
+        raise TypeError("apply_instantiation expects a PmcT")
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
-    defects = _group_defects(model, u)
+    defects = _group_defects(model.param_groups, u)
     one = Fraction(1) if u.is_rational else 1.0
     tol = 0 if u.is_rational else 1e-9
-
-    if isinstance(model, PmcT):
-        trans = {}
-        for s in model.states:
-            row_out = {}
-            total = 0
-            for t, p in model.row(s).items():
-                v = _eval_entry(p, u)
-                if v < 0 or v > 1:
-                    defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
-                total += v
-                if v != 0:
-                    row_out[t] = v
-            if abs(total - one) > tol:
-                defects.append("row of state %d sums to %s" % (s, total))
-            trans[s] = row_out
-        rewards = {s: _eval_entry(r, u) for s, r in model.rewards.items()}
-        ok = not defects
-        mc = Mc(list(model.states), model.initial, trans, rewards,
-                model.goal, model.bad, meta=dict(model.meta), validate=False)
-        if ok:
-            mc._validate()
-        return InstantiationResult(mc, ok, defects)
-
-    raise TypeError("apply_instantiation expects a PmcT")
+    trans = {}
+    for s in model.states:
+        row_out = {}
+        total = 0
+        for t, p in model.row(s).items():
+            v = _eval_entry(p, u)
+            if v < 0 or v > 1:
+                defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
+            total += v
+            if v != 0:
+                row_out[t] = v
+        if abs(total - one) > tol:
+            defects.append("row of state %d sums to %s" % (s, total))
+        trans[s] = row_out
+    rewards = {s: _eval_entry(r, u) for s, r in model.rewards.items()}
+    ok = not defects
+    mc = Mc(list(model.states), model.initial, trans, rewards,
+            model.goal, model.bad, meta=dict(model.meta), validate=False)
+    if ok:
+        mc._validate()
+    return InstantiationResult(mc, ok, defects)
 
 
 def check_well_defined(model, u, eps=None) -> WellDefinedness:

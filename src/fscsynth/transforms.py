@@ -1,18 +1,18 @@
 """Structure-level constructions.
 
 The controller-family chains are products of a POMDP with the k-node
-controller template, built by one loop (_product_pmc) from four parameter
-layouts: the standard one (an action simplex per observation/node and an
-update simplex per action), the substituted one (one joint simplex per
-observation/node), the action-restricted one (one update simplex per
-observation/node, shared by its actions) and the next-observation one (the
-update keyed by the successor's observation). Plus the memory unfolding back
-into a POMDP, the normalizations (binary, simple), the intermediate-state
-insertion, and the translation of a simple pMC back into a POMDP.
+controller template, built by one loop (_product_pmc) from the four
+parameter layouts of module fsc: the standard one (an action simplex per
+observation/node and an update simplex per action), the substituted one (one
+joint simplex per observation/node), the action-restricted one (one update
+simplex per observation/node, shared by its actions) and the next-observation
+one (the update keyed by the successor's observation). Module fsc reads the
+controller a valuation denotes off the same layouts. Plus the memory
+unfolding back into a POMDP, the normalizations (binary, simple), the
+intermediate-state insertion, and the translation of a simple pMC back into
+a POMDP.
 
 Everything here is a pure function from immutable inputs to fresh outputs.
-Parameter naming is shared with module fsc so that instantiating a chain and
-building the controller it denotes stay in lockstep.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ from .fsc import (
     Fsc,
     FscTopology,
     action_param,
+    action_restricted_layout,
     fsc_from_instantiation,
-    memory_param,
+    fsc_from_layout,
+    induced_layout,
     memory_targets,
+    next_obs_layout,
+    substituted_layout,
 )
 from .models import (
     Instantiation,
@@ -35,9 +39,8 @@ from .models import (
     PmcT,
     Pomdp,
 )
-from .polynomials import POLY_ONE, Polynomial
+from .polynomials import Polynomial
 
-_var = Polynomial.variable
 _const = Polynomial.constant
 
 
@@ -46,52 +49,21 @@ def product_state(s: int, n: int, k: int) -> int:
     return s * k + n
 
 
-def substituted_param(z: int, n: int, target: int, action: str) -> str:
-    return "r_%d_%d_%d_%s" % (z, n, target, action)
-
-
-def restricted_memory_param(z: int, n: int, target: int) -> str:
-    return "q_%d_%d_%d" % (z, n, target)
-
-
-def next_obs_memory_param(z_next: int, n: int, target: int, action: str) -> str:
-    return "qn_%d_%d_%d_%s" % (z_next, n, target, action)
-
-
 def _lift_labels(labels, k):
     return frozenset(product_state(s, n, k) for s in labels for n in range(k))
-
-
-def _simplex(pairs, names, groups):
-    """Probability polynomial per key of [(key, parameter name)]: every key
-    but the last gets its parameter, the last one minus their sum. The free
-    names join names and, if any, form one group."""
-    free = [nm for _key, nm in pairs[:-1]]
-    names.extend(free)
-    if free:
-        groups.append(free)
-    factors = {key: _var(nm) for key, nm in pairs[:-1]}
-    residual = POLY_ONE
-    for nm in free:
-        residual = residual - _var(nm)
-    factors[pairs[-1][0]] = residual
-    return factors
 
 
 def _product_pmc(m, k, topology, kind, layout) -> PmcT:
     """The product of m with the k-node controller template.
 
-    layout(names, groups) lays out the parameters through _simplex and
-    returns, per (z, n, a), the pair (joint, marginal): joint[z2][t2] weighs
-    "take a, move to node t2" when the successor observes z2, and the
-    marginal polynomials sum to the probability of a, which weighs a's
-    reward."""
+    layout is one of the parameter layouts of module fsc; a's marginal
+    polynomials weigh a's reward."""
     if k < 1:
         raise ModelError("memory bound must be at least 1")
     FscTopology.check(topology)
     names = []
     groups = []
-    weights = layout(names, groups)
+    weights = layout(m, k, topology, names, groups)
     targets = [memory_targets(n, k, topology)[0] for n in range(k)]
     trans = {}
     rewards = {}
@@ -132,18 +104,6 @@ def _product_pmc(m, k, topology, kind, layout) -> PmcT:
     )
 
 
-def _slots(m, k, topology):
-    """(z, n, A(z), reachable next nodes of n) in parameter order."""
-    for z in range(m.num_obs):
-        for n in range(k):
-            yield z, n, m.obs_actions(z), memory_targets(n, k, topology)[0]
-
-
-def _factored(m, af, mf, targets):
-    """Joint weights af * mf[t2] whatever the successor observes."""
-    return [{t: af * mf[t] for t in targets}] * m.num_obs, [af]
-
-
 def induced_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Parametric chain over states (s, n) whose instantiations are exactly
     the chains induced by k-node controllers of the given topology.
@@ -152,75 +112,33 @@ def induced_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     parameters q_z_n_n2_a cover all reachable target nodes but the residual
     one. Counter topology pins updates outside {n, n+1} to zero, so those
     edges never materialize."""
-    def layout(names, groups):
-        weights = {}
-        for z, n, acts, targets in _slots(m, k, topology):
-            af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
-            for a in acts:
-                mf = _simplex([(t, memory_param(z, n, a, t)) for t in targets],
-                              names, groups)
-                weights[(z, n, a)] = _factored(m, af[a], mf, targets)
-        return weights
-    return _product_pmc(m, k, topology, "induced", layout)
+    return _product_pmc(m, k, topology, "induced", induced_layout)
 
 
 def substituted_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant with one joint parameter r_z_n_n2_a per (action, target node)
     pair: the whole per-(z, n) behavior is a single simplex, which removes
     the parameter products of the standard construction."""
-    def layout(names, groups):
-        weights = {}
-        for z, n, acts, targets in _slots(m, k, topology):
-            pf = _simplex([((a, t), substituted_param(z, n, t, a))
-                           for a in acts for t in targets], names, groups)
-            for a in acts:
-                weights[(z, n, a)] = ([{t: pf[(a, t)] for t in targets}] * m.num_obs,
-                                      [pf[(a, t)] for t in targets])
-        return weights
-    return _product_pmc(m, k, topology, "substituted", layout)
+    return _product_pmc(m, k, topology, "substituted", substituted_layout)
+
+
+def fsc_from_substituted(m: Pomdp, k: int, topology: str, u) -> Fsc:
+    """Recover the controller denoted by a valuation of the substituted
+    chain: action probabilities are the pair marginals, updates the
+    conditionals."""
+    return fsc_from_layout(m, k, topology, substituted_layout, u)
 
 
 def action_restricted_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant where the memory update is shared across actions: one
     q_z_n_n2 family per (z, n), reused by every action factor."""
-    def layout(names, groups):
-        weights = {}
-        for z, n, acts, targets in _slots(m, k, topology):
-            af = _simplex([(a, action_param(z, n, a)) for a in acts], names, groups)
-            mf = _simplex([(t, restricted_memory_param(z, n, t)) for t in targets],
-                          names, groups)
-            for a in acts:
-                weights[(z, n, a)] = _factored(m, af[a], mf, targets)
-        return weights
-    return _product_pmc(m, k, topology, "action-restricted", layout)
+    return _product_pmc(m, k, topology, "action-restricted", action_restricted_layout)
 
 
 def next_obs_pmc(m: Pomdp, k: int, topology: str = FscTopology.FULL) -> PmcT:
     """Variant whose memory update is keyed by the observation of the
     successor state (qn_z2_n_n2_a). Analysis only: it has no unfolding."""
-    # (successor obs, action) combinations that actually occur
-    combos = {(m.obs[t], a) for (_s, a), row in m.trans.items() for t in row}
-
-    def layout(names, groups):
-        afs = {(z, n): _simplex([(a, action_param(z, n, a)) for a in acts],
-                                names, groups)
-               for z, n, acts, _targets in _slots(m, k, topology)}
-        mfs = {}
-        for z2, n, _acts, targets in _slots(m, k, topology):
-            for a in sorted(a for (zz, a) in combos if zz == z2):
-                mfs[(z2, n, a)] = _simplex(
-                    [(t, next_obs_memory_param(z2, n, t, a)) for t in targets],
-                    names, groups)
-        weights = {}
-        for z, n, acts, targets in _slots(m, k, topology):
-            for a in acts:
-                af = afs[(z, n)][a]
-                joint = [{t: af * mfs[(z2, n, a)][t] for t in targets}
-                         if (z2, a) in combos else None
-                         for z2 in range(m.num_obs)]
-                weights[(z, n, a)] = joint, [af]
-        return weights
-    return _product_pmc(m, k, topology, "next-obs", layout)
+    return _product_pmc(m, k, topology, "next-obs", next_obs_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +185,13 @@ def map_unfolding_instantiation(m: Pomdp, k: int, u) -> Instantiation:
     of unfold(m, k): the joint action-and-update distribution at (z, n)
     becomes the action distribution at unfolded observation (z, n)."""
     a = fsc_from_instantiation(m, k, FscTopology.FULL, u)
-    if not isinstance(u, Instantiation):
-        u = Instantiation(u)
-    zero = Fraction(0) if u.is_rational else 0.0
     out = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            labels = sorted("%s@%d" % (act, t) for act in acts for t in range(k))
-            gamma = a.gamma(n, z)
-            weight = {}
-            for act in acts:
-                ga = gamma.get(act, zero)
-                if ga == 0:
-                    continue
-                delta = a.delta(n, z, act)
-                for t, dv in delta.items():
-                    weight["%s@%d" % (act, t)] = ga * dv
-            zk = z * k + n
-            for label in labels[:-1]:
-                out[action_param(zk, 0, label)] = weight.get(label, zero)
+    for (n, z), gamma in a.action_map.items():
+        weight = {"%s@%d" % (act, t): ga * dv for act, ga in gamma.items()
+                  for t, dv in a.delta(n, z, act).items()}
+        labels = sorted("%s@%d" % (act, t) for act in m.obs_actions(z) for t in range(k))
+        for label in labels[:-1]:
+            out[action_param(z * k + n, 0, label)] = weight.get(label, 0)
     return Instantiation(out)
 
 
@@ -511,57 +416,3 @@ def pmc_to_pomdp(d: PmcT) -> Pomdp:
             "obs_param": {i: p for p, i in obs_of_param.items()}}
     return Pomdp(mdp, num_obs, obs, meta=meta)
 
-
-# ---------------------------------------------------------------------------
-# controllers from substituted valuations
-
-
-def fsc_from_substituted(m: Pomdp, k: int, topology: str, u) -> Fsc:
-    """Recover the controller denoted by a valuation of the substituted
-    chain: action probabilities are the pair marginals, updates the
-    conditionals."""
-    if not isinstance(u, Instantiation):
-        u = Instantiation(u)
-    zero = Fraction(0) if u.is_rational else 0.0
-    defects = []
-    action_map = {}
-    memory_update = {}
-    for z in range(m.num_obs):
-        acts = m.obs_actions(z)
-        for n in range(k):
-            targets, _res = memory_targets(n, k, topology)
-            pairs = [(a, t) for a in acts for t in targets]
-            vals = {}
-            total = zero
-            for a, t in pairs[:-1]:
-                v = u[substituted_param(z, n, t, a)]
-                if v < 0 or v > 1:
-                    defects.append(
-                        "parameter %s = %s outside [0, 1]"
-                        % (substituted_param(z, n, t, a), v))
-                vals[(a, t)] = v
-                total = total + v
-            if total > 1:
-                defects.append(
-                    "pairs at obs %d node %d sum to %s" % (z, n, total))
-            vals[pairs[-1]] = 1 - total
-            gamma = {}
-            for a in acts:
-                ga = sum(vals[(a, t)] for t in targets)
-                if ga != 0:
-                    gamma[a] = ga
-            action_map[(n, z)] = gamma
-            for a in acts:
-                ga = gamma.get(a)
-                if not ga:
-                    continue
-                row = {}
-                for t in targets:
-                    v = vals[(a, t)]
-                    if v != 0:
-                        row[t] = v / ga
-                memory_update[(n, z, a)] = row
-    if defects:
-        raise ModelError("instantiation is not well-defined: "
-                         + "; ".join(defects[:6]))
-    return Fsc(k, 0, action_map, memory_update)

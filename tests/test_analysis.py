@@ -29,9 +29,11 @@ from fscsynth.models import (
     INFINITE,
     Instantiation,
     Mc,
+    Mdp,
     ModelError,
     ParameterTable,
     PmcT,
+    Pomdp,
     apply_instantiation,
     is_infinite,
     parse_spec,
@@ -480,6 +482,20 @@ class TestEvaluators:
         ev = ExactPmcEvaluator(d, SPEC)
         with pytest.raises(ModelError, match="not well-defined"):
             ev.evaluate({"p": F(2)})
+
+    @pytest.mark.parametrize("p_c", [F(1, 2), F(1)])
+    def test_exact_evaluator_checks_groups_with_or_without_a_vanishing_edge(self, p_c):
+        # a and b lead to the same successors, so the entries out of state 0
+        # are constant and hide p_0_0_a's negative residual; p_2_0_c = 1
+        # kills the edge to state 2, p_2_0_c = 1/2 kills none
+        trans = {(0, "a"): {1: F(1, 2), 3: F(1, 2)}, (0, "b"): {1: F(1, 2), 3: F(1, 2)},
+                 (1, "t"): {1: F(1)}, (2, "t"): {2: F(1)},
+                 (3, "c"): {1: F(1)}, (3, "d"): {2: F(1)}}
+        m = Pomdp(Mdp(4, 0, trans, goal={1}), 3, [0, 1, 1, 2])
+        ev = ExactPmcEvaluator(induced_pmc(m, 1), parse_spec("P>= 1/2 [F goal]"))
+        with pytest.raises(ModelError, match=r"^instantiation is not well-defined: "
+                           r"parameter p_0_0_a = 6/5 outside \[0, 1\]; "):
+            ev.evaluate({"p_0_0_a": F(6, 5), "p_2_0_c": p_c})
 
 
 class TestBatchedEvaluation:

@@ -33,6 +33,7 @@ from fscsynth.models import (
     Instantiation,
     Mdp,
     ModelError,
+    ParameterTable,
     PmcT,
     Pomdp,
     apply_instantiation,
@@ -267,6 +268,12 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             parse_pmc("pmc\nstates 1\ninitial 0\nparams p\n" + body)
         assert str(err.value) == "line %d: parameter 'q' is not declared" % line
+
+    def test_undeclared_reward_parameter_rejected(self):
+        trans = {0: {0: Polynomial.constant(1)}}
+        with pytest.raises(ModelError, match="undeclared parameter 'q' in reward of state 0"):
+            PmcT(1, 0, trans, params=ParameterTable(["p"]),
+                 rewards={0: Polynomial.variable("q")})
 
     def test_goal_at_initial_is_accepted_and_trivial(self):
         mdp = Mdp(1, 0, {(0, "a"): {0: F(1)}}, goal={0})
