@@ -16,7 +16,11 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     works on, with c as one sink column, for solve_exact and the closed
     forms alike.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
-and a fixpoint) and stay outside this frame.
+and a fixpoint) and stay outside this frame. An exact value at a point reads
+the one models.apply_instantiation pass: ExactPmcEvaluator solves its
+cached query over the instantiated rows where the point is graph-preserving
+and check_mc the instantiated chain anywhere else; both evaluators count
+that fallback as a recompute.
 
 Exact mode works in Fractions end to end: sparse state elimination for
 linear systems (the same step that builds the closed forms), and one policy
@@ -48,7 +52,7 @@ from .models import (
     PmcT,
     REACH_AVOID,
     Specification,
-    _group_defects,
+    WellDefinedness,
     apply_instantiation,
     is_infinite,
 )
@@ -914,25 +918,19 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
 class _EvaluatorBase:
     """Shared skeleton: the query is decided once under graph-preserving
     semantics and reused; valuations that kill an edge fall back to a
-    from-scratch analysis (counted in recompute_count)."""
+    from-scratch analysis of the instantiated chain (counted in
+    recompute_count)."""
 
     def __init__(self, d: PmcT, spec: Specification):
         self.d = d
         self.spec = spec
         self.recompute_count = 0
-        self.edges = []
-        for s in d.states:
-            for t, poly in d.row(s).items():
-                self.edges.append((s, t, poly))
-        self.nonconst = [i for i, (_s, _t, p) in enumerate(self.edges)
-                         if not p.is_constant()]
         self.query = _spec_query(d, spec)
         self.U = self.query.U
         self.idx = {s: i for i, s in enumerate(self.U)}
 
-    def _fresh(self, u: Instantiation):
+    def _fresh(self, res: WellDefinedness):
         self.recompute_count += 1
-        res = apply_instantiation(self.d, u)
         if not res.well_defined:
             raise _ill_defined(res.defects)
         return check_mc(res.model, self.spec)
@@ -944,40 +942,28 @@ def _ill_defined(defects) -> ModelError:
 
 class ExactPmcEvaluator(_EvaluatorBase):
     """Exact values at rational instantiations, with the qualitative
-    precomputation cached across calls."""
+    precomputation cached across calls. Each call reads one
+    apply_instantiation pass: an ill-defined point raises with its defects,
+    a graph-preserving one is solved on the cached query over the
+    instantiated rows, and any other point is analyzed afresh on the chain
+    the pass built."""
 
     def evaluate(self, u):
         if not isinstance(u, Instantiation):
             u = Instantiation(u)
         if not u.is_rational:
             raise ModelError("exact evaluation needs a rational instantiation")
-        # edge sums can hide a group defect the fresh path would catch
-        defects = _group_defects(self.d.param_groups, u)
-        if defects:
-            raise _ill_defined(defects)
-        vals = {}
-        boundary = False
-        for s, t, poly in self.edges:
-            v = poly.evaluate(u.values) if not poly.is_constant() else poly.constant_value()
-            if v < 0 or v > 1:
-                raise ModelError(
-                    "instantiation is not well-defined: entry (%d,%d) = %s" % (s, t, v))
-            if v == 0 and not poly.is_constant():
-                boundary = True
-            vals.setdefault(s, {})[t] = v
-        for s, row in vals.items():
-            total = sum(row.values(), Fraction(0))
-            if total != 1:
-                raise ModelError(
-                    "instantiation is not well-defined: row %d sums to %s" % (s, total))
-        if boundary:
-            return self._fresh(u)
+        res = apply_instantiation(self.d, u)
+        if not res.well_defined:
+            raise _ill_defined(res.defects)
+        if not res.graph_preserving:
+            return self._fresh(res)
         if self.query.value is not None:
             return self.query.value
-        rewards = self.d.rewards if self.spec.kind == EXPECTED_REWARD else {}
-        rows, c = _system(
-            self.query, self.idx, lambda s: vals[s].items(),
-            lambda s: rewards[s].evaluate(u.values) if s in rewards else Fraction(0), _same)
+        mc = res.model
+        rewards = mc.rewards if self.spec.kind == EXPECTED_REWARD else {}
+        rows, c = _system(self.query, self.idx, lambda s: mc.row(s).items(),
+                          lambda s: rewards.get(s, Fraction(0)), _same)
         return solve_exact(rows, c)[self.idx[self.d.initial]]
 
 
@@ -993,12 +979,14 @@ class FloatPmcEvaluator(_EvaluatorBase):
         super().__init__(d, spec)
         self.param_order = list(d.params.names)
         pidx = {n: i for i, n in enumerate(self.param_order)}
-        self.table = TermTable([p for (_s, _t, p) in self.edges], pidx)
-        self.nonconst_idx = np.asarray(self.nonconst, dtype=np.intp)
+        edges = [(s, t, p) for s in d.states for t, p in d.row(s).items()]
+        self.table = TermTable([p for (_s, _t, p) in edges], pidx)
+        self.nonconst_idx = np.asarray([e for e, (_s, _t, p) in enumerate(edges)
+                                        if not p.is_constant()], dtype=np.intp)
         # the system over U with edge numbers for entries: A becomes (row,
         # column, edge) triples, c the edges each row sums in edge order
         numbered = {}
-        for e, (s, t, _p) in enumerate(self.edges):
+        for e, (s, t, _p) in enumerate(edges):
             numbered.setdefault(s, []).append((t, (e,)))
         rows, c = _system(self.query, self.idx, numbered.__getitem__, lambda s: (), _same)
         self.a_rows = np.asarray([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
@@ -1037,7 +1025,7 @@ class FloatPmcEvaluator(_EvaluatorBase):
         for i in np.flatnonzero(boundary):
             ui = u if single and u is not None else Instantiation(
                 {n: float(v) for n, v in zip(self.param_order, X[i])})
-            out[i] = float(self._fresh(ui))
+            out[i] = float(self._fresh(apply_instantiation(self.d, ui)))
         inner = np.flatnonzero(~boundary)
         if self.query.value is not None:
             out[inner] = float(self.query.value)

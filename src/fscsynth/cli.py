@@ -269,6 +269,7 @@ def cmd_check(args) -> int:
     else:
         if args.instantiation is None:
             raise ModelError("checking a pMC needs --instantiation")
+        inputs += _load_param_groups(model, inp)
         u_path = Path(args.instantiation)
         inputs.append(u_path)
         u = formats.parse_instantiation(u_path.read_text())
@@ -305,7 +306,8 @@ def cmd_synthesize(args) -> int:
 
     if args.method == "brute":
         oracle = synthesis.brute_force_oracle(m, k, spec, args.topology)
-        controller, value = oracle.fsc, oracle.value
+        # the oracle's value is check_mc of this controller's induced chain
+        controller, certified = oracle.fsc, oracle.value
         note = "exhaustive over %d deterministic controllers" % oracle.candidates
         exhausted = False
         stats = None
@@ -323,15 +325,13 @@ def cmd_synthesize(args) -> int:
         else:
             controller = fsc_from_instantiation(
                 m, k, args.topology, res.instantiation)
-        value = res.value
         note = "swarm search, %d evaluations" % res.evaluations
         exhausted = res.budget_exhausted
-
-    # certify through the controller itself; must agree with the chain value
-    certified = analysis.check_mc(induced_mc(m, controller), spec)
-    if args.method == "pso" and certified != value:
-        raise ModelError("internal: controller value %s disagrees with "
-                         "search value %s" % (certified, value))
+        # certify through the controller itself; must agree with the chain value
+        certified = analysis.check_mc(induced_mc(m, controller), spec)
+        if certified != res.value:
+            raise ModelError("internal: controller value %s disagrees with "
+                             "search value %s" % (certified, res.value))
     sat = spec.satisfied_by(certified)
 
     header = _provenance(args, [inp], [

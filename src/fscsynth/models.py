@@ -1,13 +1,17 @@
 """Model types: parametric chains, MDPs, POMDPs, instantiations, specifications.
 
 Exact entries are Fractions or Polynomials over Fractions; a float mode
-(same containers holding floats) exists for search loops.
+(same containers holding floats) exists for search loops. apply_instantiation
+takes a pMC D and a valuation u to the chain D[u] in one pass over the
+entries and rewards, and classifies u on the way: well-defined (on the
+controller-family chains, u is then a controller), graph-preserving,
+eps-preserving. Every point value and verdict reads that one result.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -86,18 +90,12 @@ def format_number(x) -> str:
 
 
 class ParameterTable:
-    """Ordered parameter names with admissible intervals (default [0, 1])."""
+    """Ordered, distinct parameter names."""
 
-    def __init__(self, names=(), intervals=None):
+    def __init__(self, names=()):
         self.names = list(names)
         if len(set(self.names)) != len(self.names):
             raise ModelError("duplicate parameter name")
-        self.intervals = {n: (Fraction(0), Fraction(1)) for n in self.names}
-        if intervals:
-            for n, iv in intervals.items():
-                if n not in self.intervals:
-                    raise ModelError("interval for unknown parameter '%s'" % n)
-                self.intervals[n] = (Fraction(iv[0]), Fraction(iv[1]))
         self.index = {n: i for i, n in enumerate(self.names)}
 
     def __len__(self):
@@ -112,7 +110,7 @@ class ParameterTable:
     def __eq__(self, other):
         if not isinstance(other, ParameterTable):
             return NotImplemented
-        return self.names == other.names and self.intervals == other.intervals
+        return self.names == other.names
 
     def __repr__(self):
         return "ParameterTable(%r)" % (self.names,)
@@ -666,16 +664,20 @@ class Mc:
 
 @dataclass
 class WellDefinedness:
+    """The chain D[u] a valuation u instantiates, and what kind of point u is.
+
+    model holds every nonzero entry and every reward of D[u]; its rows may
+    be defective when u is not well-defined. graph_preserving: well-defined
+    and every non-constant entry strictly inside (0, 1). eps_preserving,
+    None unless an eps was given: well-defined and every non-constant entry
+    inside [eps, 1 - eps]. defects name what breaks well-definedness, or,
+    at a well-defined point, the entries at a boundary value.
+    """
+
+    model: Mc
     well_defined: bool
     graph_preserving: bool
     eps_preserving: bool | None
-    defects: list = field(default_factory=list)
-
-
-@dataclass
-class InstantiationResult:
-    model: Mc  # rows may be defective when not well_defined
-    well_defined: bool
     defects: list
 
 
@@ -701,79 +703,58 @@ def _group_defects(groups, u) -> list:
     return defects
 
 
-def _eval_entry(p: Polynomial, u: Instantiation):
-    if u.is_rational:
-        return p.evaluate(u.values)
-    return p.evaluate_float(u.values)
-
-
-def apply_instantiation(model, u) -> InstantiationResult:
-    """Substitute parameter values into a PmcT.
+def apply_instantiation(model, u, eps=None) -> WellDefinedness:
+    """D[u]: one pass that evaluates every entry and reward of a PmcT at u
+    once, exactly for a rational u and in floats otherwise, and classifies
+    the point on the way (see WellDefinedness).
 
     Never raises on a bad valuation: the result is tagged not-well-defined
-    with a defect list naming the offending rows (and parameter groups when
-    the model records them). The returned concrete model skips validation in
-    that case.
+    with a defect list naming the offending parameter groups, entries and
+    rows. The chain is not validated again: the pass has checked every
+    entry range and row sum, and the PmcT its labels and initial state.
+    Graph- and eps-preservation are entry-level; on non-simple pMCs an
+    entry can be a product of parameters, so eps-preservation of entries is
+    stronger than parameter-level min-eps.
     """
     if not isinstance(model, PmcT):
         raise TypeError("apply_instantiation expects a PmcT")
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
     defects = _group_defects(model.param_groups, u)
+    values = u.values
+    evaluate = Polynomial.evaluate if u.is_rational else Polynomial.evaluate_float
     one = Fraction(1) if u.is_rational else 1.0
     tol = 0 if u.is_rational else 1e-9
+    boundary = []
+    epsp = eps is not None
     trans = {}
     for s in model.states:
         row_out = {}
         total = 0
         for t, p in model.row(s).items():
-            v = _eval_entry(p, u)
+            v = evaluate(p, values)
             if v < 0 or v > 1:
                 defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
+            elif not p.is_constant():
+                if not 0 < v < 1:
+                    boundary.append("entry (%d,%d) evaluates to boundary value %s"
+                                    % (s, t, v))
+                if epsp and not eps <= v <= 1 - eps:
+                    epsp = False
             total += v
             if v != 0:
                 row_out[t] = v
         if abs(total - one) > tol:
             defects.append("row of state %d sums to %s" % (s, total))
         trans[s] = row_out
-    rewards = {s: _eval_entry(r, u) for s, r in model.rewards.items()}
-    ok = not defects
+    rewards = {s: evaluate(r, values) for s, r in model.rewards.items()}
     mc = Mc(list(model.states), model.initial, trans, rewards,
             model.goal, model.bad, meta=dict(model.meta), validate=False)
-    if ok:
-        mc._validate()
-    return InstantiationResult(mc, ok, defects)
+    ok = not defects
+    return WellDefinedness(mc, ok, ok and not boundary,
+                           ok and epsp if eps is not None else None,
+                           defects if not ok else boundary)
 
 
-def check_well_defined(model, u, eps=None) -> WellDefinedness:
-    """Classify an instantiation: well-defined / graph-preserving /
-    eps-preserving (the latter only when eps is given).
-
-    graph_preserving: every non-constant entry evaluates strictly inside
-    (0, 1). eps_preserving: inside [eps, 1-eps]. Both are entry-level; on
-    non-simple pMCs an entry can be a product of parameters, so
-    eps-preservation of entries is stronger than parameter-level min-eps.
-    """
-    if not isinstance(u, Instantiation):
-        u = Instantiation(u)
-    res = apply_instantiation(model, u)
-    graph = res.well_defined
-    epsp = None if eps is None else res.well_defined
-
-    defects = list(res.defects)
-    if res.well_defined:
-        # apply_instantiation evaluated every entry and kept the nonzero ones
-        zero = Fraction(0) if u.is_rational else 0.0
-        for s in model.states:
-            row = res.model.trans[s]
-            for t, p in model.row(s).items():
-                if p.is_constant():
-                    continue
-                v = row.get(t, zero)
-                if not (0 < v < 1):
-                    graph = False
-                    defects.append("entry (%d,%d) evaluates to boundary value %s"
-                                   % (s, t, v))
-                if eps is not None and not (eps <= v <= 1 - eps):
-                    epsp = False
-    return WellDefinedness(res.well_defined, res.well_defined and graph, epsp, defects)
+# the well-definedness verdict is the same pass
+check_well_defined = apply_instantiation

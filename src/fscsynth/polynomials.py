@@ -252,23 +252,26 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, valuation: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation. Raises MissingParameterError for absent names."""
-        return self._sum(valuation, Fraction, int) / self._den
+        """Exact evaluation, always a Fraction: int and Fraction values are
+        multiplied as they are, any other value is converted exactly first.
+        Raises MissingParameterError for absent names."""
+        total = 0
+        for m, c in self._mons.items():
+            for name, e in _decode(m, self._w):
+                x = _value(valuation, name)
+                if not isinstance(x, (int, Fraction)):
+                    x = Fraction(x)
+                c *= x if e == 1 else x ** e
+            total += c
+        return Fraction(total, self._den)
 
     def evaluate_float(self, valuation: Mapping[str, float]) -> float:
-        # int division rounds correctly, as float(Fraction) does
-        return self._sum(valuation, float, lambda c: c / self._den)
-
-    def _sum(self, valuation, number, coeff):
-        total = number(0)
+        total = 0.0
         for m, c in self._mons.items():
-            v = coeff(c)
+            # int division rounds correctly, as float(Fraction) does
+            v = c / self._den
             for name, e in _decode(m, self._w):
-                try:
-                    x = valuation[name]
-                except KeyError:
-                    raise MissingParameterError(name) from None
-                v *= number(x) ** e
+                v *= float(_value(valuation, name)) ** e
             total += v
         return total
 
@@ -296,6 +299,13 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self
+
+
+def _value(valuation, name):
+    try:
+        return valuation[name]
+    except KeyError:
+        raise MissingParameterError(name) from None
 
 
 def _unlimited(convert, value):

@@ -24,9 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
-    ExactPmcEvaluator,
     FloatPmcEvaluator,
     Region,
+    _ill_defined,
     check_mc,
     region_bounds,
 )
@@ -38,7 +38,7 @@ from .models import (
     Pomdp,
     Specification,
     WellDefinedness,
-    check_well_defined,
+    apply_instantiation,
     is_infinite,
 )
 
@@ -166,13 +166,17 @@ class _SimplexCodec:
 
 
 def certify(d: PmcT, spec: Specification, u, eps=None):
-    """Exact value and verdict at a rational instantiation."""
+    """Exact value and verdict at a rational instantiation: one
+    instantiation of d, whose chain check_mc then solves. Raises on a point
+    that is not well-defined."""
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
     if not u.is_rational:
         u = u.rationalized()
-    value = ExactPmcEvaluator(d, spec).evaluate(u)
-    well = check_well_defined(d, u, eps)
+    well = apply_instantiation(d, u, eps)
+    if not well.well_defined:
+        raise _ill_defined(well.defects)
+    value = check_mc(well.model, spec)
     return u, value, spec.satisfied_by(value), well
 
 
@@ -196,9 +200,7 @@ def _emission_check(d: PmcT, u: Instantiation, base: WellDefinedness,
                     eps: Fraction) -> WellDefinedness:
     """Adds parameter-level min-eps to the entry-level verdict `certify`
     returned for u."""
-    epsp = _param_level_eps(d, u, eps)
-    well = WellDefinedness(base.well_defined, base.graph_preserving, epsp,
-                           base.defects)
+    well = dataclasses.replace(base, eps_preserving=_param_level_eps(d, u, eps))
     if not (well.well_defined and well.graph_preserving and well.eps_preserving):
         raise ModelError(
             "internal: search emitted a defective instantiation (%s)"

@@ -364,8 +364,8 @@ class TestRegions:
                 ev = ExactPmcEvaluator(d, spec)
                 for _ in range(6):
                     u = Instantiation(reg.sample(rng))
-                    # the evaluator also accepts points that break the
-                    # parameter-group constraint: skip those
+                    # box samples may break the parameter-group
+                    # constraint, where the evaluator raises: skip those
                     if not apply_instantiation(d, u).well_defined:
                         continue
                     assert b.lower <= ev.evaluate(u) <= b.upper
@@ -482,6 +482,22 @@ class TestEvaluators:
         ev = ExactPmcEvaluator(d, SPEC)
         with pytest.raises(ModelError, match="not well-defined"):
             ev.evaluate({"p": F(2)})
+
+    def test_exact_evaluator_instantiates_once_where_an_edge_vanishes(self, monkeypatch):
+        # p = 0 kills the edge to state 1: one instantiation, whose chain is
+        # then analyzed from scratch, counted as one recompute
+        d = g.biased_choice_pmc()
+        ev = ExactPmcEvaluator(d, SPEC)
+        passes = []
+        apply = analysis.apply_instantiation
+        monkeypatch.setattr(analysis, "apply_instantiation",
+                            lambda *args: passes.append(args) or apply(*args))
+        assert ev.evaluate({"p": F(0)}) == F(1, 2)
+        assert len(passes) == 1
+        assert ev.recompute_count == 1
+        assert ev.evaluate({"p": F(1, 2)}) == F(13, 20)
+        assert len(passes) == 2
+        assert ev.recompute_count == 1
 
     @pytest.mark.parametrize("p_c", [F(1, 2), F(1)])
     def test_exact_evaluator_checks_groups_with_or_without_a_vanishing_edge(self, p_c):

@@ -201,6 +201,47 @@ class TestCheck:
                    "--spec", "P> 0.5 [!bad U goal]"])
         assert rc == EXIT_INPUT
 
+    # both actions at state 0 lead to the same successors, so p_0_0_a
+    # cancels out of every entry: only the parameter groups see a value
+    # above 1
+    SAME_SUCCESSORS = """pomdp
+states 4
+initial 0
+observations 2
+obs 0 0
+obs 1 1
+obs 2 1
+obs 3 1
+trans 0 a 1 0.5
+trans 0 a 2 0.5
+trans 0 b 1 0.5
+trans 0 b 2 0.5
+trans 1 t 3 1
+trans 2 t 2 1
+trans 3 t 3 1
+label goal 3
+label bad 2
+"""
+
+    def test_sidecar_groups_reject_a_point_no_entry_sees(self, workdir, capsys):
+        _write(workdir / "m.pomdp", self.SAME_SUCCESSORS)
+        assert main(["transform", "m.pomdp", "-o", "m.pmc", "--memory", "1"]) == EXIT_OK
+        d = formats.parse_pmc(Path("m.pmc").read_text())
+        assert d.params.names == ["p_0_0_a"]
+        assert not any(p.variables() for row in d.trans.values() for p in row.values())
+        argv = ["check", "m.pmc", "--spec", "P>= 1/2 [!bad U goal]",
+                "--instantiation", "u.inst"]
+        _write(workdir / "u.inst", "p_0_0_a = 1/5\n")
+        assert main(argv) == EXIT_OK
+        man = _manifest(Path("fscsynth-check.manifest.json"))
+        assert sorted(man["inputs"]) == ["m.pmc", "m.pmc.params", "u.inst"]
+        _write(workdir / "u.inst", "p_0_0_a = 6/5\n")
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "not well-defined" in err
+        assert "group {p_0_0_a} sums to 6/5" in err
+
 
 class TestSynthesize:
     def test_search_writes_a_working_controller(self, workdir):

@@ -342,6 +342,24 @@ class TestAgainstTupleStorage:
             for mono, c in p.items())
 
     @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_terms, st.sampled_from([
+        (2, -1, 1, 0, 3),
+        (F(1, 2), F(-1), F(1), F(-1, 2), F(1, 4)),
+        (0.5, -1.0, 1.0, -0.5, 0.1),
+        (2, F(-1, 2), 0.1, -1, F(1, 3)),
+    ]))
+    def test_exact_evaluation_of_int_fraction_and_float_values(self, p, values):
+        # int and Fraction values enter as they are and any other value as
+        # its exact Fraction; the result is a Fraction whatever came in
+        a = Polynomial(p)
+        if a.degree() > 600:
+            return  # big powers of the float values take seconds
+        point = {n: values[i % 5] for i, n in enumerate(WIDE_NAMES)}
+        v = a.evaluate(point)
+        assert type(v) is F
+        assert v == _ref_evaluate(p, point)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(wide_terms, wide_terms, wide_terms)
     def test_rational_function_normal_form_agrees(self, p, q, r):
         num, den = _ref_mul(p, r), _ref_mul(q, r)

@@ -50,6 +50,37 @@ class TestCertify:
         assert u.is_rational
         assert v == F(13, 20)
 
+    def test_one_instantiation_evaluates_each_polynomial_once(self, monkeypatch):
+        # the value and every verdict read one pass over the chain, which
+        # evaluates each entry and each reward polynomial once
+        d = induced_pmc(g.random_pomdp(random.Random(8), with_rewards=True), 2)
+        u = g.random_instantiation_for(d, random.Random(9))
+        polys = [p for s in d.states for p in d.row(s).values()] + list(d.rewards.values())
+        assert d.params.names and d.rewards
+        evaluated, passes = [], []
+        evaluate, apply = Polynomial.evaluate, sy.apply_instantiation
+        monkeypatch.setattr(Polynomial, "evaluate",
+                            lambda p, point: evaluated.append(p) or evaluate(p, point))
+        monkeypatch.setattr(sy, "apply_instantiation",
+                            lambda *args: passes.append(args) or apply(*args))
+        for spec in (SPEC76, parse_spec("Emin<= 5 [F goal]")):
+            evaluated.clear()
+            passes.clear()
+            _u, value, _sat, well = sy.certify(d, spec, u, F(1, 100))
+            assert well.graph_preserving and well.eps_preserving
+            assert value == check_mc(well.model, spec)
+            assert len(passes) == 1
+            assert len(evaluated) == len(polys)
+            assert {id(p) for p in evaluated} == {id(p) for p in polys}
+
+    def test_ill_defined_points_raise_with_the_pass_defects(self):
+        with pytest.raises(ModelError) as err:
+            sy.certify(g.biased_choice_pmc(), SPEC76, {"p": F(3, 2)})
+        assert str(err.value) == (
+            "instantiation is not well-defined: parameter p = 3/2 outside [0, 1]; "
+            "group {p} sums to 3/2; residual branch weight -1/2 is negative; "
+            "entry (0,1) evaluates to 3/2; entry (0,2) evaluates to -1/2")
+
 
 class TestPsoSearch:
     def test_finds_satisfying_point_quickly(self):
