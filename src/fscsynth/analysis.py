@@ -8,7 +8,7 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     the initial state (1 or 0 for reach-avoid; 0 at a goal or INFINITE when
     the goal may be missed, for expected reward);
   - _system builds x = A x + c over U in any value field (Fractions,
-    floats, rational functions, or edge numbers for the float evaluator):
+    rational functions, or edge numbers for the float evaluator):
     A holds the edges inside U, c the state rewards plus the edges into
     `one`, the value-1 states outside U. The region bounds solve one such
     system per interval allocation, in _policy_iterate;
@@ -22,14 +22,15 @@ cached query over the instantiated rows where the point is graph-preserving
 and check_mc the instantiated chain anywhere else; both evaluators count
 that fallback as a recompute.
 
-Exact mode works in Fractions end to end: sparse state elimination for
-linear systems (the same step that builds the closed forms), and one policy
-iteration engine, _policy_iterate, for the MDP optima and for the robust
-region bounds, where the greedy interval allocation is the one choice per
-state. Float mode assembles the same systems in numpy and solves them
-densely. FloatPmcEvaluator evaluates a whole matrix of parameter vectors at
-once: one term-table pass for all edges and one stacked dense solve, in
-blocks of at most SOLVE_BLOCK_BYTES.
+Every value is exact, in Fractions end to end: sparse state elimination
+for linear systems (the same step that builds the closed forms), and one
+policy iteration engine, _policy_iterate, for the MDP optima and for the
+robust region bounds, where the greedy interval allocation is the one
+choice per state. Floats live only in FloatPmcEvaluator, which ranks the
+swarm's candidates: it evaluates a whole matrix of parameter vectors at
+once, one term-table pass for all edges and one stacked dense solve, in
+blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
+boundary point.
 """
 
 from __future__ import annotations
@@ -236,19 +237,6 @@ def _elimination_graph(rows, c, sink):
     return w, preds
 
 
-def solve_float(rows, c):
-    """Float companion of solve_exact: one dense solve. Float values only
-    rank candidates; every verdict is certified exactly."""
-    n = len(c)
-    if n == 0:
-        return np.zeros(0)
-    A = np.zeros((n, n))
-    for i in range(n):
-        for j, a in rows[i].items():
-            A[i, j] += float(a)
-    return np.linalg.solve(np.eye(n) - A, np.asarray([float(v) for v in c]))
-
-
 # ---------------------------------------------------------------------------
 # Markov chain values
 
@@ -256,20 +244,17 @@ def solve_float(rows, c):
 def _mc_value(mc, goal, bad, reward):
     q = _query(_pmc_graph(mc), mc.initial, goal, bad, reward)
     if q.value is not None:
-        return q.value if mc.exact else float(q.value)
-    zero = Fraction(0) if mc.exact else 0.0
+        return q.value
     rewards = mc.rewards if reward else {}
     idx = {s: i for i, s in enumerate(q.U)}
     rows, c = _system(q, idx, lambda s: mc.row(s).items(),
-                      lambda s: rewards.get(s, zero), _same)
-    if mc.exact:
-        return solve_exact(rows, c)[idx[mc.initial]]
-    return float(solve_float(rows, c)[idx[mc.initial]])
+                      lambda s: rewards.get(s, Fraction(0)), _same)
+    return solve_exact(rows, c)[idx[mc.initial]]
 
 
 def reach_avoid_prob(mc: Mc, goal=None, bad=None):
     """Probability of reaching goal while avoiding bad, from the initial
-    state. Exact (Fraction) or float, following the chain's entry type."""
+    state, as a Fraction."""
     goal = mc.goal if goal is None else frozenset(goal)
     bad = mc.bad if bad is None else frozenset(bad)
     return _mc_value(mc, goal, bad, False)
@@ -941,18 +926,13 @@ def _ill_defined(defects) -> ModelError:
 
 
 class ExactPmcEvaluator(_EvaluatorBase):
-    """Exact values at rational instantiations, with the qualitative
-    precomputation cached across calls. Each call reads one
-    apply_instantiation pass: an ill-defined point raises with its defects,
-    a graph-preserving one is solved on the cached query over the
-    instantiated rows, and any other point is analyzed afresh on the chain
-    the pass built."""
+    """Exact values at instantiations, with the qualitative precomputation
+    cached across calls. Each call reads one apply_instantiation pass: an
+    ill-defined point raises with its defects, a graph-preserving one is
+    solved on the cached query over the instantiated rows, and any other
+    point is analyzed afresh on the chain the pass built."""
 
     def evaluate(self, u):
-        if not isinstance(u, Instantiation):
-            u = Instantiation(u)
-        if not u.is_rational:
-            raise ModelError("exact evaluation needs a rational instantiation")
         res = apply_instantiation(self.d, u)
         if not res.well_defined:
             raise _ill_defined(res.defects)
@@ -972,7 +952,7 @@ class FloatPmcEvaluator(_EvaluatorBase):
     a dense solve on the cached uncertain-state system, for one parameter
     vector or a whole matrix of them. The caller guarantees
     well-definedness (the swarm parameterization does); boundary valuations
-    take the counted slow path.
+    take the counted exact path at the point's decimal repr.
     """
 
     def __init__(self, d: PmcT, spec: Specification):

@@ -108,6 +108,17 @@ def _load_pmc(path: Path) -> PmcT:
     return d
 
 
+def _check_names(named, d: PmcT, what):
+    """Raises unless `named` holds exactly the parameters of d; the error
+    starts with `what` and lists the unknown and the missing names."""
+    unknown = sorted(set(named) - set(d.params.names))
+    missing = sorted(set(d.params.names) - set(named))
+    if unknown or missing:
+        raise ModelError("%s (unknown: %s; missing: %s)"
+                         % (what, ", ".join(unknown) or "none",
+                            ", ".join(missing) or "none"))
+
+
 def _load_param_groups(d: PmcT, path: Path) -> list:
     """Attaches the `<pmc>.params` sidecar that transform writes, when there
     is one, to d; returns the files read (empty without a sidecar).
@@ -119,14 +130,8 @@ def _load_param_groups(d: PmcT, path: Path) -> list:
     if not side.exists():
         return []
     groups = formats.parse_param_groups(side.read_text())
-    named = [n for g in groups for n in g]
-    unknown = sorted(set(named) - set(d.params.names))
-    missing = sorted(set(d.params.names) - set(named))
-    if unknown or missing:
-        raise ModelError(
-            "%s does not group the parameters of %s (unknown: %s; missing: %s)"
-            % (side, path, ", ".join(unknown) or "none",
-               ", ".join(missing) or "none"))
+    _check_names([n for g in groups for n in g], d,
+                 "%s does not group the parameters of %s" % (side, path))
     d.param_groups = groups
     return [side]
 
@@ -273,6 +278,8 @@ def cmd_check(args) -> int:
         u_path = Path(args.instantiation)
         inputs.append(u_path)
         u = formats.parse_instantiation(u_path.read_text())
+        _check_names(u.values, model,
+                     "%s does not value the parameters of %s" % (u_path, inp))
         u, value, sat, well = synthesis.certify(model, spec, u, eps)
         print("value = %s" % _fmt_value(value))
         print("satisfied: %s" % ("yes" if sat else "no"))
@@ -401,6 +408,8 @@ def cmd_prove(args) -> int:
         reg_path = Path(args.region)
         inputs.append(reg_path)
         region = formats.parse_region(reg_path.read_text())
+        _check_names(region.intervals, d,
+                     "%s does not bound the parameters of %s" % (reg_path, inp))
     else:
         region = _default_region(d, Fraction(repr(args.min_prob)))
     res = analysis.prove_absence(d, spec, region, max_depth=args.max_depth)

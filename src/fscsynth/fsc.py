@@ -161,21 +161,14 @@ def next_obs_layout(m, k, topology, names, groups):
     return weights
 
 
-def _dist_ok(values, exact) -> bool:
-    total = sum(values)
-    if exact:
-        return total == 1
-    return abs(total - 1.0) <= 1e-12
-
-
 class Fsc:
     """k-node stochastic controller.
 
     action_map: (node, observation) -> {action: prob}
     memory_update: (node, observation, action) -> {next node: prob}
 
-    Rows are exact (Fraction) or float, detected from the entries. Rows for
-    (node, observation) pairs that can never co-occur may be omitted.
+    Rows are exact (Fractions) and sum to exactly 1. Rows for (node,
+    observation) pairs that can never co-occur may be omitted.
     """
 
     def __init__(self, num_nodes, initial_node, action_map, memory_update,
@@ -184,11 +177,6 @@ class Fsc:
         self.initial_node = initial_node
         self.action_map = {key: dict(v) for key, v in action_map.items()}
         self.memory_update = {key: dict(v) for key, v in memory_update.items()}
-        self.exact = not any(
-            isinstance(p, float)
-            for row in list(self.action_map.values()) + list(self.memory_update.values())
-            for p in row.values()
-        )
         if validate:
             self._validate()
 
@@ -198,6 +186,9 @@ class Fsc:
             raise ModelError("controller needs at least one node")
         if not 0 <= self.initial_node < k:
             raise ModelError("initial node %r out of range" % (self.initial_node,))
+        rows = [*self.action_map.values(), *self.memory_update.values()]
+        if any(isinstance(p, float) for row in rows for p in row.values()):
+            raise ModelError("controller probabilities must be exact, not floats")
         for (n, z), row in self.action_map.items():
             if not 0 <= n < k:
                 raise ModelError("action row for unknown node %d" % n)
@@ -205,7 +196,7 @@ class Fsc:
                 raise ModelError("empty action distribution at node %d, obs %d" % (n, z))
             if any(p < 0 or p > 1 for p in row.values()):
                 raise ModelError("action probability outside [0,1] at node %d, obs %d" % (n, z))
-            if not _dist_ok(row.values(), self.exact):
+            if sum(row.values()) != 1:
                 raise ModelError(
                     "action distribution at node %d, obs %d sums to %s"
                     % (n, z, sum(row.values()))
@@ -220,7 +211,7 @@ class Fsc:
                 raise ModelError("empty update distribution at (%d,%d,%s)" % (n, z, a))
             if any(p < 0 or p > 1 for p in row.values()):
                 raise ModelError("update probability outside [0,1] at (%d,%d,%s)" % (n, z, a))
-            if not _dist_ok(row.values(), self.exact):
+            if sum(row.values()) != 1:
                 raise ModelError(
                     "update distribution at (%d,%d,%s) sums to %s"
                     % (n, z, a, sum(row.values()))
@@ -290,14 +281,13 @@ def fsc_from_layout(m: Pomdp, k: int, topology, layout, u) -> Fsc:
     weight delta(t) a's joint polynomial for node t at u over gamma(a).
     Actions of weight 0 never fire and get no update row. A controller's
     update ignores the successor's observation, so the joint weights are
-    read at observation 0: next_obs_layout denotes no controller. Floats
-    are read through their shortest decimal repr, so the quotients are
-    exact and the controller is too.
+    read at observation 0: next_obs_layout denotes no controller. The
+    Instantiation reads floats through their decimal repr, so the quotients
+    and the controller are exact.
     """
     FscTopology.check(topology)
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
-    u = u.rationalized()
     groups = []
     weights = layout(m, k, topology, [], groups)
     defects = _group_defects(groups, u)

@@ -1,10 +1,11 @@
 """Model types: parametric chains, MDPs, POMDPs, instantiations, specifications.
 
-Exact entries are Fractions or Polynomials over Fractions; a float mode
-(same containers holding floats) exists for search loops. apply_instantiation
-takes a pMC D and a valuation u to the chain D[u] in one pass over the
-entries and rewards, and classifies u on the way: well-defined (on the
-controller-family chains, u is then a controller), graph-preserving,
+Every number is exact: entries are Fractions or Polynomials over
+Fractions, and an Instantiation reads a float through its shortest decimal
+repr. Floats live only in the vectorized search evaluator of analysis.
+apply_instantiation takes a pMC D and a valuation u to the chain D[u] in one
+pass over the entries and rewards, and classifies u on the way: well-defined
+(on the controller-family chains, u is then a controller), graph-preserving,
 eps-preserving. Every point value and verdict reads that one result.
 """
 
@@ -117,19 +118,13 @@ class ParameterTable:
 
 
 class Instantiation:
-    """Maps parameter names to values; all-Fraction (exact) or all-float."""
+    """Maps parameter names to exact values (Fractions)."""
 
     def __init__(self, values: Mapping):
-        self.values = dict(values)
-        self._rational = all(isinstance(v, (Fraction, int)) for v in self.values.values())
-        if self._rational:
-            self.values = {k: Fraction(v) for k, v in self.values.items()}
-        else:
-            self.values = {k: float(v) for k, v in self.values.items()}
-
-    @property
-    def is_rational(self):
-        return self._rational
+        # a float reads as its shortest decimal repr, which text round trips
+        # keep; float() first, as NumPy 2 reprs a float64 as np.float64(0.1)
+        self.values = {k: Fraction(v) if isinstance(v, (Fraction, int))
+                       else Fraction(repr(float(v))) for k, v in values.items()}
 
     def __getitem__(self, name):
         try:
@@ -145,13 +140,6 @@ class Instantiation:
 
     def items(self):
         return self.values.items()
-
-    def rationalized(self) -> "Instantiation":
-        """Exact-mode copy; floats go through their shortest decimal repr, so
-        the result survives text round trips unchanged."""
-        if self._rational:
-            return self
-        return Instantiation({k: Fraction(repr(v)) for k, v in self.values.items()})
 
     def __len__(self):
         return len(self.values)
@@ -602,8 +590,9 @@ def _entry_is_simple(p: Polynomial) -> bool:
 
 
 class Mc:
-    """Concrete Markov chain. State ids need not be contiguous (products keep
-    their full-space numbering and retain only the reachable fragment)."""
+    """Concrete Markov chain with exact entries, rows summing to exactly 1.
+    State ids need not be contiguous (products keep their full-space
+    numbering and retain only the reachable fragment)."""
 
     def __init__(self, states, initial, trans, rewards=None, goal=(), bad=(),
                  meta=None, validate=True):
@@ -614,9 +603,6 @@ class Mc:
         self.goal = frozenset(goal)
         self.bad = frozenset(bad)
         self.meta = dict(meta or {})
-        first = next(iter(trans.values()), None)
-        v = next(iter(first.values()), None) if first else None
-        self.exact = not isinstance(v, float)
         if validate:
             self._validate()
 
@@ -632,16 +618,14 @@ class Mc:
             if not row:
                 raise ModelError("state %r has no outgoing transition" % (s,))
             total = sum(row.values())
-            if self.exact:
-                if total != 1:
-                    raise ModelError("row %r sums to %s" % (s, total))
-            elif abs(total - 1.0) > 1e-9:
-                raise ModelError("row %r sums to %r" % (s, total))
+            if total != 1:
+                raise ModelError("row %r sums to %s" % (s, total))
             for t, p in row.items():
                 if t not in sset:
                     raise ModelError("edge %r -> %r leaves the state set" % (s, t))
-                if p < 0 or p > 1:
-                    raise ModelError("probability %r at (%r,%r)" % (p, s, t))
+                if isinstance(p, float) or p < 0 or p > 1:
+                    raise ModelError("probability %r at (%r,%r) must be an exact "
+                                     "number in [0, 1]" % (p, s, t))
         if self.goal & self.bad:
             raise ModelError("goal and bad labels overlap")
 
@@ -666,11 +650,11 @@ class Mc:
 class WellDefinedness:
     """The chain D[u] a valuation u instantiates, and what kind of point u is.
 
-    model holds every nonzero entry and every reward of D[u]; its rows may
-    be defective when u is not well-defined. graph_preserving: well-defined
-    and every non-constant entry strictly inside (0, 1). eps_preserving,
-    None unless an eps was given: well-defined and every non-constant entry
-    inside [eps, 1 - eps]. defects name what breaks well-definedness, or,
+    model holds every nonzero entry and every reward of D[u], all exact; its
+    rows may be defective when u is not well-defined. graph_preserving:
+    well-defined and every non-constant entry strictly inside (0, 1).
+    eps_preserving, None unless an eps was given: well-defined and every
+    non-constant entry inside [eps, 1 - eps]. defects name what breaks well-definedness, or,
     at a well-defined point, the entries at a boundary value.
     """
 
@@ -705,8 +689,9 @@ def _group_defects(groups, u) -> list:
 
 def apply_instantiation(model, u, eps=None) -> WellDefinedness:
     """D[u]: one pass that evaluates every entry and reward of a PmcT at u
-    once, exactly for a rational u and in floats otherwise, and classifies
-    the point on the way (see WellDefinedness).
+    once, exactly (a float in u reads as its decimal repr), compares each
+    row sum with 1 exactly, and classifies the point on the way (see
+    WellDefinedness).
 
     Never raises on a bad valuation: the result is tagged not-well-defined
     with a defect list naming the offending parameter groups, entries and
@@ -722,9 +707,6 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
         u = Instantiation(u)
     defects = _group_defects(model.param_groups, u)
     values = u.values
-    evaluate = Polynomial.evaluate if u.is_rational else Polynomial.evaluate_float
-    one = Fraction(1) if u.is_rational else 1.0
-    tol = 0 if u.is_rational else 1e-9
     boundary = []
     epsp = eps is not None
     trans = {}
@@ -732,7 +714,7 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
         row_out = {}
         total = 0
         for t, p in model.row(s).items():
-            v = evaluate(p, values)
+            v = p.evaluate(values)
             if v < 0 or v > 1:
                 defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
             elif not p.is_constant():
@@ -744,10 +726,10 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
             total += v
             if v != 0:
                 row_out[t] = v
-        if abs(total - one) > tol:
+        if total != 1:
             defects.append("row of state %d sums to %s" % (s, total))
         trans[s] = row_out
-    rewards = {s: evaluate(r, values) for s, r in model.rewards.items()}
+    rewards = {s: r.evaluate(values) for s, r in model.rewards.items()}
     mc = Mc(list(model.states), model.initial, trans, rewards,
             model.goal, model.bad, meta=dict(model.meta), validate=False)
     ok = not defects

@@ -562,9 +562,6 @@ class RationalFunction:
             return NotImplemented
         return other / self
 
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.constant(other)
@@ -585,9 +582,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at %s" % (valuation,))
         return self.num.evaluate(valuation) / d
-
-    def evaluate_float(self, valuation) -> float:
-        return self.num.evaluate_float(valuation) / self.den.evaluate_float(valuation)
 
     def __str__(self):
         num = self.num
@@ -613,4 +607,3 @@ def _as_rf(x):
 
 
 RF_ZERO = RationalFunction.constant(0)
-RF_ONE = RationalFunction.constant(1)

@@ -5,7 +5,8 @@ positions map through a per-group softmax with an epsilon floor onto the
 open probability simplexes recorded by the chain's parameter groups, so
 every candidate is well-defined, graph-preserving, and min-epsilon by
 construction. Fitness is float model checking; the emitted best point is
-rationalized and re-certified exactly.
+made exact (free coordinates by their decimal repr, residuals exactly) and
+re-certified exactly.
 
 brute_force_oracle enumerates deterministic controllers outright (guarded),
 and find_permissive grows a box region around several satisfying witnesses,
@@ -166,13 +167,11 @@ class _SimplexCodec:
 
 
 def certify(d: PmcT, spec: Specification, u, eps=None):
-    """Exact value and verdict at a rational instantiation: one
-    instantiation of d, whose chain check_mc then solves. Raises on a point
-    that is not well-defined."""
+    """Exact value and verdict at an instantiation: one instantiation of d,
+    whose chain check_mc then solves. Raises on a point that is not
+    well-defined."""
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
-    if not u.is_rational:
-        u = u.rationalized()
     well = apply_instantiation(d, u, eps)
     if not well.well_defined:
         raise _ill_defined(well.defects)

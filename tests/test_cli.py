@@ -243,6 +243,29 @@ label bad 2
         assert "group {p_0_0_a} sums to 6/5" in err
 
 
+class TestParameterNames:
+    """A point or region file must name exactly the chain's parameters."""
+
+    @pytest.mark.parametrize("command, body, unknown, missing", [
+        ("check", "q = 1/2\n", "q", "p"),
+        ("check", "p = 3/4\nq = 1/2\n", "q", "none"),
+        ("check", "", "none", "p"),
+        ("prove", "p in [1/100, 99/100]\nq in [1/4, 1/2]\n", "q", "none"),
+        ("prove", "q in [1/4, 1/2]\n", "q", "p"),
+    ])
+    def test_unknown_and_missing_names_are_input_errors(
+            self, workdir, capsys, command, body, unknown, missing):
+        inp = _pmc_file(workdir)
+        flag = "--instantiation" if command == "check" else "--region"
+        _write(workdir / "names.txt", body)
+        rc = main([command, str(inp), "--spec", "P> 0.7 [!bad U goal]",
+                   flag, "names.txt"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "(unknown: %s; missing: %s)" % (unknown, missing) in err
+        assert "names.txt" in err
+
+
 class TestSynthesize:
     def test_search_writes_a_working_controller(self, workdir):
         inp = _pomdp_file(workdir)

@@ -43,7 +43,6 @@ def test_uniform_fsc_rows():
     a = uniform_fsc(g.two_coin_pomdp(), 2)
     assert a.action_map[(0, 0)] == {"a": F(1, 2), "b": F(1, 2)}
     assert a.memory_update[(1, 0, "b")] == {0: F(1, 2), 1: F(1, 2)}
-    assert a.exact
 
 
 def test_fsc_from_instantiation_fills_residuals():
@@ -155,6 +154,14 @@ def test_validation_errors():
         Fsc(1, 0, {(0, 0): {"a": F(1, 2)}}, {(0, 0, "a"): {0: F(1)}})
     with pytest.raises(ModelError, match="initial node"):
         Fsc(1, 3, {}, {})
+
+
+@pytest.mark.parametrize("action_row, update_row", [
+    ({"a": 1.0}, {0: F(1)}), ({"a": F(1)}, {0: 0.5, 1: F(1, 2)})])
+def test_float_entries_rejected(action_row, update_row):
+    # rows sum to exactly 1, so a controller holds no floats
+    with pytest.raises(ModelError, match="exact"):
+        Fsc(2, 0, {(0, 0): action_row}, {(0, 0, "a"): update_row})
 
 
 class TestProduct:

@@ -5,6 +5,7 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import genmodels as g
@@ -31,6 +32,7 @@ from fscsynth.formats import (
 from fscsynth.models import (
     INFINITE,
     Instantiation,
+    Mc,
     Mdp,
     ModelError,
     ParameterTable,
@@ -381,14 +383,27 @@ class TestNumbersAndInstantiations:
         weps = check_well_defined(d, Instantiation({"p": F(1, 100)}), eps=F(1, 10))
         assert weps.graph_preserving and not weps.eps_preserving
 
-    @pytest.mark.parametrize("p, zero, one", [(F(0), "0", "1"), (0.0, "0.0", "1.0")])
+    @pytest.mark.parametrize("p, zero, one", [(F(0), "0", "1"), (0.0, "0", "1")])
     def test_boundary_defects_name_the_evaluated_values(self, p, zero, one):
         # zero entries are dropped from the instantiated chain; the defect
-        # text still prints them in the instantiation's number type
+        # text still prints them, exact for a float point too
         w = check_well_defined(g.biased_choice_pmc(), Instantiation({"p": p}), eps=F(1, 10))
         assert (w.well_defined, w.graph_preserving, w.eps_preserving) == (True, False, False)
         assert w.defects == ["entry (0,1) evaluates to boundary value " + zero,
                              "entry (0,2) evaluates to boundary value " + one]
+
+    @pytest.mark.parametrize("v", [0.1, np.float64(0.1)])
+    def test_floats_read_as_their_decimal_repr(self, v):
+        u = Instantiation({"p": v, "q": 1})
+        assert u.values == {"p": F(1, 10), "q": F(1)}
+        assert all(type(x) is F for x in u.values.values())
+
+    def test_chains_reject_float_entries(self):
+        Mc([0, 1], 0, {0: {1: F(1)}, 1: {1: F(1)}})
+        with pytest.raises(ModelError, match="exact"):
+            Mc([0, 1], 0, {0: {0: 0.5, 1: F(1, 2)}, 1: {1: F(1)}})
+        with pytest.raises(ModelError, match="sums to"):
+            Mc([0, 1], 0, {0: {0: F(1, 2), 1: F(1, 3)}, 1: {1: F(1)}})
 
 
 def Infinite_roundtrip():

@@ -1,9 +1,10 @@
-"""The README's quick start runs as documented.
+"""The README's quick start and library use run as documented.
 
 The files the quick start introduces by name ("... (`model.pomdp`):" right
 before a plain code block) are written from those blocks, and every
 `fscsynth` line of its `sh` blocks runs through `cli.main`, in order, in a
-fresh directory.
+fresh directory. The python block of "Library use" runs there too, next to
+the quick start's `model.pomdp`.
 """
 
 import re
@@ -18,8 +19,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"([^\n]*)\n\n```(\w*)\n(.*?)```", re.S)
 
 
+def _section(title):
+    return README.read_text().split("## " + title)[1].split("\n## ")[0]
+
+
 def _quick_start():
-    text = README.read_text().split("## Quick start")[1].split("\n## ")[0]
+    text = _section("Quick start")
     files, commands, documented = {}, [], {}
     for before, lang, body in _BLOCK.findall(text):
         if lang == "sh":
@@ -56,3 +61,18 @@ def test_quick_start_runs_as_documented(tmp_path, monkeypatch, capsys):
         if argv[0] == "closed-form":
             for what, value in documented.items():
                 assert "%s = %s\n" % (what, value) in out
+
+
+def test_library_use_runs_as_documented(tmp_path, monkeypatch, capsys):
+    files, _commands, documented = _quick_start()
+    (code,) = [body for _before, lang, body in _BLOCK.findall(_section("Library use"))
+               if lang == "python"]
+    monkeypatch.chdir(tmp_path)
+    Path("model.pomdp").write_text(files["model.pomdp"])
+    exec(compile(code, "README.md", "exec"), {})
+    searched, closed_form, evaluated = capsys.readouterr().out.splitlines()
+    satisfied, value = searched.split()
+    assert satisfied == "True"
+    assert closed_form == documented["reach-avoid probability"]
+    # the exact evaluator reproduces the search's certified value
+    assert evaluated == value

@@ -47,7 +47,7 @@ class TestCertify:
     def test_float_points_are_rationalized(self):
         d = g.biased_choice_pmc()
         u, v, _sat, _ = sy.certify(d, SPEC76, Instantiation({"p": 0.5}))
-        assert u.is_rational
+        assert u["p"] == F(1, 2)
         assert v == F(13, 20)
 
     def test_one_instantiation_evaluates_each_polynomial_once(self, monkeypatch):
