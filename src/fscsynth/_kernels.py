@@ -14,6 +14,14 @@ Two entry points:
 eval_edges works on the last axis only, so a whole swarm of parameter
 vectors goes through in one call, and each row comes out bit for bit as it
 would alone: products and sums run over contiguous segments of that row.
+
+It has three stages: powers, the product of each term's factors, and the sum
+of each polynomial's terms. A table whose exponents are all 1 passes
+factor_exp=None and skips the powers; a table whose terms all have one
+factor passes factor_offsets=None and skips the products. Both stages are
+identities there (x ** 1 and a one-element product are exact), so the
+result is the same bit for bit. Substituted chains, and standard chains
+with one memory node, have only such linear terms.
 """
 
 from __future__ import annotations
@@ -24,12 +32,15 @@ import numpy as np
 def eval_edges(term_coeffs, term_offsets, factor_offsets, factor_var,
                factor_exp, xx):
     """xx: (..., num_params + 1) with 1.0 in the last column; returns
-    (..., num_polys)."""
+    (..., num_polys). factor_exp or factor_offsets None: every exponent is
+    1, or every term has one factor."""
     if len(term_coeffs) == 0:
         return np.zeros(xx.shape[:-1] + (len(term_offsets) - 1,))
-    fv = np.take(xx, factor_var, axis=-1)  # C-contiguous, unlike xx[..., idx]
-    np.power(fv, factor_exp, out=fv)
-    prods = np.multiply.reduceat(fv, factor_offsets[:-1], axis=-1)
+    prods = np.take(xx, factor_var, axis=-1)  # C-contiguous, unlike xx[..., idx]
+    if factor_exp is not None:
+        np.power(prods, factor_exp, out=prods)
+    if factor_offsets is not None:
+        prods = np.multiply.reduceat(prods, factor_offsets[:-1], axis=-1)
     prods *= term_coeffs
     return np.add.reduceat(prods, term_offsets[:-1], axis=-1)
 
@@ -66,7 +77,8 @@ class TermTable:
 
     Every term gets at least one factor (constants point at a reserved slot
     holding 1.0) and every polynomial at least one term, so segment reduction
-    never sees an empty segment.
+    never sees an empty segment. evaluate skips the power stage when no
+    exponent exceeds 1 and the product stage when no term has two factors.
     """
 
     def __init__(self, polys, param_index):
@@ -96,6 +108,8 @@ class TermTable:
         self.factor_offsets = np.asarray(factor_offsets, dtype=np.intc)
         self.factor_var = np.asarray(fvar, dtype=np.intc)
         self.factor_exp = np.asarray(fexp, dtype=np.intc)
+        self._powers = bool(np.any(self.factor_exp > 1))
+        self._products = len(fvar) > len(coeffs)
 
     def __len__(self):
         return len(self.term_offsets) - 1
@@ -108,5 +122,6 @@ class TermTable:
         xx[..., :self.num_params] = x
         xx[..., self.num_params] = 1.0
         return eval_edges(self.term_coeffs, self.term_offsets,
-                          self.factor_offsets, self.factor_var,
-                          self.factor_exp, xx)
+                          self.factor_offsets if self._products else None,
+                          self.factor_var,
+                          self.factor_exp if self._powers else None, xx)

@@ -699,6 +699,10 @@ def _edge_intervals(d: PmcT, region: Region):
     for name in d.params.names:
         if name not in region:
             raise ModelError("region gives no interval for parameter %r" % name)
+    declared = set(d.params.names)
+    for name in sorted(region.intervals):
+        if name not in declared:
+            raise ModelError("region bounds %r, which the chain does not declare" % name)
     tight = preserving = True
     table = {}
     for s in d.states:

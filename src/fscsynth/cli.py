@@ -32,6 +32,7 @@ from . import __version__, analysis, formats, synthesis, transforms
 from .fsc import FscTopology, fsc_from_instantiation, induced_mc
 from .models import (
     Instantiation,
+    Mc,
     ModelError,
     PmcT,
     Pomdp,
@@ -302,6 +303,20 @@ def _gap_to_threshold(value, spec) -> str:
     return format_number(abs(spec.threshold - value))
 
 
+def _is_fragment_of(mc: Mc, chain: Mc) -> bool:
+    """Whether chain agrees with mc on mc's states: the same initial state,
+    and per state the same row, reward and goal and bad labels. mc holds
+    only states its initial state reaches (as induced_mc builds it), so
+    then chain's value is mc's value, exactly."""
+    if mc.initial != chain.initial:
+        return False
+    return all(mc.row(s) == chain.row(s)
+               and mc.rewards.get(s, 0) == chain.rewards.get(s, 0)
+               and (s in mc.goal) == (s in chain.goal)
+               and (s in mc.bad) == (s in chain.bad)
+               for s in mc.states)
+
+
 def cmd_synthesize(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
@@ -334,11 +349,17 @@ def cmd_synthesize(args) -> int:
                 m, k, args.topology, res.instantiation)
         note = "swarm search, %d evaluations" % res.evaluations
         exhausted = res.budget_exhausted
-        # certify through the controller itself; must agree with the chain value
-        certified = analysis.check_mc(induced_mc(m, controller), spec)
-        if certified != res.value:
-            raise ModelError("internal: controller value %s disagrees with "
-                             "search value %s" % (certified, res.value))
+        # certify through the controller itself: its product chain must have
+        # the search's value. Where it is the fragment of the chain certify
+        # solved that the initial state reaches, the values are equal;
+        # otherwise the product chain is solved and compared.
+        certified = res.value
+        induced = induced_mc(m, controller)
+        if not _is_fragment_of(induced, res.well.model):
+            certified = analysis.check_mc(induced, spec)
+            if certified != res.value:
+                raise ModelError("internal: controller value %s disagrees with "
+                                 "search value %s" % (certified, res.value))
     sat = spec.satisfied_by(certified)
 
     header = _provenance(args, [inp], [

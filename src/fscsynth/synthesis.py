@@ -4,8 +4,11 @@ pso_search runs a standard particle swarm in an unconstrained logit space;
 positions map through a per-group softmax with an epsilon floor onto the
 open probability simplexes recorded by the chain's parameter groups, so
 every candidate is well-defined, graph-preserving, and min-epsilon by
-construction. Fitness is float model checking; the emitted best point is
-made exact (free coordinates by their decimal repr, residuals exactly) and
+construction. Fitness is float model checking, and a round works on the
+whole swarm at once: the float verdict is one comparison against a cut
+derived from the exact threshold (float_verdict), the fitness one clipped
+array, the personal bests one masked update. The emitted best point is made
+exact (free coordinates by their decimal repr, residuals exactly) and
 re-certified exactly.
 
 brute_force_oracle enumerates deterministic controllers outright (guarded),
@@ -207,14 +210,30 @@ def _emission_check(d: PmcT, u: Instantiation, base: WellDefinedness,
     return well
 
 
-def _fitness_from_value(value, maximizing) -> float:
-    if is_infinite(value) or (isinstance(value, float) and math.isinf(value)):
-        v = PENALTY
-    else:
-        v = float(value)
-        if v > PENALTY:
-            v = PENALTY
-    return -v if maximizing else v
+def float_verdict(spec: Specification):
+    """spec.satisfied_by for an array of float values, as one comparison.
+
+    The cut is the float nearest the threshold on the satisfying side:
+    float(threshold) if it satisfies the spec, else its neighbour towards
+    the satisfying side. No float lies strictly between them, so v >= cut
+    (v <= cut for < and <=) is the exact verdict for every finite v.
+    Infinite values read as spec.satisfied_by reads them, and NaN never
+    satisfies.
+    """
+    up = spec.comparison in (">", ">=")
+    cut = float(spec.threshold)
+    if not spec.satisfied_by(cut):
+        cut = np.nextafter(cut, math.inf if up else -math.inf)
+    inf_sat = spec.satisfied_by(math.inf)
+
+    def verdict(values: np.ndarray) -> np.ndarray:
+        mask = (values >= cut) if up else (values <= cut)
+        mask &= np.isfinite(values)
+        if inf_sat:
+            mask |= np.isinf(values)
+        return mask
+
+    return verdict
 
 
 def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
@@ -222,10 +241,14 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     """Swarm search over the chain's parameter simplexes.
 
     Deterministic for a fixed seed; ties between equally good particles go
-    to the lowest index. The returned instantiation is exact and certified;
-    `satisfied` refers to that exact value. With collect_satisfied > 0, up
-    to that many distinct satisfying parameter vectors seen along the way
-    are kept (float verdicts; callers re-certify).
+    to the lowest index. A round is a few whole-swarm array operations: one
+    decode, one evaluator call, one verdict mask (float_verdict) and one
+    masked update of the personal bests. Only satisfied particles are
+    visited one by one, and only while samples are still wanted. The
+    returned instantiation is exact and certified; `satisfied` refers to
+    that exact value. With collect_satisfied > 0, up to that many distinct
+    satisfying parameter vectors seen along the way are kept (float
+    verdicts; callers re-certify).
     """
     cfg = cfg or SearchConfig()
     codec = _SimplexCodec(d, cfg.min_prob)
@@ -237,6 +260,7 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
                             first_satisfied_eval=1 if sat else None, well=well)
 
     evaluator = FloatPmcEvaluator(d, spec)
+    verdict = float_verdict(spec)
     maximizing = spec.maximizing
     rng = np.random.default_rng(cfg.seed)
     swarm = cfg.swarm_size
@@ -251,27 +275,24 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     samples = []
 
     def fitness_batch(positions):
-        """Evaluates the whole swarm in one decode and one evaluator call;
-        bookkeeping runs in particle order."""
+        """Fitness (lower is better; infinite values and values above
+        PENALTY count as PENALTY) and decoded point of every particle."""
         nonlocal evaluations, first_sat
         decoded = codec.decode(positions)
-        values = evaluator.evaluate_vector(decoded).tolist()
-        out = []
-        for x, value in zip(decoded, values):
-            evaluations += 1
-            if not math.isnan(value) and spec.satisfied_by(value):
-                if first_sat is None:
-                    first_sat = evaluations
-                if len(samples) < collect_satisfied and all(
-                        np.max(np.abs(x - s)) > 1e-9 for s in samples):
-                    samples.append(x.copy())
-            out.append((_fitness_from_value(value, maximizing), x))
-        return out
+        values = evaluator.evaluate_vector(decoded)
+        hits = np.flatnonzero(verdict(values))
+        if first_sat is None and hits.size:
+            first_sat = evaluations + int(hits[0]) + 1
+        evaluations += len(values)
+        for i in hits:
+            if len(samples) >= collect_satisfied:
+                break
+            if all(np.max(np.abs(decoded[i] - s)) > 1e-9 for s in samples):
+                samples.append(decoded[i].copy())
+        fitness = np.where(np.isinf(values), PENALTY, np.minimum(values, PENALTY))
+        return (-fitness if maximizing else fitness), decoded
 
-    pbest_f = np.empty(swarm)
-    pbest_x = np.empty((swarm, codec.num_params))
-    for i, (f, x) in enumerate(fitness_batch(X)):
-        pbest_f[i], pbest_x[i] = f, x
+    pbest_f, pbest_x = fitness_batch(X)
     pbest_pos = X.copy()
     g_idx = int(np.argmin(pbest_f))
     gbest_f = pbest_f[g_idx]
@@ -290,11 +311,11 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
              + cfg.cognitive * r1 * (pbest_pos - X)
              + cfg.social * r2 * (gbest_pos - X))
         X = X + V
-        for i, (f, x) in enumerate(fitness_batch(X)):
-            if f < pbest_f[i]:
-                pbest_f[i] = f
-                pbest_pos[i] = X[i]
-                pbest_x[i] = x
+        f, x = fitness_batch(X)
+        better = f < pbest_f
+        pbest_f[better] = f[better]
+        pbest_pos[better] = X[better]
+        pbest_x[better] = x[better]
         i_best = int(np.argmin(pbest_f))
         if pbest_f[i_best] < gbest_f:
             gbest_f = pbest_f[i_best]

@@ -321,6 +321,17 @@ class TestRegions:
         assert b.upper == F(797, 1000)
         assert b.tight
 
+    def test_names_the_chain_does_not_declare_are_rejected(self):
+        # an undeclared name would otherwise be a splitting axis that
+        # changes no edge
+        d = g.biased_choice_pmc()
+        spec = parse_spec("P> 0.8 [!bad U goal]")
+        reg = Region({"p": (F(1, 100), F(99, 100)), "zz": (F(1, 4), F(3, 4))})
+        with pytest.raises(ModelError, match="'zz', which the chain does not declare"):
+            region_bounds(d, reg, spec)
+        with pytest.raises(ModelError, match="'zz', which the chain does not declare"):
+            prove_absence(d, spec, reg, max_depth=3)
+
     def test_bounds_contain_sampled_values(self):
         rng = random.Random(46)
         for _ in range(8):

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, files, manifests."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,11 +16,17 @@ else:
 
 import genmodels as g
 from childenv import child_env
-from fscsynth import formats
+from fscsynth import analysis, cli, formats, transforms
 from fscsynth.analysis import state_eliminate
 from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, _fmt_value, main
-from fscsynth.fsc import Fsc, uniform_fsc
-from fscsynth.models import Instantiation, PmcT
+from fscsynth.fsc import (
+    Fsc,
+    FscTopology,
+    fsc_from_instantiation,
+    induced_mc,
+    uniform_fsc,
+)
+from fscsynth.models import Instantiation, Mc, PmcT, apply_instantiation
 from fscsynth.polynomials import Polynomial
 from fscsynth.analysis import Region
 
@@ -292,10 +299,11 @@ class TestSynthesize:
         assert Path("best.fsc").exists()  # best effort still written
 
     def test_budget_exit_code(self, workdir):
+        # far more rounds than fit in the budget, however fast a round runs
         inp = _pomdp_file(workdir)
         rc = main(["synthesize", str(inp), "-o", "best.fsc",
                    "--spec", "P>= 0.9 [!bad U goal]", "--memory", "1",
-                   "--time-limit", "0.05"])
+                   "--iterations", "1000000", "--time-limit", "0.05"])
         assert rc == EXIT_BUDGET
 
     def test_brute_force_method(self, workdir, capsys):
@@ -322,6 +330,74 @@ class TestSynthesize:
             man.pop("wall_time_s")
             blobs.append(((d / "out.fsc").read_bytes(), man))
         assert blobs[0] == blobs[1]
+
+
+class TestSynthesizeCrossCheck:
+    """synthesize certifies the controller it writes against the chain the
+    search certified: equal rows on the controller's reachable product
+    chain make a second exact solve unnecessary; any difference falls back
+    to solving that chain."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        solve = analysis.solve_exact
+        monkeypatch.setattr(analysis, "solve_exact",
+                            lambda rows, c: calls.append(len(c)) or solve(rows, c))
+        return calls
+
+    @pytest.mark.parametrize("memory", ["1", "2"])
+    def test_one_exact_solve_per_search(self, workdir, monkeypatch, memory):
+        # k = 1 builds the standard chain, k = 2 the substituted one
+        inp = _pomdp_file(workdir)
+        calls = self._count_solves(monkeypatch)
+        rc = main(["synthesize", str(inp), "-o", "best.fsc",
+                   "--spec", "P>= 0.7 [!bad U goal]", "--memory", memory,
+                   "--seed", "0", "--iterations", "20", "--swarm", "10"])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+
+    def test_fragment_check_reads_rows_rewards_and_labels(self):
+        rng = random.Random(14)
+        layouts = [(1, transforms.induced_pmc, fsc_from_instantiation),
+                   (2, transforms.substituted_pmc, transforms.fsc_from_substituted)]
+        for k, build, decode in layouts:
+            for _ in range(5):
+                m = g.random_pomdp(rng, max_states=5, with_rewards=True)
+                d = build(m, k)
+                u = g.random_instantiation_for(d, rng)
+                chain = apply_instantiation(d, u).model
+                mc = induced_mc(m, decode(m, k, FscTopology.FULL, u))
+                assert cli._is_fragment_of(mc, chain)
+                s = mc.states[-1]
+                other = next(t for t in chain.states if t != chain.initial)
+                row = chain.row(s)
+                changed = [
+                    {"initial": other},
+                    {"trans": {**chain.trans, s: {**row, s: row.get(s, 0) + 1}}},
+                    {"rewards": {**chain.rewards, s: chain.rewards.get(s, 0) + 1}},
+                    {"goal": chain.goal ^ {s}},
+                    {"bad": chain.bad ^ {s}},
+                ]
+                for change in changed:
+                    fields = dict(states=chain.states, initial=chain.initial,
+                                  trans=chain.trans, rewards=chain.rewards,
+                                  goal=chain.goal, bad=chain.bad)
+                    fields.update(change)
+                    assert not cli._is_fragment_of(mc, Mc(validate=False, **fields))
+
+    def test_a_different_controller_is_solved_and_rejected(
+            self, workdir, monkeypatch, capsys):
+        inp = _pomdp_file(workdir)
+        monkeypatch.setattr(cli, "fsc_from_instantiation",
+                            lambda m, k, topology, u: uniform_fsc(m, k, topology))
+        calls = self._count_solves(monkeypatch)
+        rc = main(["synthesize", str(inp), "-o", "best.fsc",
+                   "--spec", "P>= 0.7 [!bad U goal]", "--memory", "1",
+                   "--seed", "0", "--iterations", "20", "--swarm", "10"])
+        assert rc == EXIT_INPUT
+        assert "disagrees with search value" in capsys.readouterr().err
+        assert len(calls) == 2
 
 
 class TestClosedForm:

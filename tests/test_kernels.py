@@ -35,6 +35,21 @@ def _csr(rows, n):
             np.asarray(data, dtype=np.float64))
 
 
+def _assert_staged(table, seed):
+    """Every row of a batched evaluation equals the one-vector algorithm
+    with all three stages (powers, products, sums), segment by segment,
+    and a lone evaluation of that row, bit for bit."""
+    X = np.random.default_rng(seed).uniform(0.05, 0.95, (25, table.num_params))
+    got = table.evaluate(X)
+    for x, row in zip(X, got):
+        xx = np.append(x, 1.0)
+        fv = xx[table.factor_var] ** table.factor_exp
+        prods = np.multiply.reduceat(fv, table.factor_offsets[:-1]) * table.term_coeffs
+        want = np.add.reduceat(prods, table.term_offsets[:-1])
+        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == table.evaluate(x).tobytes()
+
+
 class TestTermTable:
     def test_matches_direct_evaluation(self):
         rng = random.Random(60)
@@ -60,18 +75,31 @@ class TestTermTable:
             polys.append(sum((_random_poly(rng, names) for _ in range(4)),
                              Polynomial()))
         assert max(len(p.sorted_terms()) for p in polys) >= 8
-        table = TermTable(polys, pidx)
-        X = np.random.default_rng(64).uniform(0.05, 0.95, (25, len(names)))
-        got = table.evaluate(X)
-        for x, row in zip(X, got):
-            # the one-vector algorithm, segment by segment
-            xx = np.append(x, 1.0)
-            fv = xx[table.factor_var] ** table.factor_exp
-            prods = np.multiply.reduceat(fv, table.factor_offsets[:-1]) * table.term_coeffs
-            want = np.add.reduceat(prods, table.term_offsets[:-1])
-            assert row.tobytes() == want.tobytes()
-            assert row.tobytes() == table.evaluate(x).tobytes()
+        _assert_staged(TermTable(polys, pidx), 64)
         assert TermTable([], {}).evaluate(np.zeros((3, 0))).shape == (3, 0)
+
+    def test_linear_tables_skip_powers_and_products(self):
+        # one factor of exponent 1 per term, as on the substituted chains:
+        # both skipped stages are identities, so rows stay bit-identical
+        rng = random.Random(65)
+        names = ["a", "b", "c", "d"]
+        pidx = {n: i for i, n in enumerate(names)}
+        linear = [sum((Polynomial.variable(n) * Polynomial.constant(
+                           F(rng.randint(-9, 9), rng.randint(1, 9)))
+                       for n in rng.sample(names, rng.randint(1, 4))),
+                      Polynomial.constant(F(rng.randint(0, 9), 7)))
+                  for _ in range(12)]
+        table = TermTable(linear, pidx)
+        assert not table._powers and not table._products
+        _assert_staged(table, 65)
+        # a power and a product switch their stages back on
+        a, b = Polynomial.variable("a"), Polynomial.variable("b")
+        table = TermTable(linear + [a * a, a * b], pidx)
+        assert table._powers and table._products
+        _assert_staged(table, 66)
+        table = TermTable(linear + [a * b], pidx)
+        assert not table._powers and table._products
+        _assert_staged(table, 67)
 
     def test_constants_and_zero_polynomials(self):
         pidx = {"a": 0}

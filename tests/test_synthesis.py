@@ -1,5 +1,6 @@
 """Swarm search, the deterministic oracle, and permissive regions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +83,28 @@ class TestCertify:
             "entry (0,1) evaluates to 3/2; entry (0,2) evaluates to -1/2")
 
 
+_CUT_THRESHOLDS = ("0", "1/2", "3/10", "1/3")
+
+
+class TestFloatVerdict:
+    """The swarm's one-comparison verdict against the exact one, at
+    thresholds floats hold exactly (0, 1/2) and ones they do not."""
+
+    @pytest.mark.parametrize("text", [
+        "P%s %s [!bad U goal]" % (c, t) for c in (">", ">=") for t in _CUT_THRESHOLDS
+    ] + [
+        "E%s%s %s [F goal]" % (opt, c, t) for opt in ("min", "max")
+        for c in (">", ">=", "<", "<=") for t in _CUT_THRESHOLDS
+    ])
+    def test_matches_exact_verdict(self, text):
+        spec = parse_spec(text)
+        f = float(spec.threshold)
+        values = np.array([f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf),
+                           np.inf, -np.inf, np.nan, -0.0])
+        want = [not math.isnan(v) and spec.satisfied_by(v) for v in values.tolist()]
+        assert sy.float_verdict(spec)(values).tolist() == want
+
+
 class TestPsoSearch:
     def test_finds_satisfying_point_quickly(self):
         d = g.biased_choice_pmc()
@@ -130,8 +153,10 @@ class TestPsoSearch:
 
     def test_time_budget_reports_exhaustion(self):
         d = g.biased_choice_pmc()
+        # far more rounds than fit in the budget, however fast a round runs
         res = sy.pso_search(d, parse_spec("P> 0.999 [!bad U goal]"),
-                            sy.SearchConfig(seed=0, time_budget=0.05))
+                            sy.SearchConfig(seed=0, time_budget=0.05,
+                                            max_iterations=10 ** 6))
         assert res.budget_exhausted
         assert not res.satisfied
 
@@ -324,6 +349,39 @@ class TestBatchedSwarm:
             "b0": "399603684710817/400000000000000",
             "b1": "5021831702048163/50000000000000000000",
             "c0": "1778722222035121/2500000000000000",
+        }
+
+    def test_golden_run_minimizing(self):
+        # recorded from the per-particle implementation: an Emin spec, so
+        # fitness is the value itself and the cut sits below the threshold
+        res = sy.pso_search(g.wide_group_pmc(reward=True), parse_spec("Emin<= 3 [F goal]"),
+                            sy.SearchConfig(seed=1, swarm_size=10, max_iterations=8),
+                            collect_satisfied=3)
+        assert [float(t) for t in res.trace] == [
+            4.999461038509199, 4.812685288307306, 3.5789468572334546,
+            3.1521740452769054, 3.020576662366159, 2.9743783537576074,
+            2.938129781819784, 2.8670488010052617, 2.7925510893897183]
+        assert res.evaluations == 90
+        assert res.first_satisfied_eval == 53
+        assert res.satisfied
+        assert str(res.value) == (
+            "27811212467238403400000000000000000000000000000000/"
+            "9959070246881762564961108200349426855033205700321")
+        assert [float(x[0]) for x in res.satisfied_samples] == [
+            0.10012709082291889, 0.033220272797771254, 0.028158189211126335]
+        assert {k: str(v) for k, v in res.instantiation.values.items()} == {
+            "a0": "10943937663807983/50000000000000000",
+            "a1": "10687592390270909/100000000000000000",
+            "a2": "247065511328797/250000000000000000",
+            "a3": "5754744035346317/12500000000000000000",
+            "a4": "479471370973681/1562500000000000",
+            "a5": "26355023288875467/500000000000000000",
+            "a6": "197910830488207/5000000000000000",
+            "a7": "5444202840503483/10000000000000000000",
+            "a8": "3531551312527643/2000000000000000000",
+            "b0": "4991028252413713/5000000000000000",
+            "b1": "4208304310561931/2500000000000000000",
+            "c0": "994668596490157/1000000000000000",
         }
 
     def test_search_stats_count_across_runs(self):
