@@ -12,9 +12,9 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     A holds the edges inside U, c the state rewards plus the edges into
     `one`, the value-1 states outside U. The region bounds solve one such
     system per interval allocation, in _policy_iterate;
-  - _elimination_graph turns (rows, c) into the weights that _eliminate
-    works on, with c as one sink column, for solve_exact and the closed
-    forms alike.
+  - solve_exact solves such a system in Fractions; _elimination_graph
+    turns one in rational functions into the weights that _eliminate works
+    on, with c as one sink column, for the closed forms.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
 and a fixpoint) and stay outside this frame. An exact value at a point reads
 the one models.apply_instantiation pass: ExactPmcEvaluator solves its
@@ -22,11 +22,11 @@ cached query over the instantiated rows where the point is graph-preserving
 and check_mc the instantiated chain anywhere else; both evaluators count
 that fallback as a recompute.
 
-Every value is exact, in Fractions end to end: sparse state elimination
-for linear systems (the same step that builds the closed forms), and one
-policy iteration engine, _policy_iterate, for the MDP optima and for the
-robust region bounds, where the greedy interval allocation is the one
-choice per state. Floats live only in FloatPmcEvaluator, which ranks the
+Every value is exact, in Fractions end to end: sparse elimination on
+integer rows for linear systems, in the pivot order of the closed forms,
+and one policy iteration engine, _policy_iterate, for the MDP optima and
+for the robust region bounds, where the greedy interval allocation is the
+one choice per state. Floats live only in FloatPmcEvaluator, which ranks the
 swarm's candidates: it evaluates a whole matrix of parameter vectors at
 once, one term-table pass for all edges and one stacked dense solve, in
 blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
@@ -35,6 +35,7 @@ boundary point.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,31 +195,86 @@ _REWARD = -2
 
 def solve_exact(rows, c):
     """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
-    substochastic (nonnegative, rows summing to at most one).
+    substochastic (nonnegative, rows summing to at most one). Entries and c
+    are ints or Fractions; a float reads as its exact binary value, as
+    Fraction(v) reads it.
 
-    Sparse state elimination (the same _eliminate step as the closed forms):
-    c is a sink column, pivots go in min in*out degree order, and each
-    eliminated row is kept for the back-substitution. I - A is then an
-    M-matrix, so every pivot 1 - a_ss of a nonsingular system is positive; a
-    zero pivot means the system is singular.
+    Sparse elimination on integer rows: row i, scaled by the lcm of its
+    denominators, reads d_i x_i = sum_j m_ij x_j + b_i, with the self-loop
+    folded into d_i and b_i in the _GOOD column. Pivots go in min in*out
+    degree order. Substituting row s into a predecessor p scales p by
+    d_s / g and row s by m_ps / g, g = gcd(d_s, m_ps), and divides the
+    result by its content (one gcd over the row). The back-substitution
+    keeps one shared denominator, the lcm of the denominators of the values
+    found so far. I - A is an M-matrix, so every pivot d_s of a nonsingular
+    system is positive; a zero pivot means the system is singular.
     """
     n = len(c)
-    w, preds = _elimination_graph(
-        [{j: Fraction(a) for j, a in row.items()} for row in rows],
-        [Fraction(v) for v in c], _GOOD)
+    d = []
+    w = {}
+    preds = {i: set() for i in range(n)}
+    preds[_GOOD] = set()
+    for i, (row, ci) in enumerate(zip(rows, c)):
+        entries = [(j, *a.as_integer_ratio()) for j, a in row.items()]
+        cp, cq = ci.as_integer_ratio()
+        scale = math.lcm(cq, *(q for _j, _p, q in entries))
+        d.append(scale)
+        w[i] = out = {}
+        for j, p, q in entries:
+            if j == i:
+                d[i] -= p * (scale // q)
+            elif p:
+                out[j] = p * (scale // q)
+                preds[j].add(i)
+        if cp:
+            out[_GOOD] = cp * (scale // cq)
+            preds[_GOOD].add(i)
     eliminated = []
-    try:
-        for s in _pick_elimination_order(w, preds, range(n), "degree"):
-            eliminated.append((s, _eliminate(w, preds, s)))
-    except ZeroDivisionError:
-        raise ModelError("singular linear system") from None
-    x = [Fraction(0)] * n
-    for s, out in reversed(eliminated):
-        acc = Fraction(0)
-        for t, v in out:
-            acc += v if t == _GOOD else v * x[t]
-        x[s] = acc
-    return x
+    for s in _pick_elimination_order(w, preds, range(n), "degree"):
+        ds = d[s]
+        if not ds:
+            raise ModelError("singular linear system")
+        out = w.pop(s)
+        for t in out:
+            preds[t].discard(s)
+        for p in preds[s]:
+            row = w[p]
+            g = math.gcd(row[s], ds)
+            fs = row.pop(s) // g
+            fp = ds // g
+            dp = d[p] * fp
+            if fp != 1:
+                for t in row:
+                    row[t] *= fp
+            for t, v in out.items():
+                if t == p:
+                    dp -= fs * v
+                elif t in row:
+                    row[t] += fs * v
+                else:
+                    row[t] = fs * v
+                    preds[t].add(p)
+            g = math.gcd(dp, *row.values())
+            if g > 1:
+                dp //= g
+                for t in row:
+                    row[t] //= g
+            d[p] = dp
+        eliminated.append((s, ds, out))
+    # x[s] = num[s] / den for every s solved so far, num[s] = 0 for the rest
+    num = [0] * n
+    den = 1
+    for s, ds, out in reversed(eliminated):
+        acc = 0
+        for t, v in out.items():
+            acc += v * (den if t == _GOOD else num[t])
+        g = math.gcd(acc, ds)
+        k = ds // g
+        if k != 1:
+            den *= k
+            num = [v * k for v in num]
+        num[s] = acc // g
+    return [Fraction(v, den) for v in num]
 
 
 def _elimination_graph(rows, c, sink):
@@ -517,9 +573,8 @@ def _pick_elimination_order(w, preds, candidates, order):
 
 def _eliminate(w, preds, s):
     """Remove state s by rerouting every pred -> s -> succ through
-    1/(1 - selfloop). Generic over the value field (Fraction or
-    RationalFunction); returns s's rerouted row [(succ, value)], which
-    refers only to states still present."""
+    1/(1 - selfloop), in RationalFunctions; returns s's rerouted row
+    [(succ, value)], which refers only to states still present."""
     loop = w[s].pop(s, None)
     if loop is not None:
         preds[s].discard(s)

@@ -61,6 +61,10 @@ class TestSolvers:
         x = solve_exact(rows, c)
         assert x[0] == F(3, 5) and x[1] == F(7, 10)
 
+    def test_solve_exact_reads_a_float_at_its_binary_value(self):
+        # as Fraction(v) reads it: a float reward reaches c unconverted
+        assert solve_exact([{1: 0.5}, {}], [0.1, 1]) == [F(0.5) + F(0.1), F(1)]
+
     def test_reach_avoid_golden(self):
         mc = _mc({0: {1: F(1, 2), 2: F(1, 2)}, 1: {1: F(1)}, 2: {1: F(1)}},
                  goal={1}, bad={2})
@@ -126,8 +130,10 @@ class TestSolveExact:
     @pytest.mark.parametrize("constant", ["all", "some", "none"])
     def test_solution_satisfies_the_system_exactly(self, shape, loops, constant):
         rng = random.Random("%s/%s/%s" % (shape, loops, constant))
-        # dense fill costs O(n^3) Fraction operations: keep dense systems small
-        sizes = [n for n in self.SIZES if shape == "sparse" or n <= 40]
+        # dense fill costs O(n^3) big-integer operations whose operands grow
+        # with every pivot: near-dense systems stop at n = 80, a few tenths
+        # of a second
+        sizes = [n for n in self.SIZES if shape == "sparse" or n <= 80]
         for n in sizes:
             rows, c = _substochastic_system(rng, n, self.WIDTHS[shape], loops, constant)
             x = solve_exact(rows, c)
@@ -138,12 +144,35 @@ class TestSolveExact:
             if constant == "none":
                 assert x == [0] * n
 
+    @pytest.mark.parametrize("shape", ["sparse", "near-dense"])
+    def test_float_repr_entries(self, shape):
+        # entries with the ~57-bit denominators of a float's shortest repr,
+        # like the points certify reads: every row's lcm is a large integer,
+        # and many updated rows have a content above 1 to divide out
+        rng = random.Random("repr/%s" % shape)
+        for n in (3, 12, 40):
+            rows = []
+            c = []
+            for i in range(n):
+                succ = rng.sample(range(n), min(n, self.WIDTHS[shape](n)))
+                cuts = sorted(rng.random() for _ in range(len(succ) + 1))
+                weights = [F(repr(b - a)) for a, b in zip([0.0] + cuts, cuts)]
+                rows.append(dict(zip(succ, weights)))
+                c.append(F(repr(rng.random())) * (1 - sum(weights)))
+            x = solve_exact(rows, c)
+            assert max(a.denominator for row in rows for a in row.values()).bit_length() > 50
+            for i in range(n):
+                assert x[i] == sum(a * x[j] for j, a in rows[i].items()) + c[i]
+
     @pytest.mark.parametrize("rows, c", [
         # states 1 and 2 form a closed class inside the unknowns
         ([{1: F(1, 2)}, {2: F(1)}, {1: F(1)}], [F(1, 2), F(0), F(0)]),
         ([{0: F(1)}], [F(0)]),
         ([{1: F(1, 3), 2: F(1, 3)}, {1: F(1, 2), 2: F(1, 2)}, {1: F(1)}],
          [F(1, 3), F(0), F(0)]),
+        # a closed cycle without self-loops: the zero pivot appears only
+        # once two eliminations have folded the loop
+        ([{1: 1}, {2: 1}, {0: 1}], [0, 0, 0]),
     ])
     def test_singular_system_raises(self, rows, c):
         with pytest.raises(ModelError, match="^singular linear system$"):
