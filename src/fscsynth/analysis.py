@@ -7,14 +7,15 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     states are uncertain (U) and which value the graph already settles at
     the initial state (1 or 0 for reach-avoid; 0 at a goal or INFINITE when
     the goal may be missed, for expected reward);
-  - _system builds x = A x + c over U in any value field (Fractions,
-    rational functions, or edge numbers for the float evaluator):
+  - _system builds x = A x + c over U in any value ring (Fractions,
+    polynomials, or edge numbers for the float evaluator):
     A holds the edges inside U, c the state rewards plus the edges into
     `one`, the value-1 states outside U. The region bounds solve one such
     system per interval allocation, in _policy_iterate;
-  - solve_exact solves such a system in Fractions; _elimination_graph
-    turns one in rational functions into the weights that _eliminate works
-    on, with c as one sink column, for the closed forms.
+  - _eliminate removes unknowns from such a system on integer rows, with
+    c as one sink column: over the integers for solve_exact, which
+    back-substitutes in Fractions, and over integer polynomials for the
+    closed forms, which keep the initial row and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
 and a fixpoint) and stay outside this frame. An exact value at a point reads
 the one models.apply_instantiation pass: ExactPmcEvaluator solves its
@@ -23,10 +24,10 @@ and check_mc the instantiated chain anywhere else; both evaluators count
 that fallback as a recompute.
 
 Every value is exact, in Fractions end to end: sparse elimination on
-integer rows for linear systems, in the pivot order of the closed forms,
-and one policy iteration engine, _policy_iterate, for the MDP optima and
-for the robust region bounds, where the greedy interval allocation is the
-one choice per state. Floats live only in FloatPmcEvaluator, which ranks the
+integer rows for linear systems and closed forms alike, and one policy
+iteration engine, _policy_iterate, for the MDP optima and for the robust
+region bounds, where the greedy interval allocation is the one choice per
+state. Floats live only in FloatPmcEvaluator, which ranks the
 swarm's candidates: it evaluates a whole matrix of parameter vectors at
 once, one term-table pass for all edges and one stacked dense solve, in
 blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
@@ -58,7 +59,8 @@ from .models import (
     apply_instantiation,
     is_infinite,
 )
-from .polynomials import RF_ZERO, Polynomial, RationalFunction
+from . import polynomials
+from .polynomials import POLY_ONE, POLY_ZERO, Polynomial, RationalFunction
 
 # byte budget of one stacked (rows x n x n) block of float evaluation solves
 SOLVE_BLOCK_BYTES = 2 ** 21
@@ -185,29 +187,40 @@ def _same(p):
 # linear solving
 
 
-# sink columns of elimination: _GOOD holds constant terms and the merged
-# value-one states, _REWARD the state rewards of reward closed forms. Only
-# _GOOD counts toward the degree order; counting _REWARD as well lengthened
-# reward forms on random models.
+# the sink column of elimination: constant terms, state rewards and the
+# merged value-one states
 _GOOD = -1
-_REWARD = -2
 
 
-def solve_exact(rows, c):
-    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
-    substochastic (nonnegative, rows summing to at most one). Entries and c
-    are ints or Fractions; a float reads as its exact binary value, as
-    Fraction(v) reads it.
+def _pick_elimination_order(w, preds, candidates):
+    remaining = set(candidates)
 
-    Sparse elimination on integer rows: row i, scaled by the lcm of its
-    denominators, reads d_i x_i = sum_j m_ij x_j + b_i, with the self-loop
-    folded into d_i and b_i in the _GOOD column. Pivots go in min in*out
-    degree order. Substituting row s into a predecessor p scales p by
-    d_s / g and row s by m_ps / g, g = gcd(d_s, m_ps), and divides the
-    result by its content (one gcd over the row). The back-substitution
-    keeps one shared denominator, the lcm of the denominators of the values
-    found so far. I - A is an M-matrix, so every pivot d_s of a nonsingular
-    system is positive; a zero pivot means the system is singular.
+    def degree(s):
+        # in*out degree (no self-loops: _eliminate folds them into d_s);
+        # ties go to the lowest id
+        return len(preds[s]) * len(w[s]), s
+
+    while remaining:
+        best = min(remaining, key=degree)
+        remaining.discard(best)
+        yield best
+
+
+def _eliminate(rows, c, keep=None, gcd=math.gcd):
+    """Eliminate every unknown of x = A x + c but `keep` (None: all of
+    them) on integer rows. rows[i]: {j: a_ij} over 0..n-1; entries and c
+    are anything with as_integer_ratio(): ints, Fractions (a float reads as
+    its exact binary value) or Polynomials, which eliminate over Z[params].
+
+    Row i, scaled by the lcm of its denominators, reads d_i x_i =
+    sum_j m_ij x_j + b_i, with the self-loop folded into d_i and b_i in the
+    _GOOD column. Pivots go in min in*out degree order, ties to the lowest
+    index. Substituting row s into a predecessor p scales p by d_s / g and
+    row s by m_ps / g, g = gcd(d_s, m_ps), and divides the result by its
+    content gcd(d_p, row p). gcd is math.gcd for numbers and polynomials.gcd
+    for Polynomials, whose `//` divides exactly. A zero pivot means the
+    system is singular. Returns the pivots d, the rows w left over ({keep:
+    its row}, or empty) and the (s, d_s, row s) of each pivot in order.
     """
     n = len(c)
     d = []
@@ -230,7 +243,7 @@ def solve_exact(rows, c):
             out[_GOOD] = cp * (scale // cq)
             preds[_GOOD].add(i)
     eliminated = []
-    for s in _pick_elimination_order(w, preds, range(n), "degree"):
+    for s in _pick_elimination_order(w, preds, [i for i in range(n) if i != keep]):
         ds = d[s]
         if not ds:
             raise ModelError("singular linear system")
@@ -239,7 +252,7 @@ def solve_exact(rows, c):
             preds[t].discard(s)
         for p in preds[s]:
             row = w[p]
-            g = math.gcd(row[s], ds)
+            g = gcd(row[s], ds)
             fs = row.pop(s) // g
             fp = ds // g
             dp = d[p] * fp
@@ -254,15 +267,31 @@ def solve_exact(rows, c):
                 else:
                     row[t] = fs * v
                     preds[t].add(p)
-            g = math.gcd(dp, *row.values())
-            if g > 1:
+            g = gcd(dp, *row.values())
+            # g = 0: an empty row with a vanished pivot, which raises as one
+            if g != 1 and g:
                 dp //= g
                 for t in row:
                     row[t] //= g
             d[p] = dp
         eliminated.append((s, ds, out))
+    return d, w, eliminated
+
+
+def solve_exact(rows, c):
+    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
+    substochastic (nonnegative, rows summing to at most one). Entries and c
+    are ints or Fractions; a float reads as its exact binary value, as
+    Fraction(v) reads it.
+
+    _eliminate removes every unknown; the back-substitution keeps one shared
+    denominator, the lcm of the denominators of the values found so far.
+    I - A is an M-matrix, so every pivot of a nonsingular system is
+    positive.
+    """
+    _d, _w, eliminated = _eliminate(rows, c)
     # x[s] = num[s] / den for every s solved so far, num[s] = 0 for the rest
-    num = [0] * n
+    num = [0] * len(c)
     den = 1
     for s, ds, out in reversed(eliminated):
         acc = 0
@@ -275,22 +304,6 @@ def solve_exact(rows, c):
             num = [v * k for v in num]
         num[s] = acc // g
     return [Fraction(v, den) for v in num]
-
-
-def _elimination_graph(rows, c, sink):
-    """The weights _eliminate works on for x = A x + c: w[i] is row i over
-    0..n-1 with c[i] in the sink column, zero entries left out, and preds[j]
-    the rows with an entry in column j."""
-    w = {}
-    preds = {i: set() for i in range(len(c))}
-    preds[sink] = set()
-    for i, row in enumerate(rows):
-        w[i] = out = {j: a for j, a in row.items() if a}
-        if c[i]:
-            out[sink] = c[i]
-        for j in out:
-            preds[j].add(i)
-    return w, preds
 
 
 # ---------------------------------------------------------------------------
@@ -551,93 +564,41 @@ def _pmc_graph(d):
     return {s: tuple(d.row(s)) for s in d.states}
 
 
-def _pick_elimination_order(w, preds, candidates, order):
-    if order == "sequential":
-        ordered = sorted(candidates)
-        while ordered:
-            yield ordered.pop(0)
-        return
-    remaining = set(candidates)
-
-    def degree(s):
-        # in*out degree, self-loops left out; ties go to the lowest id
-        ins = len(preds[s]) - (s in preds[s])
-        outs = len(w[s]) - (s in w[s]) - (_REWARD in w[s])
-        return ins * outs, s
-
-    while remaining:
-        best = min(remaining, key=degree)
-        remaining.discard(best)
-        yield best
-
-
-def _eliminate(w, preds, s):
-    """Remove state s by rerouting every pred -> s -> succ through
-    1/(1 - selfloop), in RationalFunctions; returns s's rerouted row
-    [(succ, value)], which refers only to states still present."""
-    loop = w[s].pop(s, None)
-    if loop is not None:
-        preds[s].discard(s)
-        inv = 1 / (1 - loop)
-        out = [(t, inv * wst) for t, wst in w[s].items()]
-    else:
-        out = list(w[s].items())
-    for t, _ in out:
-        preds[t].discard(s)
-    for p in list(preds[s]):
-        wps = w[p].pop(s)
-        for t, wst in out:
-            if t in w[p]:
-                w[p][t] = w[p][t] + wps * wst
-            else:
-                w[p][t] = wps * wst
-                preds[t].add(p)
-    del w[s]
-    preds[s] = set()
-    return out
-
-
-def _closed_form(d: PmcT, q: _Query, reward, order) -> RationalFunction:
+def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     """Eliminate every uncertain state but the initial one from x = A x + c
-    over q.U in rational functions; the value is the initial row's sink entry
-    over 1 - its loop. The states go by their index in U, which follows the
-    state order, so degree-order ties go to the lowest state."""
+    over q.U on integer rows over Z[params]; the value is the initial row's
+    sink entry over its pivot, cancelled by their full gcd, so the form is
+    the reduced one whatever the pivot order."""
     if q.value is not None:
         return RationalFunction.constant(q.value)
-    sink = _REWARD if reward else _GOOD
     rewards = d.rewards if reward else {}
     idx = {s: i for i, s in enumerate(q.U)}
     rows, c = _system(q, idx, lambda s: d.row(s).items(),
-                      lambda s: RationalFunction(rewards.get(s, Polynomial())),
-                      RationalFunction)
-    w, preds = _elimination_graph(rows, c, sink)
+                      lambda s: rewards.get(s, POLY_ZERO), _same)
     initial = idx[d.initial]
-    for s in _pick_elimination_order(w, preds, [s for s in w if s != initial], order):
-        _eliminate(w, preds, s)
-    row = w[initial]
-    value = row.get(sink, RF_ZERO)
-    loop = row.get(initial)
-    return value if loop is None else value / (1 - loop)
+    pivots, w, _ = _eliminate(rows, c, initial, polynomials.gcd)
+    # the pivot is still an int if no substitution touched the initial row
+    return RationalFunction(*polynomials._sympy_cancel(
+        w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))
 
 
-def state_eliminate(d: PmcT, goal=None, bad=None, order="degree") -> RationalFunction:
+def state_eliminate(d: PmcT, goal=None, bad=None) -> RationalFunction:
     """Closed-form reach-avoid probability as a rational function over the
     parameters, valid at every graph-preserving well-defined valuation.
 
-    States other than the initial one are eliminated by rerouting
-    pred -> s -> succ through 1/(1 - selfloop); edges into the value-one
-    states merge into one sink column. order is the in*out degree heuristic
-    or plain ascending ids."""
+    States other than the initial one are eliminated by fraction-free
+    substitution (_eliminate over Polynomials); edges into the value-one
+    states merge into one sink column."""
     goal = d.goal if goal is None else frozenset(goal)
     bad = d.bad if bad is None else frozenset(bad)
-    return _closed_form(d, _query(_pmc_graph(d), d.initial, goal, bad, False), False, order)
+    return _closed_form(d, _query(_pmc_graph(d), d.initial, goal, bad, False), False)
 
 
-def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFunction:
+def state_eliminate_reward(d: PmcT, goal=None) -> RationalFunction:
     """Closed-form expected reward until goal. Requires that every
     graph-preserving valuation reaches the goal almost surely (a property of
     the graph alone); otherwise the value is infinite everywhere and no
-    rational function exists. The state rewards form the sink column."""
+    rational function exists. The state rewards join the sink column."""
     goal = d.goal if goal is None else frozenset(goal)
     q = _query(_pmc_graph(d), d.initial, goal, (), True)
     if is_infinite(q.value):
@@ -645,7 +606,7 @@ def state_eliminate_reward(d: PmcT, goal=None, order="degree") -> RationalFuncti
             "expected reward diverges on the graph-preserving region "
             "(goal missed with positive probability)"
         )
-    return _closed_form(d, q, True, order)
+    return _closed_form(d, q, True)
 
 
 # ---------------------------------------------------------------------------

@@ -397,10 +397,10 @@ def cmd_closed_form(args) -> int:
     d = _load_pmc(inp)
     out = Path(args.output)
     if args.reward:
-        f = analysis.state_eliminate_reward(d, order=args.order)
+        f = analysis.state_eliminate_reward(d)
         what = "expected reward to goal"
     else:
-        f = analysis.state_eliminate(d, order=args.order)
+        f = analysis.state_eliminate(d)
         what = "reach-avoid probability"
     out.write_text(formats.write_rational_function(
         f, _provenance(args, [inp], ["closed form: %s" % what])))
@@ -554,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(f)
     f.add_argument("--reward", action="store_true",
                    help="expected reward instead of reachability")
-    f.add_argument("--order", choices=["degree", "sequential"], default="degree")
     f.set_defaults(func=cmd_closed_form)
 
     pr = sub.add_parser("prove", help="prove no controller in a region beats "

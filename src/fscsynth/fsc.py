@@ -11,8 +11,6 @@ reads the controller off the same polynomials.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import Instantiation, Mc, ModelError, Pomdp, _group_defects
@@ -357,59 +355,3 @@ def induced_mc(m: Pomdp, a: Fsc) -> Mc:
     bad = frozenset(i for i in states if (i // k) in m.bad)
     return Mc(states, start, trans, rewards, goal, bad,
               meta={"product": True, "k": k})
-
-
-@dataclass
-class SimulationResult:
-    reach_frequency: float
-    mean_reward: float
-    episodes: int
-
-
-def _draw(rng, dist):
-    # dist values may be Fractions; compare in floats
-    x = rng.random()
-    acc = 0.0
-    items = sorted(dist.items(), key=lambda kv: str(kv[0]))
-    for key, p in items:
-        acc += float(p)
-        if x < acc:
-            return key
-    return items[-1][0]
-
-
-def simulate(m: Pomdp, a: Fsc, episodes: int, horizon: int = 10000,
-             seed: int = 0) -> SimulationResult:
-    """Monte-Carlo estimate of reach-avoid frequency and mean reward.
-
-    Episodes exceeding the horizon count as non-reaching (documented bias).
-    Per-episode generators are seeded from (seed, episode index), so results
-    do not depend on scheduling order.
-    """
-    if episodes < 1:
-        raise ModelError("episodes must be >= 1")
-    hits = 0
-    total_reward = 0.0
-    for ep in range(episodes):
-        rng = random.Random((seed << 32) + ep)
-        s, n = m.initial, a.initial_node
-        acc = 0.0
-        for _ in range(horizon):
-            if s in m.goal:
-                hits += 1
-                break
-            if s in m.bad:
-                break
-            z = m.obs[s]
-            act = _draw(rng, a.gamma(n, z))
-            r = m.rewards.get((s, act))
-            if r:
-                acc += float(r)
-            s2 = _draw(rng, m.trans[(s, act)])
-            n = _draw(rng, a.delta(n, z, act))
-            s = s2
-        else:
-            if s in m.goal:
-                hits += 1
-        total_reward += acc
-    return SimulationResult(hits / episodes, total_reward / episodes, episodes)

@@ -11,7 +11,10 @@ with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
 tuples mapped to Fractions, rendered in graded lexicographic order. Rational
 functions past GCD_TERM_THRESHOLD terms are cancelled by the gcd of their
 integer coefficient polynomials in sympy's sparse ring over ZZ, with sympy
-imported on that path only. The exact path never touches binary floats.
+imported on that path only. The same rule gives the common factors of the
+fraction-free elimination in analysis (gcd), and its closed forms end with
+one full cancel whatever their size. The exact path never touches binary
+floats.
 """
 
 from __future__ import annotations
@@ -143,6 +146,14 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._mons
 
+    def __bool__(self):
+        return bool(self._mons)
+
+    def as_integer_ratio(self):
+        """(integer polynomial, positive int) with self as their quotient, as
+        int and Fraction give theirs."""
+        return _packed(self._mons, 1, self._w, self._deg), self._den
+
     def is_constant(self) -> bool:
         return not self._mons or (len(self._mons) == 1 and 0 in self._mons)
 
@@ -225,6 +236,17 @@ class Polynomial:
         return _packed(out, a._den * b._den, a._w, deg)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient self / other, for an int or a Polynomial that
+        divides self; a non-constant divisor goes through sympy."""
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_constant():
+            return self * Polynomial.constant(1 / other.constant_value())
+        (a, b), back = _in_ring((self, other))
+        return back(a.exquo(b), self) * other._den
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -429,30 +451,56 @@ def _ring(names: tuple):
     return ring(names, ZZ)[0]
 
 
-def _sympy_cancel(num: Polynomial, den: Polynomial):
-    """Divide num and den by the gcd of their integer coefficient
-    polynomials, computed in sympy's sparse polynomial ring over ZZ. Each
-    side keeps its denominator, so the quotient is unchanged. Returns the
-    inputs when the gcd is a constant."""
-    a, b = _common(num, den)
-    w = a._w
+def _in_ring(ps):
+    """The polynomials ps as integer polynomials in sympy's sparse ring over
+    ZZ in their variables, and the map back: back(f, p) is f over the
+    denominator of p, in the field width of all of ps."""
+    top = max(ps, key=lambda p: p._w)
+    w = top._w
     mask = (1 << w) - 1
-    names = tuple(sorted(num.variables() | den.variables()))
+    names = tuple(sorted(set().union(*(p.variables() for p in ps))))
     shifts = [w * _FIELD[n] for n in names]
     R = _ring(names)
 
     def to_ring(p):
+        p = _common(p, top)[0]
         return R.from_dict({tuple((m >> sh) & mask for sh in shifts): c
                             for m, c in p._mons.items()})
 
-    def from_ring(f, p):
+    def back(f, p):
         return _packed({sum(exps) + sum(e << sh for e, sh in zip(exps, shifts)): int(c)
-                         for exps, c in f.items()}, p._den, w, p._deg)
+                        for exps, c in f.items()}, p._den, w, p._deg)
 
-    g, qn, qd = to_ring(a).cofactors(to_ring(b))
-    if g.is_ground:
-        return num, den
-    return from_ring(qn, a), from_ring(qd, b)
+    return [to_ring(p) for p in ps], back
+
+
+def _sympy_cancel(*ps):
+    """Divide the polynomials ps by the gcd of their integer coefficient
+    polynomials, computed in sympy's sparse polynomial ring over ZZ. Each
+    keeps its denominator, so every quotient of two of them is unchanged.
+    Returns the inputs when the gcd is a constant."""
+    fs, back = _in_ring(ps)
+    g, qs = fs[0], [fs[0].ring.one]
+    for f in fs[1:]:
+        g, a, b = g.cofactors(f)
+        if g.is_ground:
+            return ps
+        qs = [q * a for q in qs]
+        qs.append(b)
+    return tuple(back(q, p) for q, p in zip(qs, ps))
+
+
+def gcd(*ps):
+    """A common factor of integer polynomials (or ints) ps, the one
+    analysis._eliminate divides out: their int content, or, once one of
+    them has more than GCD_TERM_THRESHOLD terms, their gcd through
+    _sympy_cancel. Exact under `//`."""
+    ps = [_as_poly(p) for p in ps]
+    if any(len(p._mons) > GCD_TERM_THRESHOLD for p in ps):
+        q = _sympy_cancel(*ps)[0]
+        if q is not ps[0]:
+            return ps[0] // q
+    return math.gcd(*(c for p in ps for c in p._mons.values()))
 
 
 class RationalFunction:
@@ -605,5 +653,3 @@ def _as_rf(x):
         return RationalFunction.constant(x)
     return NotImplemented
 
-
-RF_ZERO = RationalFunction.constant(0)

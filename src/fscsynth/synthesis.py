@@ -47,15 +47,19 @@ from .models import (
 )
 
 PENALTY = 1e9
+# particle-swarm weights of the velocity update: inertia, pull toward the
+# particle's own best and pull toward the swarm's best
+INERTIA = 0.72
+COGNITIVE = 1.49
+SOCIAL = 1.49
+# seed-swept swarm runs find_permissive makes before it gives up
+MAX_ATTEMPTS = 10
 
 
 @dataclass
 class SearchConfig:
     swarm_size: int = 40
     max_iterations: int = 500
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
     min_prob: float = 1e-4
     seed: int = 0
     time_budget: float | None = None  # seconds
@@ -307,9 +311,9 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
             break
         r1 = rng.random((swarm, codec.dims))
         r2 = rng.random((swarm, codec.dims))
-        V = (cfg.inertia * V
-             + cfg.cognitive * r1 * (pbest_pos - X)
-             + cfg.social * r2 * (gbest_pos - X))
+        V = (INERTIA * V
+             + COGNITIVE * r1 * (pbest_pos - X)
+             + SOCIAL * r2 * (gbest_pos - X))
         X = X + V
         f, x = fitness_batch(X)
         better = f < pbest_f
@@ -425,7 +429,7 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
 
 
 def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
-                    num_witnesses: int = 3, max_attempts: int = 10) -> PermissiveCandidate:
+                    num_witnesses: int = 3) -> PermissiveCandidate:
     """Collect satisfying instantiations from seed-swept swarm runs and wrap
     them in a verified-or-not box region. With fewer witnesses than asked
     the region degenerates toward a point around the best one."""
@@ -434,7 +438,7 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
     witnesses = []
     best = None
     runs = []
-    for i in range(max_attempts):
+    for i in range(MAX_ATTEMPTS):
         res = pso_search(d, spec, dataclasses.replace(cfg, seed=cfg.seed + i),
                          collect_satisfied=num_witnesses)
         runs.append(res)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import genmodels as g
-from fscsynth import analysis
+from fscsynth import analysis, polynomials
 from fscsynth.analysis import (
     ExactPmcEvaluator,
     FloatPmcEvaluator,
@@ -38,7 +38,7 @@ from fscsynth.models import (
     is_infinite,
     parse_spec,
 )
-from fscsynth.polynomials import Polynomial, RationalFunction
+from fscsynth.polynomials import Polynomial, RationalFunction, _sympy_cancel
 from fscsynth.transforms import induced_pmc
 
 F = Fraction
@@ -255,13 +255,44 @@ class TestClosedForm:
         p = V("p")
         assert rf == RationalFunction(C(F(1, 2)) + C(F(3, 10)) * p)
 
-    def test_elimination_orders_agree(self):
+    def test_forms_are_reduced(self, monkeypatch):
+        # the full gcd of numerator and denominator is a constant, whatever
+        # the pivot order left behind; the reward form counts steps (unit
+        # state rewards), since these models carry no rewards of their own
         rng = random.Random(43)
-        for _ in range(10):
-            d = g.random_simple_pmc(rng, max_states=10)
-            a = state_eliminate(d, order="degree")
-            b = state_eliminate(d, order="sequential")
-            assert a == b
+        models = [g.random_simple_pmc(rng, max_states=10) for _ in range(10)]
+        models += [induced_pmc(g.random_pomdp(random.Random(seed), max_states=9,
+                                              max_actions=3, max_obs=3), 1)
+                   for seed in (44, 48)]
+        # some step forms pass GCD_TERM_THRESHOLD during elimination, where
+        # rows share a polynomial factor, not just an int
+        factors = []
+        gcd = polynomials.gcd
+
+        def recording(*ps):
+            factors.append(gcd(*ps))
+            return factors[-1]
+
+        monkeypatch.setattr(polynomials, "gcd", recording)
+        checked = 0
+        for d in models:
+            steps = PmcT(d.num_states, d.initial, d.trans, params=d.params,
+                         rewards={s: C(1) for s in d.states}, goal=d.goal,
+                         bad=d.bad, param_groups=d.param_groups)
+            u = g.random_instantiation_for(d, rng)
+            mc = apply_instantiation(steps, u).model
+            for form, value in ((state_eliminate, reach_avoid_prob),
+                                (state_eliminate_reward, expected_reward)):
+                try:
+                    rf = form(steps)
+                except ModelError:
+                    continue  # the expected reward diverges
+                qn, qd = _sympy_cancel(rf.num, rf.den)
+                assert qn is rf.num and qd is rf.den, str(rf)
+                assert rf.evaluate(u.values) == value(mc)
+                checked += 1
+        assert checked > 20
+        assert any(isinstance(f, Polynomial) and not f.is_constant() for f in factors)
 
     def test_matches_evaluator_at_random_points(self):
         rng = random.Random(44)

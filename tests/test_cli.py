@@ -409,13 +409,6 @@ class TestClosedForm:
         assert f == state_eliminate(g.biased_choice_pmc())
         assert "(5 + 3*p)/10" in capsys.readouterr().out
 
-    def test_order_flag_changes_nothing(self, workdir):
-        inp = _pmc_file(workdir)
-        main(["closed-form", str(inp), "-o", "a.fn", "--order", "degree"])
-        main(["closed-form", str(inp), "-o", "b.fn", "--order", "sequential"])
-        assert (formats.parse_rational_function(Path("a.fn").read_text())
-                == formats.parse_rational_function(Path("b.fn").read_text()))
-
 
 class TestProve:
     def test_refutation_exits_zero(self, workdir, capsys):
@@ -489,9 +482,10 @@ class TestValueText:
 
 class TestLazySympy:
     def test_search_and_check_never_import_sympy(self, workdir):
-        # sympy (about 32 MB resident) is imported only by the gcd
-        # cancellation of large rational functions; commands that never
-        # reach it must not pay for it
+        # sympy (about 32 MB resident) is imported by closed-form, whose
+        # final cancel always runs, and by the gcd cancellation of large
+        # rational functions; commands that never reach either must not pay
+        # for it
         pomdp = _pomdp_file(workdir)
         pmc = _pmc_file(workdir)
         point = _write(workdir / "point.inst",
@@ -506,6 +500,9 @@ class TestLazySympy:
             "    ['synthesize', %r, '-o', 'best.fsc', '--spec',"
             " 'P>= 0.7 [!bad U goal]', '--memory', '1', '--seed', '0',"
             " '--iterations', '5', '--swarm', '5']," % str(pomdp),
+            "    ['prove', %r, '--spec', 'P> 0.8 [!bad U goal]']," % str(pmc),
+            "    ['permissive', %r, '--spec', 'P> 0.6 [!bad U goal]',"
+            " '-o', 'good.region', '--seed', '3', '--iterations', '30']," % str(pmc),
             "]",
             "for argv in commands:",
             "    with contextlib.redirect_stdout(io.StringIO()):",

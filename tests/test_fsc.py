@@ -1,4 +1,4 @@
-"""Controllers, the POMDP x controller product, and simulation."""
+"""Controllers and the POMDP x controller product."""
 
 import hashlib
 import random
@@ -18,7 +18,6 @@ from fscsynth.fsc import (
     lift_fsc,
     memory_param,
     memory_targets,
-    simulate,
     substituted_param,
     uniform_fsc,
 )
@@ -226,42 +225,3 @@ class TestProduct:
                 lifted = lift_fsc(a, extra)
                 assert lifted.num_nodes == a.num_nodes + extra
                 assert check_mc(induced_mc(m, lifted), SPEC) == v
-
-
-class TestSimulate:
-    def test_deterministic_per_seed(self):
-        m = g.two_coin_pomdp()
-        a = uniform_fsc(m, 1)
-        r1 = simulate(m, a, 300, seed=5)
-        r2 = simulate(m, a, 300, seed=5)
-        assert (r1.reach_frequency, r1.mean_reward) == (r2.reach_frequency, r2.mean_reward)
-        assert r1.episodes == 300
-
-    def test_frequency_tracks_exact_value(self):
-        m = g.two_coin_pomdp()
-        a = uniform_fsc(m, 1)
-        exact = check_mc(induced_mc(m, a), SPEC)  # 13/20
-        assert exact == F(13, 20)
-        r = simulate(m, a, 4000, seed=1)
-        assert abs(r.reach_frequency - float(exact)) < 0.03
-
-    def test_horizon_truncation_counts_as_miss(self):
-        m = g.sticky_start_pomdp()
-        a = Fsc(1, 0, {(0, 0): {"stay": F(1)}},
-                {(0, 0, "stay"): {0: F(1)}})
-        r = simulate(m, a, 50, horizon=200, seed=0)
-        assert r.reach_frequency == 0.0
-
-    def test_mean_reward(self):
-        m = g.chain_reward_pomdp()
-        a = Fsc(1, 0,
-                {(0, 0): {"direct": F(1)}, (0, 1): {"direct": F(1)},
-                 (0, 2): {"direct": F(1)}},
-                {(0, 0, "direct"): {0: F(1)}, (0, 1, "direct"): {0: F(1)},
-                 (0, 2, "direct"): {0: F(1)}})
-        r = simulate(m, a, 20, seed=3)
-        assert r.mean_reward == 4.0
-
-    def test_rejects_zero_episodes(self):
-        with pytest.raises(ModelError):
-            simulate(g.two_coin_pomdp(), uniform_fsc(g.two_coin_pomdp(), 1), 0)

@@ -212,6 +212,29 @@ class TestSympyCancel:
         assert f.evaluate({"x": F(1, 3)}) == big.evaluate({"x": F(1, 3)}) / 4
 
 
+class TestEliminationRing:
+    """What the elimination over integer polynomials asks of them."""
+
+    def test_integer_ratio_and_truth(self):
+        num, den = (C(F(1, 2)) * V("x") + C(F(1, 3))).as_integer_ratio()
+        assert (num, den) == (C(3) * V("x") + C(2), 6)
+        assert num and not Polynomial()
+
+    def test_gcd_below_the_threshold_is_the_int_content(self):
+        assert polynomials.gcd(C(6) * V("x") + C(4), C(10) * V("x") * V("y"), 8) == 2
+
+    def test_gcd_past_the_threshold_divides_exactly(self):
+        h = TestSympyCancel.H.as_integer_ratio()[0]
+        ps = [(f * TestSympyCancel.H).as_integer_ratio()[0]
+              for f in (TestSympyCancel.A, TestSympyCancel.B, V("x") + C(1))]
+        assert len(ps[0].terms) > GCD_TERM_THRESHOLD
+        common = polynomials.gcd(*ps)
+        assert (common // h).is_constant()  # h up to an int factor
+        qs = [p // common for p in ps]
+        assert all(q * common == p for p, q in zip(ps, qs))
+        assert _sympy_cancel(*qs) == tuple(qs)
+
+
 # ---------------------------------------------------------------------------
 # differential test against the tuple-monomial / Fraction storage that the
 # packed one replaced (sparse dicts; zero terms dropped as they appear, which
