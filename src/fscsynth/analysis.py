@@ -321,18 +321,16 @@ def _mc_value(mc, goal, bad, reward):
     return solve_exact(rows, c)[idx[mc.initial]]
 
 
-def reach_avoid_prob(mc: Mc, goal=None, bad=None):
+def reach_avoid_prob(mc: Mc):
     """Probability of reaching goal while avoiding bad, from the initial
     state, as a Fraction."""
-    goal = mc.goal if goal is None else frozenset(goal)
-    bad = mc.bad if bad is None else frozenset(bad)
-    return _mc_value(mc, goal, bad, False)
+    return _mc_value(mc, mc.goal, mc.bad, False)
 
 
-def expected_reward(mc: Mc, goal=None):
+def expected_reward(mc: Mc):
     """Expected accumulated reward until goal; infinite when the goal is
     reached with probability below one."""
-    return _mc_value(mc, mc.goal if goal is None else frozenset(goal), (), True)
+    return _mc_value(mc, mc.goal, (), True)
 
 
 def _spec_bad(model, spec):
@@ -572,6 +570,9 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     if q.value is not None:
         return RationalFunction.constant(q.value)
     rewards = d.rewards if reward else {}
+    if reward and not any(rewards.get(s) for s in q.U):
+        # the goal is reached almost surely and nothing is earned before it
+        return RationalFunction.constant(0)
     idx = {s: i for i, s in enumerate(q.U)}
     rows, c = _system(q, idx, lambda s: d.row(s).items(),
                       lambda s: rewards.get(s, POLY_ZERO), _same)
@@ -582,25 +583,22 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
         w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))
 
 
-def state_eliminate(d: PmcT, goal=None, bad=None) -> RationalFunction:
+def state_eliminate(d: PmcT) -> RationalFunction:
     """Closed-form reach-avoid probability as a rational function over the
     parameters, valid at every graph-preserving well-defined valuation.
 
     States other than the initial one are eliminated by fraction-free
     substitution (_eliminate over Polynomials); edges into the value-one
     states merge into one sink column."""
-    goal = d.goal if goal is None else frozenset(goal)
-    bad = d.bad if bad is None else frozenset(bad)
-    return _closed_form(d, _query(_pmc_graph(d), d.initial, goal, bad, False), False)
+    return _closed_form(d, _query(_pmc_graph(d), d.initial, d.goal, d.bad, False), False)
 
 
-def state_eliminate_reward(d: PmcT, goal=None) -> RationalFunction:
+def state_eliminate_reward(d: PmcT) -> RationalFunction:
     """Closed-form expected reward until goal. Requires that every
     graph-preserving valuation reaches the goal almost surely (a property of
     the graph alone); otherwise the value is infinite everywhere and no
     rational function exists. The state rewards join the sink column."""
-    goal = d.goal if goal is None else frozenset(goal)
-    q = _query(_pmc_graph(d), d.initial, goal, (), True)
+    q = _query(_pmc_graph(d), d.initial, d.goal, (), True)
     if is_infinite(q.value):
         raise ModelError(
             "expected reward diverges on the graph-preserving region "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shlex
 import sys
 import time
@@ -68,6 +69,16 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError("%r is not an integer" % text)
     if v < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % v)
+    return v
+
+
+def _finite_float(text):
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not a number" % text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
     return v
 
 
@@ -528,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instantiation", default=None,
                    help="parameter values file (pMC input)")
     c.add_argument("--fsc", default=None, help="controller file (POMDP input)")
-    c.add_argument("--min-prob", type=float, default=1e-4,
+    c.add_argument("--min-prob", type=_finite_float, default=1e-4,
                    help="floor used for the min-probability verdict")
     c.set_defaults(func=cmd_check)
 
@@ -542,11 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search chain (default: substituted for k>1)")
     s.add_argument("--method", choices=["pso", "brute"], default="pso")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--time-limit", type=float, default=None,
+    s.add_argument("--time-limit", type=_finite_float, default=None,
                    help="wall-clock budget in seconds")
     s.add_argument("--swarm", type=_positive_int, default=40)
     s.add_argument("--iterations", type=_positive_int, default=500)
-    s.add_argument("--min-prob", type=float, default=1e-4)
+    s.add_argument("--min-prob", type=_finite_float, default=1e-4)
     s.set_defaults(func=cmd_synthesize)
 
     f = sub.add_parser("closed-form", help="rational value function by "
@@ -562,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--spec", required=True)
     pr.add_argument("--region", default=None,
                     help="region file (default: the full min-prob box)")
-    pr.add_argument("--min-prob", type=float, default=1e-4)
+    pr.add_argument("--min-prob", type=_finite_float, default=1e-4)
     pr.add_argument("--max-depth", type=int, default=0,
                     help="bisection depth for refinement")
     pr.set_defaults(func=cmd_prove)
@@ -573,10 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--spec", required=True)
     pe.add_argument("--witnesses", type=_positive_int, default=3)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--time-limit", type=float, default=None)
+    pe.add_argument("--time-limit", type=_finite_float, default=None)
     pe.add_argument("--swarm", type=_positive_int, default=40)
     pe.add_argument("--iterations", type=_positive_int, default=500)
-    pe.add_argument("--min-prob", type=float, default=1e-4)
+    pe.add_argument("--min-prob", type=_finite_float, default=1e-4)
     pe.set_defaults(func=cmd_permissive)
 
     return p

@@ -6,12 +6,11 @@ as integers, terminating decimals, or a/b fractions. Syntax errors carry line
 (and for expressions, column) positions; semantic defects re-use the model
 validation messages.
 
-pMC entries are polynomials, read by the first of three routes that applies
-(parse_poly): text in the form Polynomial.__str__ prints, which is every
-entry write_pmc writes, is read directly with int arithmetic; any other text
-(parentheses, `^`, decimals, other spacing) goes through the recursive-descent
-grammar over Polynomials; and an entry with a parametric divisor is parsed
-again as a rational function, whose denominator must then be constant.
+pMC entries are polynomials, read by one of two routes (parse_poly): text
+in the form Polynomial.__str__ prints, which is every entry write_pmc writes,
+is read directly with int arithmetic; any other text (parentheses, `^`,
+decimals, other spacing) goes through the one recursive-descent grammar over
+rational functions, whose denominator must then be constant.
 """
 
 from __future__ import annotations
@@ -96,10 +95,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _NonPolynomial(Exception):
-    """A polynomial parse met a non-constant divisor."""
-
-
 class _ExprParser:
     """Recursive-descent parser over RationalFunction values."""
 
@@ -131,9 +126,6 @@ class _ExprParser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
-
-    def _lift(self, p: Polynomial):
-        return RationalFunction(p)
 
     def _divide(self, v, rhs, col):
         if rhs.num.is_zero():
@@ -177,16 +169,8 @@ class _ExprParser:
             kind, text, col = self._next()
             if kind != "num" or not text.isdigit():
                 raise FormatError("exponent must be a nonnegative integer", self.line, col)
-            # square-and-multiply: RationalFunction has no __pow__
             e = int(text)
-            out = self._lift(Polynomial.constant(1))
-            while e:
-                if e & 1:
-                    out = out * v
-                e >>= 1
-                if e:
-                    v = v * v
-            return out
+            return RationalFunction(v.num ** e, v.den ** e)
         return v
 
     def _atom(self):
@@ -196,9 +180,9 @@ class _ExprParser:
                 c = Fraction(text)
             except ValueError:  # past the int/str digit limit
                 c = _unlimited(Fraction, text)
-            return self._lift(Polynomial.constant(c))
+            return RationalFunction.constant(c)
         if kind == "name":
-            return self._lift(Polynomial.variable(text))
+            return RationalFunction(Polynomial.variable(text))
         if text == "(":
             v = self._expr()
             kind2, text2, col2 = self._next()
@@ -210,23 +194,6 @@ class _ExprParser:
 
 def parse_expression(text: str, line=None, col_offset: int = 0) -> RationalFunction:
     return _ExprParser(text, line, col_offset).parse()
-
-
-class _PolyParser(_ExprParser):
-    """The same grammar over Polynomials: a division by a constant is a
-    multiplication by its reciprocal, and any other divisor raises
-    _NonPolynomial."""
-
-    def _lift(self, p: Polynomial):
-        return p
-
-    def _divide(self, v, rhs, col):
-        if not rhs.is_constant():
-            raise _NonPolynomial
-        c = rhs.constant_value()
-        if c == 0:
-            raise FormatError("division by zero", self.line, col)
-        return v * Polynomial.constant(1 / c)
 
 
 # The text Polynomial.__str__ prints: terms `c`, `n/d*x*y` or `x*y` joined
@@ -278,17 +245,15 @@ def _read_printed(text: str):
 
 def parse_poly(text: str, line=None, col_offset: int = 0) -> Polynomial:
     """Parse an expression that must denote a polynomial (constant
-    denominators fold into the coefficients). Three routes, the first that
-    applies wins:
+    denominators fold into the coefficients). Two routes:
 
     1. Text in the form Polynomial.__str__ prints (every entry write_pmc
        writes) is read directly with int arithmetic by _read_printed.
-    2. Any other text is parsed straight into Polynomials by _PolyParser.
-    3. A parametric divisor re-parses the text as a rational function,
-       which must then have a constant denominator.
+    2. Any other text is parsed as a rational function, which must then
+       have a constant denominator.
 
-    All three give the same store for the same text; errors (messages,
-    lines and columns) come from routes 2 and 3 only."""
+    Both give the same store for the same text; errors (messages, lines
+    and columns) come from route 2 only."""
     if _PRINTED_RE.fullmatch(text):
         try:
             p = _read_printed(text)
@@ -296,10 +261,6 @@ def parse_poly(text: str, line=None, col_offset: int = 0) -> Polynomial:
             p = _unlimited(_read_printed, text)
         if p is not None:
             return p
-    try:
-        return _PolyParser(text, line, col_offset).parse()
-    except _NonPolynomial:
-        pass
     rf = parse_expression(text, line, col_offset)
     if not rf.den.is_constant():
         raise FormatError(

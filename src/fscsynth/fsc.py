@@ -169,14 +169,12 @@ class Fsc:
     observation) pairs that can never co-occur may be omitted.
     """
 
-    def __init__(self, num_nodes, initial_node, action_map, memory_update,
-                 validate=True):
+    def __init__(self, num_nodes, initial_node, action_map, memory_update):
         self.num_nodes = num_nodes
         self.initial_node = initial_node
         self.action_map = {key: dict(v) for key, v in action_map.items()}
         self.memory_update = {key: dict(v) for key, v in memory_update.items()}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         k = self.num_nodes

@@ -289,7 +289,7 @@ class Mdp:
     """Concrete MDP: rows (state, action label) -> {succ: Fraction}, rows sum to 1."""
 
     def __init__(self, num_states, initial, trans, rewards=None, goal=(), bad=(),
-                 meta=None, validate=True):
+                 meta=None):
         self.num_states = num_states
         self.initial = initial
         self.trans = trans  # {(s, a): {t: Fraction}}
@@ -298,8 +298,7 @@ class Mdp:
         self.bad = frozenset(bad)
         self.meta = dict(meta or {})
         self._actions = None
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def states(self):
@@ -367,14 +366,13 @@ class Pomdp:
     num_obs must be used by some state.
     """
 
-    def __init__(self, mdp: Mdp, num_obs: int, obs, meta=None, validate=True):
+    def __init__(self, mdp: Mdp, num_obs: int, obs, meta=None):
         self.mdp = mdp
         self.num_obs = num_obs
         self.obs = tuple(obs)
         self.meta = dict(meta or {})
         self._obs_actions = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # delegation
     @property
@@ -468,7 +466,7 @@ class PmcT:
     """
 
     def __init__(self, num_states, initial, trans, params=None, rewards=None,
-                 goal=(), bad=(), param_groups=None, meta=None, validate=True):
+                 goal=(), bad=(), param_groups=None, meta=None):
         self.num_states = num_states
         self.initial = initial
         self.trans = trans  # {s: {t: Polynomial}}
@@ -479,8 +477,7 @@ class PmcT:
         self.param_groups = param_groups
         self.meta = dict(meta or {})
         self._simple = None
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def states(self):

@@ -251,6 +251,8 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer exponent expected")
+        if self.is_constant():
+            return Polynomial.constant(self.constant_value() ** n)
         result = POLY_ONE
         base = self
         while n:
@@ -286,16 +288,6 @@ class Polynomial:
                 c *= x if e == 1 else x ** e
             total += c
         return Fraction(total, self._den)
-
-    def evaluate_float(self, valuation: Mapping[str, float]) -> float:
-        total = 0.0
-        for m, c in self._mons.items():
-            # int division rounds correctly, as float(Fraction) does
-            v = c / self._den
-            for name, e in _decode(m, self._w):
-                v *= float(_value(valuation, name)) ** e
-            total += v
-        return total
 
     # -- rendering -----------------------------------------------------------
 
@@ -620,10 +612,16 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # constants hash like their value; general functions by structure
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.num, self.den))
+        # equal functions hash alike, reduced or not: a constant form
+        # (num = c*den) like its value c, any other by the degree difference,
+        # which a/b = c/d (a*d = b*c) keeps
+        if not self.num:
+            return hash(0)
+        a = self.num.sorted_terms()[-1][1]
+        b = self.den.sorted_terms()[-1][1]
+        if self.num * b == self.den * a:
+            return hash(a / b)
+        return hash(self.num.degree() - self.den.degree())
 
     def evaluate(self, valuation) -> Fraction:
         d = self.den.evaluate(valuation)

@@ -313,6 +313,18 @@ class TestClosedForm:
         rf = state_eliminate_reward(d)
         assert rf == RationalFunction(C(10) - C(6) * p)
 
+    def test_reward_form_without_rewards_is_zero_at_once(self, monkeypatch):
+        rng = random.Random(1)
+        for _ in range(31):
+            d = g.random_simple_pmc(rng)
+        assert d.num_states == 23 and not d.rewards
+
+        def refuse(*_args):
+            raise AssertionError("eliminated a system whose value is 0")
+
+        monkeypatch.setattr(analysis, "_eliminate", refuse)
+        assert state_eliminate_reward(d) == 0
+
 
 class TestBoundaryBehavior:
     def test_recompute_triggers_only_at_boundary(self):

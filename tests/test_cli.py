@@ -534,6 +534,26 @@ class TestEntryPoint:
             main(["frobnicate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--min-prob"), ("prove", "--min-prob"),
+        ("synthesize", "--min-prob"), ("synthesize", "--time-limit"),
+        ("permissive", "--min-prob"), ("permissive", "--time-limit"),
+    ])
+    def test_non_finite_floats_are_rejected_by_the_parser(
+            self, workdir, capsys, command, flag):
+        inp = _pomdp_file(workdir)
+        argv = [command, str(inp), "--spec", "P> 0.5 [!bad U goal]"]
+        if command in ("synthesize", "permissive"):
+            argv += ["-o", "x", "--swarm", "1", "--iterations", "1"]
+        if command == "synthesize":
+            argv += ["--memory", "1"]
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as e:
+                main(argv + ["%s=%s" % (flag, value)])
+            assert e.value.code == 2
+            assert "must be finite" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
 
 class TestPermissiveGroups:
     """permissive reads the parameter groups transform writes next to a

@@ -61,7 +61,7 @@ class TestTermTable:
             assert len(table) == len(polys)
             x = np.array([rng.uniform(0.05, 0.95) for _ in names])
             got = table.evaluate(x)
-            want = [p.evaluate_float({n: x[pidx[n]] for n in names})
+            want = [float(p.evaluate({n: x[pidx[n]] for n in names}))
                     for p in polys]
             assert np.allclose(got, want, atol=1e-12)
 

@@ -45,9 +45,14 @@ from fscsynth.models import (
     parse_spec,
 )
 from fscsynth.analysis import Region, reach_avoid_prob, expected_reward, state_eliminate
-from fscsynth.fsc import uniform_fsc
+from fscsynth.fsc import FscTopology, uniform_fsc
 from fscsynth.polynomials import Polynomial, RationalFunction
-from fscsynth.transforms import induced_pmc, substituted_pmc
+from fscsynth.transforms import (
+    action_restricted_pmc,
+    induced_pmc,
+    next_obs_pmc,
+    substituted_pmc,
+)
 
 F = Fraction
 TINY = F(1, 10 ** 5000 + 1)
@@ -143,6 +148,37 @@ class TestPolynomialEntries:
                 rf_model = PmcT(back.num_states, back.initial, by_rf, back.params,
                                 back.rewards, back.goal, back.bad)
                 assert write_pmc(back) == write_pmc(rf_model) == text
+
+    def test_written_entries_take_the_printed_route(self, monkeypatch):
+        # the grammar is for text written by hand: every entry and reward
+        # write_pmc writes is read by _read_printed
+        printed, parsed = [], []
+        read_printed = formats._read_printed
+
+        def counting(text):
+            printed.append(text)
+            return read_printed(text)
+
+        def recording(text, *args):
+            parsed.append(text)
+            return parse_expression(text, *args)
+
+        monkeypatch.setattr(formats, "_read_printed", counting)
+        monkeypatch.setattr(formats, "parse_expression", recording)
+        rng = random.Random(17)
+        entries = rewards = 0
+        for _ in range(6):
+            m = g.random_pomdp(rng, with_rewards=True)
+            for build in (induced_pmc, substituted_pmc, action_restricted_pmc,
+                          next_obs_pmc):
+                for k in (1, 2, 3):
+                    for topology in (FscTopology.FULL, FscTopology.COUNTER):
+                        d = build(m, k, topology)
+                        assert parse_pmc(write_pmc(d)) == d
+                        entries += sum(map(len, d.trans.values()))
+                        rewards += len(d.rewards)
+        assert parsed == []
+        assert rewards and len(printed) == entries + rewards
 
     @pytest.mark.parametrize("expr", [
         "(p + q)^3 - p^2*q/3",

@@ -103,15 +103,6 @@ class TestPolynomial:
         # ties broken by the monomial itself, so the order is total
         assert len(set(mono for mono, _ in p.sorted_terms())) == 4
 
-    def test_evaluate_float_tracks_exact(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            p = _rand_poly(rng)
-            u = _rand_point(rng)
-            exact = p.evaluate(u)
-            approx = p.evaluate_float({n: float(v) for n, v in u.items()})
-            assert abs(float(exact) - approx) < 1e-9
-
     def test_variables(self):
         p = V("x") * V("y") + C(2)
         assert p.variables() == frozenset({"x", "y"})
@@ -124,6 +115,24 @@ class TestRationalFunction:
         b = RationalFunction(x, C(2))
         assert a == b
         assert hash(RationalFunction.constant(F(1, 2))) == hash(F(1, 2))
+
+    def test_equal_functions_hash_alike(self):
+        # below GCD_TERM_THRESHOLD the forms stay unreduced
+        x, y = V("x"), V("y")
+        pairs = [
+            (RationalFunction(x * x - C(1), x - C(1)), RationalFunction(x + C(1))),
+            (RationalFunction(C(2) * x - C(2), x - C(1)), RationalFunction.constant(2)),
+            (RationalFunction(C(-3) * x * y + C(3), C(2) * x * y - C(2)),
+             RationalFunction.constant(F(-3, 2))),
+            (RationalFunction((x + y) * (x - y), C(3) * (x + y) * y),
+             RationalFunction(x - y, C(3) * y)),
+        ]
+        for f, g in pairs:
+            assert f == g
+            assert f.num != g.num
+            assert hash(f) == hash(g)
+            assert len({f, g}) == 1
+        assert hash(RationalFunction.constant(0)) == hash(0)
 
     def test_cancels_matching_sides(self):
         x = V("x")
@@ -359,10 +368,6 @@ class TestAgainstTupleStorage:
             return  # big powers of WIDE_POINT and long renderings take seconds
         assert str(a * b) == _ref_str(_ref_mul(p, q))
         assert (a * b).evaluate(WIDE_POINT) == _ref_evaluate(_ref_mul(p, q), WIDE_POINT)
-        float_point = {k: float(v) for k, v in WIDE_POINT.items()}
-        assert a.evaluate_float(float_point) == sum(
-            float(c) * math.prod(float_point[nm] ** e for nm, e in mono)
-            for mono, c in p.items())
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(wide_terms, st.sampled_from([
@@ -416,7 +421,8 @@ class TestPrintedReader:
         if p.degree() > 600:
             return  # the grammar multiplies once per printed factor
         text = str(p)
-        read, ref = parse_poly(text), formats._PolyParser(text).parse()
+        rf = formats.parse_expression(text)
+        read, ref = parse_poly(text), rf.num * Polynomial.constant(1 / rf.den.constant_value())
         assert list(read._mons.items()) == list(ref._mons.items())
         assert (read._den, read._w, read._deg) == (ref._den, ref._w, ref._deg)
         assert list(read.terms.items()) == list(ref.terms.items())
