@@ -13,7 +13,8 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     `one`, the value-1 states outside U. The region bounds solve one such
     system per interval allocation, in _policy_iterate;
   - _eliminate removes unknowns from such a system on integer rows, with
-    c as one sink column: over the integers for solve_exact, which
+    c as one sink column, dividing out common factors with
+    polynomials.cancel: over the integers for solve_exact, which
     back-substitutes in Fractions, and over integer polynomials for the
     closed forms, which keep the initial row and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
@@ -206,7 +207,7 @@ def _pick_elimination_order(w, preds, candidates):
         yield best
 
 
-def _eliminate(rows, c, keep=None, gcd=math.gcd):
+def _eliminate(rows, c, keep=None):
     """Eliminate every unknown of x = A x + c but `keep` (None: all of
     them) on integer rows. rows[i]: {j: a_ij} over 0..n-1; entries and c
     are anything with as_integer_ratio(): ints, Fractions (a float reads as
@@ -216,12 +217,15 @@ def _eliminate(rows, c, keep=None, gcd=math.gcd):
     sum_j m_ij x_j + b_i, with the self-loop folded into d_i and b_i in the
     _GOOD column. Pivots go in min in*out degree order, ties to the lowest
     index. Substituting row s into a predecessor p scales p by d_s / g and
-    row s by m_ps / g, g = gcd(d_s, m_ps), and divides the result by its
-    content gcd(d_p, row p). gcd is math.gcd for numbers and polynomials.gcd
-    for Polynomials, whose `//` divides exactly. A zero pivot means the
-    system is singular. Returns the pivots d, the rows w left over ({keep:
-    its row}, or empty) and the (s, d_s, row s) of each pivot in order.
+    row s by m_ps / g, g the common factor of d_s and m_ps, and divides the
+    result by the common factor of d_p and row p; polynomials.cancel gives
+    the quotients of both steps (the int content's, or past
+    GCD_TERM_THRESHOLD terms the polynomial gcd's) and nothing divides
+    after it. A zero pivot means the system is singular. Returns the pivots
+    d, the rows w left over ({keep: its row}, or empty) and the (s, d_s,
+    row s) of each pivot in order.
     """
+    cancel = polynomials.cancel
     n = len(c)
     d = []
     w = {}
@@ -252,9 +256,7 @@ def _eliminate(rows, c, keep=None, gcd=math.gcd):
             preds[t].discard(s)
         for p in preds[s]:
             row = w[p]
-            g = gcd(row[s], ds)
-            fs = row.pop(s) // g
-            fp = ds // g
+            fs, fp = cancel(row.pop(s), ds)
             dp = d[p] * fp
             if fp != 1:
                 for t in row:
@@ -267,13 +269,12 @@ def _eliminate(rows, c, keep=None, gcd=math.gcd):
                 else:
                     row[t] = fs * v
                     preds[t].add(p)
-            g = gcd(dp, *row.values())
-            # g = 0: an empty row with a vanished pivot, which raises as one
-            if g != 1 and g:
-                dp //= g
-                for t in row:
-                    row[t] //= g
-            d[p] = dp
+            q = cancel(dp, *row.values())
+            d[p] = q[0]
+            # cancel hands back its inputs when it divides nothing, and a
+            # nonzero pivot it divides comes back as a new object
+            if q[0] is not dp or not dp:
+                w[p] = dict(zip(row, q[1:]))
         eliminated.append((s, ds, out))
     return d, w, eliminated
 
@@ -565,8 +566,9 @@ def _pmc_graph(d):
 def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     """Eliminate every uncertain state but the initial one from x = A x + c
     over q.U on integer rows over Z[params]; the value is the initial row's
-    sink entry over its pivot, cancelled by their full gcd, so the form is
-    the reduced one whatever the pivot order."""
+    sink entry over its pivot, divided by their full gcd with one
+    _sympy_cancel whatever their size, so the form is the reduced one
+    whatever the pivot order. RationalFunction cancels nothing more."""
     if q.value is not None:
         return RationalFunction.constant(q.value)
     rewards = d.rewards if reward else {}
@@ -577,7 +579,7 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     rows, c = _system(q, idx, lambda s: d.row(s).items(),
                       lambda s: rewards.get(s, POLY_ZERO), _same)
     initial = idx[d.initial]
-    pivots, w, _ = _eliminate(rows, c, initial, polynomials.gcd)
+    pivots, w, _ = _eliminate(rows, c, initial)
     # the pivot is still an int if no substitution touched the initial row
     return RationalFunction(*polynomials._sympy_cancel(
         w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))

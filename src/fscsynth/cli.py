@@ -426,6 +426,9 @@ def cmd_closed_form(args) -> int:
 
 
 def _default_region(d: PmcT, eps: Fraction):
+    """The box [eps, 1 - eps] on every parameter; a point at eps = 1/2."""
+    if not 0 < eps <= Fraction(1, 2):
+        raise ModelError("--min-prob: probability floor must lie in (0, 0.5]")
     box = {name: (eps, 1 - eps) for name in d.params.names}
     return analysis.Region(box)
 

@@ -11,6 +11,7 @@ eps-preserving. Every point value and verdict reads that one result.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,8 +57,6 @@ INFINITE = Infinite()
 
 
 def is_infinite(value) -> bool:
-    import math
-
     return isinstance(value, Infinite) or (isinstance(value, float) and math.isinf(value))
 
 

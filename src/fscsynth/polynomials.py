@@ -8,13 +8,15 @@ Each polynomial has its own w, 8 at first and doubled, operands repacked,
 when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
 with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
-tuples mapped to Fractions, rendered in graded lexicographic order. Rational
-functions past GCD_TERM_THRESHOLD terms are cancelled by the gcd of their
-integer coefficient polynomials in sympy's sparse ring over ZZ, with sympy
-imported on that path only. The same rule gives the common factors of the
-fraction-free elimination in analysis (gcd), and its closed forms end with
-one full cancel whatever their size. The exact path never touches binary
-floats.
+tuples mapped to Fractions, rendered in graded lexicographic order.
+
+A polynomial common factor is divided out in one way only, by cancel: the
+int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the
+cofactors of the gcd of the integer coefficient polynomials in sympy's
+sparse ring over ZZ (_sympy_cancel), with sympy imported on that path only.
+cancel serves the fraction-free elimination in analysis, whose closed forms
+end with one _sympy_cancel whatever their size; RationalFunction runs no
+gcd. The exact path never touches binary floats.
 """
 
 from __future__ import annotations
@@ -237,17 +239,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other):
-        """The exact quotient self / other, for an int or a Polynomial that
-        divides self; a non-constant divisor goes through sympy."""
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_constant():
-            return self * Polynomial.constant(1 / other.constant_value())
-        (a, b), back = _in_ring((self, other))
-        return back(a.exquo(b), self) * other._den
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer exponent expected")
@@ -430,7 +421,8 @@ def _content(p: Polynomial, mins: dict) -> dict:
     return mins
 
 
-# gcd cancellation is expensive; only triggered past this term count
+# past this many terms on some operand, cancel divides out the polynomial
+# gcd through sympy; below it, only the int content
 GCD_TERM_THRESHOLD = 64
 
 
@@ -443,56 +435,53 @@ def _ring(names: tuple):
     return ring(names, ZZ)[0]
 
 
-def _in_ring(ps):
-    """The polynomials ps as integer polynomials in sympy's sparse ring over
-    ZZ in their variables, and the map back: back(f, p) is f over the
-    denominator of p, in the field width of all of ps."""
+def _sympy_cancel(*ps):
+    """Divide the polynomials ps by the gcd of their integer coefficient
+    polynomials, computed as pairwise cofactors in sympy's sparse
+    polynomial ring over ZZ in their variables. Each keeps its denominator,
+    so every quotient of two of them is unchanged. Returns the inputs when
+    the gcd is a constant."""
     top = max(ps, key=lambda p: p._w)
     w = top._w
     mask = (1 << w) - 1
     names = tuple(sorted(set().union(*(p.variables() for p in ps))))
     shifts = [w * _FIELD[n] for n in names]
     R = _ring(names)
-
-    def to_ring(p):
-        p = _common(p, top)[0]
-        return R.from_dict({tuple((m >> sh) & mask for sh in shifts): c
-                            for m, c in p._mons.items()})
-
-    def back(f, p):
-        return _packed({sum(exps) + sum(e << sh for e, sh in zip(exps, shifts)): int(c)
-                        for exps, c in f.items()}, p._den, w, p._deg)
-
-    return [to_ring(p) for p in ps], back
-
-
-def _sympy_cancel(*ps):
-    """Divide the polynomials ps by the gcd of their integer coefficient
-    polynomials, computed in sympy's sparse polynomial ring over ZZ. Each
-    keeps its denominator, so every quotient of two of them is unchanged.
-    Returns the inputs when the gcd is a constant."""
-    fs, back = _in_ring(ps)
-    g, qs = fs[0], [fs[0].ring.one]
+    fs = [R.from_dict({tuple((m >> sh) & mask for sh in shifts): c
+                       for m, c in _common(p, top)[0]._mons.items()}) for p in ps]
+    g, qs = fs[0], [R.one]
     for f in fs[1:]:
         g, a, b = g.cofactors(f)
         if g.is_ground:
             return ps
         qs = [q * a for q in qs]
         qs.append(b)
-    return tuple(back(q, p) for q, p in zip(qs, ps))
+    return tuple(_packed({sum(exps) + sum(e << sh for e, sh in zip(exps, shifts)): int(c)
+                          for exps, c in q.items()}, p._den, w, p._deg)
+                 for q, p in zip(qs, ps))
 
 
-def gcd(*ps):
-    """A common factor of integer polynomials (or ints) ps, the one
-    analysis._eliminate divides out: their int content, or, once one of
-    them has more than GCD_TERM_THRESHOLD terms, their gcd through
-    _sympy_cancel. Exact under `//`."""
-    ps = [_as_poly(p) for p in ps]
-    if any(len(p._mons) > GCD_TERM_THRESHOLD for p in ps):
-        q = _sympy_cancel(*ps)[0]
-        if q is not ps[0]:
-            return ps[0] // q
-    return math.gcd(*(c for p in ps for c in p._mons.values()))
+def cancel(*ps):
+    """The ints or integer Polynomials ps divided by a common factor, the
+    one analysis._eliminate divides out: _sympy_cancel's cofactors once one
+    of them has more than GCD_TERM_THRESHOLD terms and their gcd is not a
+    constant, their int content otherwise. Returns the inputs when the
+    content is 1 (or all of them are 0); mixed with Polynomials, an int
+    comes back as a constant Polynomial."""
+    try:
+        g = math.gcd(*ps)
+    except TypeError:  # a Polynomial among them
+        ps = tuple(map(_as_poly, ps))
+        if any(len(p._mons) > GCD_TERM_THRESHOLD for p in ps):
+            qs = _sympy_cancel(*ps)
+            if qs[0] is not ps[0]:
+                return qs
+        g = math.gcd(*(c for p in ps for c in p._mons.values()))
+        if g != 1 and g:
+            ps = tuple(_packed({m: c // g for m, c in p._mons.items()}, p._den, p._w, p._deg)
+                       for p in ps)
+        return ps
+    return ps if g == 1 or not g else tuple(p // g for p in ps)
 
 
 class RationalFunction:
@@ -501,11 +490,10 @@ class RationalFunction:
     Normalization works on the packed store: it divides out the shared
     monomial content (per-field exponent minima), clears coefficient
     denominators, divides out the integer content with int gcds and fixes
-    the denominator sign. Full gcd cancellation (sympy's sparse ring over ZZ,
-    imported on first use) runs only past GCD_TERM_THRESHOLD terms on either
-    side, since gcd cost dominates otherwise; the gcd is unique up to a
-    constant, which the integer normalization fixes. Equality is
-    mathematical (cross multiplication), not representational.
+    the denominator sign. It runs no polynomial gcd, so a common factor
+    stays unless the caller cancelled it (the closed forms do, once, with
+    _sympy_cancel). Equality is mathematical (cross multiplication), not
+    representational.
     """
 
     __slots__ = ("num", "den")
@@ -529,9 +517,6 @@ class RationalFunction:
             if num == den:
                 num, den = POLY_ONE, POLY_ONE
             else:
-                if (len(num._mons) > GCD_TERM_THRESHOLD
-                        or len(den._mons) > GCD_TERM_THRESHOLD):
-                    num, den = _sympy_cancel(num, den)
                 num, den = _integer_normal(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

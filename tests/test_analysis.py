@@ -265,15 +265,18 @@ class TestClosedForm:
                                               max_actions=3, max_obs=3), 1)
                    for seed in (44, 48)]
         # some step forms pass GCD_TERM_THRESHOLD during elimination, where
-        # rows share a polynomial factor, not just an int
-        factors = []
-        gcd = polynomials.gcd
+        # rows share a polynomial factor, not just an int: cancel then
+        # lowers the degree of what it divides
+        lowered = []
+        cancel = polynomials.cancel
 
         def recording(*ps):
-            factors.append(gcd(*ps))
-            return factors[-1]
+            qs = cancel(*ps)
+            lowered.append(any(isinstance(p, Polynomial) and q.degree() < p.degree()
+                               for p, q in zip(ps, qs)))
+            return qs
 
-        monkeypatch.setattr(polynomials, "gcd", recording)
+        monkeypatch.setattr(polynomials, "cancel", recording)
         checked = 0
         for d in models:
             steps = PmcT(d.num_states, d.initial, d.trans, params=d.params,
@@ -292,7 +295,7 @@ class TestClosedForm:
                 assert rf.evaluate(u.values) == value(mc)
                 checked += 1
         assert checked > 20
-        assert any(isinstance(f, Polynomial) and not f.is_constant() for f in factors)
+        assert any(lowered)
 
     def test_matches_evaluator_at_random_points(self):
         rng = random.Random(44)

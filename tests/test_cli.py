@@ -428,6 +428,23 @@ class TestProve:
         rc = main(["prove", str(inp), "--spec", "P> 0.8 [!bad U goal]"])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("floor", ["0", "0.7"])
+    def test_floor_without_a_default_box_names_the_flag(self, workdir, capsys, floor):
+        inp = _pmc_file(workdir)
+        rc = main(["prove", str(inp), "--spec", "P> 0.8 [!bad U goal]",
+                   "--min-prob", floor])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--min-prob" in err and "probability floor must lie in (0, 0.5]" in err
+
+    def test_floor_of_one_half_is_a_point_box(self, workdir, capsys):
+        inp = _pmc_file(workdir)
+        rc = main(["prove", str(inp), "--spec", "P> 0.6 [!bad U goal]",
+                   "--min-prob", "0.5", "--max-depth", "2"])
+        assert rc == EXIT_UNSAT
+        out = capsys.readouterr().out
+        assert "inconclusive" in out and "bound = 13/20" in out
+
     def test_inconclusive_exits_one(self, workdir, capsys):
         inp = _pmc_file(workdir)
         rc = main(["prove", str(inp), "--spec", "P> 0.6 [!bad U goal]"])
@@ -482,10 +499,10 @@ class TestValueText:
 
 class TestLazySympy:
     def test_search_and_check_never_import_sympy(self, workdir):
-        # sympy (about 32 MB resident) is imported by closed-form, whose
-        # final cancel always runs, and by the gcd cancellation of large
-        # rational functions; commands that never reach either must not pay
-        # for it
+        # sympy (about 32 MB resident) is imported only by closed-form,
+        # whose final cancel always runs; RationalFunction runs no gcd and
+        # polynomials.cancel over ints never calls sympy, so commands
+        # without a closed form must not pay for it
         pomdp = _pomdp_file(workdir)
         pmc = _pmc_file(workdir)
         point = _write(workdir / "point.inst",

@@ -46,7 +46,7 @@ from fscsynth.models import (
 )
 from fscsynth.analysis import Region, reach_avoid_prob, expected_reward, state_eliminate
 from fscsynth.fsc import FscTopology, uniform_fsc
-from fscsynth.polynomials import Polynomial, RationalFunction
+from fscsynth.polynomials import GCD_TERM_THRESHOLD, Polynomial, RationalFunction
 from fscsynth.transforms import (
     action_restricted_pmc,
     induced_pmc,
@@ -210,6 +210,14 @@ class TestPolynomialEntries:
             self._entry(expr)
         assert str(err.value) == message
         assert (err.value.line, err.value.col) == (6, col)
+
+    @pytest.mark.parametrize("terms", [2, GCD_TERM_THRESHOLD + 2])
+    def test_a_cancelling_denominator_is_rejected_at_any_size(self, terms):
+        # (big)*(1 - q)/(1 - q) is a polynomial, but the grammar cancels no
+        # polynomial factor, so the text is refused however long big is
+        big = " + ".join("p^%d" % e for e in range(terms))
+        with pytest.raises(FormatError, match="divides by a parametric expression"):
+            parse_poly("(%s)*(1 - q)/(1 - q)" % big)
 
     @pytest.mark.parametrize("expr", [
         "1-p-q", "20/23*r+1/2-p*q",   # the printed form without its spaces

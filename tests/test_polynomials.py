@@ -18,6 +18,7 @@ from fscsynth.polynomials import (
     RationalFunction,
     _integer_normal,
     _sympy_cancel,
+    cancel,
 )
 from fscsynth.transforms import induced_pmc
 
@@ -117,7 +118,7 @@ class TestRationalFunction:
         assert hash(RationalFunction.constant(F(1, 2))) == hash(F(1, 2))
 
     def test_equal_functions_hash_alike(self):
-        # below GCD_TERM_THRESHOLD the forms stay unreduced
+        # the forms stay unreduced: no gcd runs in the constructor
         x, y = V("x"), V("y")
         pairs = [
             (RationalFunction(x * x - C(1), x - C(1)), RationalFunction(x + C(1))),
@@ -151,8 +152,8 @@ class TestRationalFunction:
             f.evaluate({"x": F(0)})
 
     def test_uncancelled_pair_still_agrees_pointwise(self):
-        # (x^2 - 1)/(x - 1) stays unreduced below the gcd threshold but
-        # must evaluate like x + 1 wherever it is defined
+        # (x^2 - 1)/(x - 1) stays unreduced but must evaluate like x + 1
+        # wherever it is defined
         x = V("x")
         f = RationalFunction(x * x - C(1), x - C(1))
         g = RationalFunction(x + C(1))
@@ -160,12 +161,18 @@ class TestRationalFunction:
         for k in range(2, 9):
             assert f.evaluate({"x": F(1, k)}) == g.evaluate({"x": F(1, k)})
 
-    def test_gcd_kicks_in_past_threshold(self):
+    def test_no_gcd_past_threshold(self, monkeypatch):
+        # the constructor leaves a polynomial common factor in place at any
+        # size; the closed forms cancel theirs before they construct one
+        calls = []
+        monkeypatch.setattr(polynomials, "_sympy_cancel", lambda *ps: calls.append(ps) or ps)
         x = V("x")
-        big = Polynomial({(("x", e),): F(1) for e in range(1, GCD_TERM_THRESHOLD + 2)})
-        f = RationalFunction(big * x, big)
-        assert f.num == x
-        assert f.den == C(1)
+        big = Polynomial({(("x", e),): F(1) for e in range(GCD_TERM_THRESHOLD + 2)})
+        num, den = big * (x + C(1)), C(2) * big * (x + C(3))
+        assert len(num.terms) > GCD_TERM_THRESHOLD
+        f = RationalFunction(num, den)
+        assert not calls
+        assert (f.num, f.den) == _integer_normal(num, den)
 
     def test_arithmetic(self):
         x = V("x")
@@ -199,8 +206,9 @@ class TestSympyCancel:
         # the cofactors are a and b up to one constant factor
         assert qn * self.B == qd * self.A
         assert qn.degree() == self.A.degree() and qd.degree() == self.B.degree()
+        # the constructor runs no gcd: the pair stays as it was given
         f = RationalFunction(num, den)
-        assert (f.num, f.den) == _integer_normal(self.A, self.B)
+        assert (f.num, f.den) == _integer_normal(num, den)
 
     def test_coprime_pair_comes_back_unchanged(self):
         assert len(self.A.terms) <= GCD_TERM_THRESHOLD
@@ -229,19 +237,33 @@ class TestEliminationRing:
         assert (num, den) == (C(3) * V("x") + C(2), 6)
         assert num and not Polynomial()
 
-    def test_gcd_below_the_threshold_is_the_int_content(self):
-        assert polynomials.gcd(C(6) * V("x") + C(4), C(10) * V("x") * V("y"), 8) == 2
+    def test_cancel_below_the_threshold_divides_by_the_int_content(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "_sympy_cancel",
+                            lambda *ps: pytest.fail("sympy gcd below the threshold"))
+        x, y = V("x"), V("y")
+        # x + 1 is common too, but only the int content 2 goes
+        assert cancel(C(6) * x + C(6), C(10) * x * x + C(10) * x, 8) == (
+            C(3) * x + C(3), C(5) * x * x + C(5) * x, C(4))
+        assert cancel(C(6) * x + C(4), 10) == (C(3) * x + C(2), C(5))
+        assert cancel(12, 18, 30) == (2, 3, 5)
+        # nothing to divide: the inputs come back as they are
+        for ps in ((7, 4, 0), (0, 0), (C(3) * x + C(2), C(5) * y)):
+            assert all(q is p for q, p in zip(cancel(*ps), ps))
 
-    def test_gcd_past_the_threshold_divides_exactly(self):
+    def test_cancel_past_the_threshold_gives_coprime_cofactors(self):
         h = TestSympyCancel.H.as_integer_ratio()[0]
         ps = [(f * TestSympyCancel.H).as_integer_ratio()[0]
               for f in (TestSympyCancel.A, TestSympyCancel.B, V("x") + C(1))]
         assert len(ps[0].terms) > GCD_TERM_THRESHOLD
-        common = polynomials.gcd(*ps)
-        assert (common // h).is_constant()  # h up to an int factor
-        qs = [p // common for p in ps]
+        qs = cancel(*ps)
+        # the common factor is h times a constant
+        lead, c = (qs[0] * h).sorted_terms()[-1]
+        common = h * C(ps[0].terms[lead] / c)
         assert all(q * common == p for p, q in zip(ps, qs))
+        assert all(q.degree() < p.degree() for p, q in zip(ps, qs))
         assert _sympy_cancel(*qs) == tuple(qs)
+        assert all(q.as_integer_ratio()[1] == 1 for q in qs)
+        assert math.gcd(*(int(c) for q in qs for c in q.terms.values())) == 1
 
 
 # ---------------------------------------------------------------------------
