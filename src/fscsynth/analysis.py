@@ -10,13 +10,15 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
   - _system builds x = A x + c over U in any value ring (Fractions,
     polynomials, or edge numbers for the float evaluator):
     A holds the edges inside U, c the state rewards plus the edges into
-    `one`, the value-1 states outside U. The region bounds solve one such
-    system per interval allocation, in _policy_iterate;
+    `one`, the value-1 states outside U. _policy_iterate builds the same
+    system per choice, as integer rows, for the MDP optima and the region
+    bounds;
   - _eliminate removes unknowns from such a system on integer rows, with
     c as one sink column, dividing out common factors with
-    polynomials.cancel: over the integers for solve_exact, which
-    back-substitutes in Fractions, and over integer polynomials for the
-    closed forms, which keep the initial row and cancel it once.
+    polynomials.cancel: over the integers for _solve_integer, which
+    back-substitutes to numerators over one shared denominator, and over
+    integer polynomials for the closed forms, which keep the initial row
+    and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
 and a fixpoint) and stay outside this frame. An exact value at a point reads
 the one models.apply_instantiation pass: ExactPmcEvaluator solves its
@@ -24,11 +26,16 @@ cached query over the instantiated rows where the point is graph-preserving
 and check_mc the instantiated chain anywhere else; both evaluators count
 that fallback as a recompute.
 
-Every value is exact, in Fractions end to end: sparse elimination on
-integer rows for linear systems and closed forms alike, and one policy
-iteration engine, _policy_iterate, for the MDP optima and for the robust
-region bounds, where the greedy interval allocation is the one choice per
-state. Floats live only in FloatPmcEvaluator, which ranks the
+Every value is exact: sparse elimination on integer rows for linear
+systems and closed forms alike, and one policy iteration engine,
+_policy_iterate, for the MDP optima and for the robust region bounds. Its
+choices are integer rows, each over the lcm of its denominators, and it
+improves a state by comparing integer sums against the solve's numerators
+over their one shared denominator; for the region bounds the one choice
+per state is the greedy interval allocation, poured in ints on rows that
+_Relaxation builds from _poly_interval's integer bounds, memoized per edge
+across the boxes of one chain. The solves and the policy iteration make a
+Fraction only of the value asked for. Floats live only in FloatPmcEvaluator, which ranks the
 swarm's candidates: it evaluates a whole matrix of parameter vectors at
 once, one term-table pass for all edges and one stacked dense solve, in
 blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
@@ -37,6 +44,7 @@ boundary point.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass, field
@@ -194,30 +202,70 @@ _GOOD = -1
 
 
 def _pick_elimination_order(w, preds, candidates):
-    remaining = set(candidates)
-
-    def degree(s):
-        # in*out degree (no self-loops: _eliminate folds them into d_s);
-        # ties go to the lowest id
+    """Pivots in min in*out degree order (no self-loops: _eliminate folds
+    them into d_s), ties to the lowest id. A heap holds a key per state,
+    pushed anew whenever a pivot changes the state's row or its
+    predecessors; a popped key that no longer matches its state is stale."""
+    def key(s):
         return len(preds[s]) * len(w[s]), s
 
-    while remaining:
-        best = min(remaining, key=degree)
-        remaining.discard(best)
-        yield best
+    heap = [key(s) for s in candidates]
+    heapq.heapify(heap)
+    left = set(candidates)
+    while heap:
+        k = heapq.heappop(heap)
+        s = k[1]
+        if s not in left or k != key(s):
+            continue
+        left.discard(s)
+        # pivoting on s takes s from its successors' predecessors and
+        # rewrites its predecessors' rows
+        touched = (w[s].keys() | preds[s]) & left
+        yield s
+        for t in touched:
+            heapq.heappush(heap, key(t))
 
 
-def _eliminate(rows, c, keep=None):
-    """Eliminate every unknown of x = A x + c but `keep` (None: all of
-    them) on integer rows. rows[i]: {j: a_ij} over 0..n-1; entries and c
-    are anything with as_integer_ratio(): ints, Fractions (a float reads as
-    its exact binary value) or Polynomials, which eliminate over Z[params].
+def _integer_row(row, r):
+    """(L, {t: L*p}, L*r): the row {t: p} and the constant r on one integer
+    scale L, the lcm of their denominators. Entries and r are anything with
+    as_integer_ratio(): ints, Fractions (a float reads as its exact binary
+    value) or Polynomials, which scale to integer polynomials."""
+    pairs = [(t, *p.as_integer_ratio()) for t, p in row.items()]
+    rp, rq = r.as_integer_ratio()
+    scale = math.lcm(rq, *(q for _t, _p, q in pairs))
+    return scale, {t: p * (scale // q) for t, p, q in pairs}, rp * (scale // rq)
 
-    Row i, scaled by the lcm of its denominators, reads d_i x_i =
-    sum_j m_ij x_j + b_i, with the self-loop folded into d_i and b_i in the
-    _GOOD column. Pivots go in min in*out degree order, ties to the lowest
-    index. Substituting row s into a predecessor p scales p by d_s / g and
-    row s by m_ps / g, g the common factor of d_s and m_ps, and divides the
+
+def _integer_system(rows):
+    """The pivots d and rows w of _eliminate from integer rows
+    (L_i, {j: a_ij}, r_i) over 0..n-1, each reading
+    L_i x_i = sum_j a_ij x_j + r_i: the self-loop folds into d_i, r_i is
+    the _GOOD entry and zero entries drop."""
+    d = []
+    w = {}
+    for i, (scale, row, r) in enumerate(rows):
+        out = {}
+        for j, a in row.items():
+            if j == i:
+                scale -= a
+            elif a:
+                out[j] = a
+        if r:
+            out[_GOOD] = r
+        d.append(scale)
+        w[i] = out
+    return d, w
+
+
+def _eliminate(d, w, keep=None):
+    """Eliminate every unknown of the integer rows d_i x_i =
+    sum_j w[i][j] x_j + w[i][_GOOD] (see _integer_system) but `keep`
+    (None: all of them), over ints or over Z[params].
+
+    Pivots go in min in*out degree order, ties to the lowest index.
+    Substituting row s into a predecessor p scales p by d_s / g and row s
+    by m_ps / g, g the common factor of d_s and m_ps, and divides the
     result by the common factor of d_p and row p; polynomials.cancel gives
     the quotients of both steps (the int content's, or past
     GCD_TERM_THRESHOLD terms the polynomial gcd's) and nothing divides
@@ -226,28 +274,13 @@ def _eliminate(rows, c, keep=None):
     row s) of each pivot in order.
     """
     cancel = polynomials.cancel
-    n = len(c)
-    d = []
-    w = {}
-    preds = {i: set() for i in range(n)}
+    preds = {i: set() for i in range(len(d))}
     preds[_GOOD] = set()
-    for i, (row, ci) in enumerate(zip(rows, c)):
-        entries = [(j, *a.as_integer_ratio()) for j, a in row.items()]
-        cp, cq = ci.as_integer_ratio()
-        scale = math.lcm(cq, *(q for _j, _p, q in entries))
-        d.append(scale)
-        w[i] = out = {}
-        for j, p, q in entries:
-            if j == i:
-                d[i] -= p * (scale // q)
-            elif p:
-                out[j] = p * (scale // q)
-                preds[j].add(i)
-        if cp:
-            out[_GOOD] = cp * (scale // cq)
-            preds[_GOOD].add(i)
+    for i, out in w.items():
+        for j in out:
+            preds[j].add(i)
     eliminated = []
-    for s in _pick_elimination_order(w, preds, [i for i in range(n) if i != keep]):
+    for s in _pick_elimination_order(w, preds, [i for i in range(len(d)) if i != keep]):
         ds = d[s]
         if not ds:
             raise ModelError("singular linear system")
@@ -279,20 +312,17 @@ def _eliminate(rows, c, keep=None):
     return d, w, eliminated
 
 
-def solve_exact(rows, c):
-    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
-    substochastic (nonnegative, rows summing to at most one). Entries and c
-    are ints or Fractions; a float reads as its exact binary value, as
-    Fraction(v) reads it.
+def _solve_integer(d, w):
+    """x_i = num[i] / den for the integer rows d, w of _integer_system.
 
     _eliminate removes every unknown; the back-substitution keeps one shared
     denominator, the lcm of the denominators of the values found so far.
-    I - A is an M-matrix, so every pivot of a nonsingular system is
-    positive.
+    For a substochastic A, I - A is an M-matrix, so every pivot of a
+    nonsingular system is positive.
     """
-    _d, _w, eliminated = _eliminate(rows, c)
+    _d, _w, eliminated = _eliminate(d, w)
     # x[s] = num[s] / den for every s solved so far, num[s] = 0 for the rest
-    num = [0] * len(c)
+    num = [0] * len(d)
     den = 1
     for s, ds, out in reversed(eliminated):
         acc = 0
@@ -304,7 +334,23 @@ def solve_exact(rows, c):
             den *= k
             num = [v * k for v in num]
         num[s] = acc // g
+    return num, den
+
+
+def solve_exact(rows, c):
+    """Solve x = A x + c in Fractions. rows[i]: {j: a_ij} over 0..n-1, with A
+    substochastic (nonnegative, rows summing to at most one). Entries and c
+    are ints or Fractions; a float reads as its exact binary value, as
+    Fraction(v) reads it. Each row is scaled by the lcm of its denominators
+    and solved by _solve_integer."""
+    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
     return [Fraction(v, den) for v in num]
+
+
+def _solve_one(rows, c, i):
+    """solve_exact(rows, c)[i], without a Fraction for any other unknown."""
+    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
+    return Fraction(num[i], den)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +365,7 @@ def _mc_value(mc, goal, bad, reward):
     idx = {s: i for i, s in enumerate(q.U)}
     rows, c = _system(q, idx, lambda s: mc.row(s).items(),
                       lambda s: rewards.get(s, Fraction(0)), _same)
-    return solve_exact(rows, c)[idx[mc.initial]]
+    return _solve_one(rows, c, idx[mc.initial])
 
 
 def reach_avoid_prob(mc: Mc):
@@ -415,55 +461,63 @@ def _proper_initial_policy(U, known, choices, dist):
     return policy
 
 
-def _policy_iterate(U, policy, choices, dist, boundary, reward, better):
+def _policy_iterate(U, policy, choices, row_of, one, better, initial):
     """Exact policy iteration (Howard) on the states U, from `policy`.
 
-    Each round solves x = A x + c for the current choices, then switches a
-    state to its best candidate among choices(s, val) only where that is
+    row_of(s, ch) gives the integer row (L, {t: a_t}, r) of a choice, whose
+    value is (r + sum_t a_t x_t) / L, where x_t is 1 on the states `one`
+    and 0 on any other state outside U. Each round solves for the current
+    choices on integer rows (_solve_integer, x = num / den), then switches
+    a state to its best candidate among choices(s, val) only where that is
     strictly better than the state's current value; ties keep the first.
-    dist(s, ch) gives the successor distribution {t: p} of a choice,
-    boundary(t) the fixed value of a state outside U, reward(s, ch) the
-    constant term, and better(a, b) is a strict comparison. From a proper
-    policy every strict improvement stays proper, so each system is
-    nonsingular; a reward maximum needs that no choice can trap mass in U
-    (callers return INFINITE first, see _avoiders). Returns the values on
-    U and the policy, updated in place.
+    val(t) = x_t * den is an int, so a candidate's value times L * den is
+    n = r * den + sum_t a_t * val(t): it compares against x_s as n against
+    num_s * L, and against another candidate by cross products. better(a,
+    b) is a strict comparison. From a proper policy every strict
+    improvement stays proper, so each system is nonsingular; a reward
+    maximum needs that no choice can trap mass in U (callers return
+    INFINITE first, see _avoiders). Returns the value at `initial`, a
+    Fraction, and the policy, updated in place.
     """
     idx = {s: i for i, s in enumerate(U)}
-    x = {}
 
-    def val(t):
-        return x[t] if t in idx else boundary(t)
+    def indexed(s):
+        # the current choice's row over the indices of U, the mass into
+        # `one` folded into r
+        scale, row, r = row_of(s, policy[s])
+        out = {}
+        for t, a in row.items():
+            j = idx.get(t)
+            if j is not None:
+                out[j] = a
+            elif t in one:
+                r += a
+        return scale, out, r
 
     while True:
-        rows = []
-        c = []
-        for s in U:
-            ch = policy[s]
-            row = {}
-            acc = reward(s, ch)
-            for t, p in dist(s, ch).items():
-                if t in idx:
-                    row[idx[t]] = p
-                else:
-                    acc += p * boundary(t)
-            rows.append(row)
-            c.append(acc)
-        x = dict(zip(U, solve_exact(rows, c)))
+        num, den = _solve_integer(*_integer_system(map(indexed, U)))
+        value = dict.fromkeys(one, den)
+        value.update(zip(U, num))
+
+        def val(t):
+            return value.get(t, 0)
+
         switched = False
-        for s in U:
-            best, best_q = policy[s], x[s]
+        for s, bn in zip(U, num):
+            best = current = policy[s]
+            bl = 1
             for ch in choices(s, val):
-                if ch == policy[s]:
+                if ch == current:
                     continue
-                q = reward(s, ch) + sum(p * val(t) for t, p in dist(s, ch).items())
-                if better(q, best_q):
-                    best, best_q = ch, q
-            if best != policy[s]:
+                scale, row, r = row_of(s, ch)
+                n = r * den + sum(a * val(t) for t, a in row.items())
+                if better(n * bl, bn * scale):
+                    best, bn, bl = ch, n, scale
+            if best is not current:
                 policy[s] = best
                 switched = True
         if not switched:
-            return x, policy
+            return Fraction(num[idx[initial]], den), policy
 
 
 def _avoiders(graph, goal, stays):
@@ -491,8 +545,12 @@ def mdp_optimal(mdp: Mdp, spec: Specification) -> MdpResult:
     return _mdp_max_reward(mdp, mdp.goal)
 
 
-def _zero(*_args):
-    return Fraction(0)
+def _mdp_rows(mdp, U, reward):
+    """The integer row of every action of the states U, for
+    _policy_iterate: its distribution and, with `reward`, its reward."""
+    return {(s, a): _integer_row(mdp.row(s, a),
+                                 mdp.rewards.get((s, a), 0) if reward else 0)
+            for s in U for a in mdp.actions(s)}
 
 
 def _mdp_max_reach(mdp, goal, bad):
@@ -504,16 +562,13 @@ def _mdp_max_reach(mdp, goal, bad):
         return MdpResult(Fraction(0), dict(witness))
     U = [s for s in mdp.states if s not in s_one and s not in s_zero]
     start = _proper_initial_policy(U, s_one | s_zero, mdp.actions, mdp.row)
-    x, policy = _policy_iterate(
-        U, start, lambda s, _val: mdp.actions(s), mdp.row,
-        lambda t: Fraction(1) if t in s_one else Fraction(0), _zero, operator.gt)
+    rows = _mdp_rows(mdp, U, False)
+    value, policy = _policy_iterate(
+        U, start, lambda s, _val: mdp.actions(s), lambda s, a: rows[s, a],
+        s_one, operator.gt, mdp.initial)
     strategy = dict(witness)
     strategy.update(policy)
-    return MdpResult(x[mdp.initial], strategy)
-
-
-def _mdp_reward(mdp):
-    return lambda s, a: mdp.rewards.get((s, a), Fraction(0))
+    return MdpResult(value, strategy)
 
 
 def _mdp_min_reward(mdp, goal):
@@ -530,9 +585,11 @@ def _mdp_min_reward(mdp, goal):
 
     U = [s for s in mdp.states if s in p1e and s not in goal]
     start = _proper_initial_policy(U, goal, acts, mdp.row)
-    x, policy = _policy_iterate(U, start, lambda s, _val: acts(s), mdp.row,
-                                _zero, _mdp_reward(mdp), operator.lt)
-    return MdpResult(x[mdp.initial], policy)
+    rows = _mdp_rows(mdp, U, True)
+    value, policy = _policy_iterate(U, start, lambda s, _val: acts(s),
+                                    lambda s, a: rows[s, a], (), operator.lt,
+                                    mdp.initial)
+    return MdpResult(value, policy)
 
 
 def _mdp_max_reward(mdp, goal):
@@ -547,11 +604,13 @@ def _mdp_max_reward(mdp, goal):
         return MdpResult(INFINITE, {})
     relevant = _reachable(graph, mdp.initial, absorbing=goal)
     U = [s for s in sorted(relevant) if s not in goal]
+    rows = _mdp_rows(mdp, U, True)
     # every strategy reaches the goal almost surely here, so any start is proper
-    x, policy = _policy_iterate(U, {s: mdp.actions(s)[0] for s in U},
-                                lambda s, _val: mdp.actions(s), mdp.row,
-                                _zero, _mdp_reward(mdp), operator.gt)
-    return MdpResult(x[mdp.initial], policy)
+    value, policy = _policy_iterate(U, {s: mdp.actions(s)[0] for s in U},
+                                    lambda s, _val: mdp.actions(s),
+                                    lambda s, a: rows[s, a], (), operator.gt,
+                                    mdp.initial)
+    return MdpResult(value, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +638,7 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     rows, c = _system(q, idx, lambda s: d.row(s).items(),
                       lambda s: rewards.get(s, POLY_ZERO), _same)
     initial = idx[d.initial]
-    pivots, w, _ = _eliminate(rows, c, initial)
+    pivots, w, _ = _eliminate(*_integer_system(map(_integer_row, rows, c)), initial)
     # the pivot is still an int if no substitution touched the initial row
     return RationalFunction(*polynomials._sympy_cancel(
         w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))
@@ -677,30 +736,32 @@ class Region:
         return out
 
 
-def _poly_interval(poly: Polynomial, intervals):
-    """Exact range bound of a polynomial over the box via per-term interval
-    arithmetic; exact when no variable occurs in two terms (flagged)."""
-    lo = Fraction(0)
-    hi = Fraction(0)
-    seen = {}
-    exact = True
-    for mono, c in poly.terms.items():
-        plo = Fraction(1)
-        phi = Fraction(1)
-        for name, e in mono:
-            l, h = intervals[name]
-            plo *= l ** e
-            phi *= h ** e
-            if name in seen:
-                exact = False
-            seen[name] = True
+def _poly_interval(poly: Polynomial, box, D):
+    """(lo, hi, den) with the range of poly over a box inside
+    [lo / den, hi / den], by per-term interval arithmetic: exact when no
+    variable occurs in two terms. box maps each parameter of poly to the
+    numerators (a, b) of its interval [a / D, b / D]. The terms are poly's
+    packed monomials and int coefficients: a term of total degree k is
+    scaled by D ** (deg - k), so all of them sit over den = poly's
+    denominator * D ** deg, deg the largest total degree."""
+    w = poly._w
+    mask = (1 << w) - 1
+    mons = poly._mons
+    deg = max((m & mask for m in mons), default=0)
+    lo = hi = 0
+    for m, c in mons.items():
+        plo = phi = D ** (deg - (m & mask))
+        for name, e in polynomials._decode(m, w):
+            a, b = box[name]
+            plo *= a ** e
+            phi *= b ** e
         if c > 0:
             lo += c * plo
             hi += c * phi
         else:
             lo += c * phi
             hi += c * plo
-    return lo, hi, exact
+    return lo, hi, poly._den * D ** deg
 
 
 @dataclass
@@ -711,112 +772,155 @@ class RegionBounds:
     graph_preserving: bool
 
 
-def _edge_intervals(d: PmcT, region: Region):
-    for name in d.params.names:
-        if name not in region:
-            raise ModelError("region gives no interval for parameter %r" % name)
-    declared = set(d.params.names)
-    for name in sorted(region.intervals):
-        if name not in declared:
-            raise ModelError("region bounds %r, which the chain does not declare" % name)
-    tight = preserving = True
-    table = {}
-    for s in d.states:
-        entries = []
-        lo_sum = Fraction(0)
-        hi_sum = Fraction(0)
-        for t, poly in d.row(s).items():
-            lo, hi, exact = _poly_interval(poly, region.intervals)
-            if lo <= 0 and not poly.is_constant():
-                preserving = False
-            lo = max(lo, Fraction(0))
-            hi = min(hi, Fraction(1))
-            if lo > hi:
+class _Relaxation:
+    """What region_bounds reads of one chain whatever the box, built once
+    per chain and kept in its meta: the graph, the spec queries, the edges
+    of each row with the parameters each mentions, and `tight`, a property
+    of the polynomials alone. Edge and reward intervals are memoized by the
+    intervals of the parameters they mention, so a box split off another
+    recomputes only the split parameter's edges."""
+
+    def __init__(self, d: PmcT):
+        self.d = d
+        self.graph = _pmc_graph(d)
+        self.edges = {s: [(t, p, tuple(sorted(p.variables())))
+                          for t, p in d.row(s).items()] for s in d.states}
+        self.rewards = {s: (p, tuple(sorted(p.variables())))
+                        for s, p in d.rewards.items()}
+        # decoupling across rows is the lossy step: only single-row
+        # parameters keep the relaxation tight
+        rows_of = {}
+        exact = True
+        for s, edges in self.edges.items():
+            for _t, p, names in edges:
+                exact = exact and sum(map(len, p.terms)) == len(names)
+                for name in names:
+                    rows_of.setdefault(name, set()).add(s)
+        self.tight = (exact and all(len(rs) == 1 for rs in rows_of.values())
+                      and d.rows_in_simple_form())
+        self._queries = {}
+        self._codes = {}   # (name, lo, hi) -> a small int per interval
+        self._memo = {}    # (s, t or _GOOD, codes of the names) -> _poly_interval
+
+    def query(self, spec: Specification):
+        """The spec's query and the states outside its U."""
+        key = (spec.kind, spec.bad_label is not None)
+        if key not in self._queries:
+            d = self.d
+            q = _query(self.graph, d.initial, d.goal, _spec_bad(d, spec),
+                       spec.kind == EXPECTED_REWARD)
+            self._queries[key] = q, set(d.states).difference(q.U)
+        return self._queries[key]
+
+    def box(self, region: Region):
+        """interval(s, t, poly, names): _poly_interval of an edge (s, t),
+        or with t = _GOOD of the reward of s, over the region."""
+        D = math.lcm(*(v.denominator for iv in region.intervals.values() for v in iv))
+        nums = {}
+        code = {}
+        for name, (lo, hi) in region.intervals.items():
+            nums[name] = (lo.numerator * (D // lo.denominator),
+                          hi.numerator * (D // hi.denominator))
+            code[name] = self._codes.setdefault((name, lo, hi), len(self._codes))
+        memo = self._memo
+
+        def interval(s, t, poly, names):
+            key = (s, t, tuple(map(code.__getitem__, names)))
+            iv = memo.get(key)
+            if iv is None:
+                iv = memo[key] = _poly_interval(poly, nums, D)
+            return iv
+
+        return interval
+
+    def table(self, interval):
+        """Each state's row of edge intervals, clamped to [0, 1], on one
+        integer scale L: (L, [(t, lo, hi)] by t, L - sum lo); and whether
+        every point of the box is graph-preserving (no non-constant edge
+        may vanish)."""
+        preserving = True
+        table = {}
+        for s, edges in self.edges.items():
+            ivs = []
+            for t, poly, names in edges:
+                lo, hi, den = interval(s, t, poly, names)
+                if lo <= 0 and names:
+                    preserving = False
+                lo = max(lo, 0)
+                hi = min(hi, den)
+                if lo > hi:
+                    raise ModelError(
+                        "edge (%d,%d) has empty value range over the region" % (s, t))
+                ivs.append((t, lo, hi, den))
+            scale = math.lcm(*(den for *_iv, den in ivs))
+            entries = sorted((t, lo * (scale // den), hi * (scale // den))
+                             for t, lo, hi, den in ivs)
+            lo_sum = sum(lo for _t, lo, _hi in entries)
+            if lo_sum > scale or sum(hi for _t, _lo, hi in entries) < scale:
                 raise ModelError(
-                    "edge (%d,%d) has empty value range over the region" % (s, t))
-            if not exact:
-                tight = False
-            entries.append((t, lo, hi))
-            lo_sum += lo
-            hi_sum += hi
-        if lo_sum > 1 or hi_sum < 1:
-            raise ModelError(
-                "row of state %d cannot sum to 1 anywhere in the region" % s)
-        entries.sort()
-        table[s] = entries
-    # decoupling across rows is the lossy step: only single-row parameters
-    # keep the relaxation tight
-    rows_of = {}
-    for s in d.states:
-        for _t, poly in d.row(s).items():
-            for name in poly.variables():
-                rows_of.setdefault(name, set()).add(s)
-    if any(len(rs) > 1 for rs in rows_of.values()):
-        tight = False
-    if not d.rows_in_simple_form():
-        tight = False
-    return table, tight, preserving
+                    "row of state %d cannot sum to 1 anywhere in the region" % s)
+            table[s] = (scale, entries, scale - lo_sum)
+        return table, preserving
 
 
-def _greedy_allocation(entries, val_of, maximize):
-    """Distribution over successors inside the per-edge intervals that
-    optimizes the expected value; classic water-filling, exact."""
+def _greedy_allocation(row, val, maximize):
+    """The distribution inside a table row's intervals that optimizes the
+    expected value, {t: a_t} over the row's scale: classic water-filling,
+    exact. Successors go by val(t), best first, ties to the lowest t (the
+    entries are sorted by t and the sort is stable)."""
+    _scale, entries, free = row
     alloc = {t: lo for t, lo, _hi in entries}
-    remaining = Fraction(1) - sum(alloc.values())
-    if maximize:
-        order = sorted(entries, key=lambda e: (-val_of(e[0]), e[0]))
-    else:
-        order = sorted(entries, key=lambda e: (val_of(e[0]), e[0]))
-    for t, lo, hi in order:
-        if remaining <= 0:
+    for t, lo, hi in sorted(entries, key=lambda e: val(e[0]), reverse=maximize):
+        if free <= 0:
             break
-        take = min(hi - lo, remaining)
+        take = min(hi - lo, free)
         alloc[t] += take
-        remaining -= take
+        free -= take
     return alloc
 
 
-def _robust_values(table, U, known, boundary, reward, maximize):
+def _robust_value(rel, table, interval, maximize, spec):
     """Optimum over the interval relaxation on U: policy iteration whose one
     candidate per state is the greedy allocation at the current values
     (interval-MDP policy iteration, Nilim & El Ghaoui 2005). It starts from
     a proper allocation: each state pours its free mass first into one
-    successor, tried in order until that successor leaks toward `known`."""
-    def pour_first(s):
-        for t, _lo, _hi in table[s]:
-            yield _greedy_allocation(table[s], lambda u: int(u == t), True)
-
-    def dist(_s, alloc):
-        return alloc
-
-    start = _proper_initial_policy(U, known, pour_first, dist)
-    return _policy_iterate(
-        U, start, lambda s, val: [_greedy_allocation(table[s], val, maximize)],
-        dist, boundary, reward, operator.gt if maximize else operator.lt)[0]
-
-
-def _robust_value(d, table, q, maximize, region, reward):
+    successor, tried in order until that successor leaks toward the states
+    outside U."""
+    q, known = rel.query(spec)
     if q.value is not None:
         return q.value
-    rbound = dict.fromkeys(q.U, Fraction(0))
-    if reward:
+    d = rel.d
+    r = {}
+    if spec.kind == EXPECTED_REWARD:
         def stays(s, Z):
             # some allocation keeps all mass in Z: every edge leaving Z may be
             # zero and the edges into Z can carry the whole row
-            return (all(lo == 0 for t, lo, _hi in table[s] if t not in Z)
-                    and sum(hi for t, _lo, hi in table[s] if t in Z) >= 1)
+            scale, entries, _free = table[s]
+            return (all(lo == 0 for t, lo, _hi in entries if t not in Z)
+                    and sum(hi for t, _lo, hi in entries if t in Z) >= scale)
 
-        if maximize and d.initial in _avoiders(_pmc_graph(d), d.goal, stays):
+        if maximize and d.initial in _avoiders(rel.graph, d.goal, stays):
             return INFINITE
+        table = dict(table)
         for s in q.U:
-            poly = d.rewards.get(s)
-            if poly is not None:
-                lo, hi, _ = _poly_interval(poly, region.intervals)
-                rbound[s] = max(hi if maximize else lo, Fraction(0))
-    x = _robust_values(table, q.U, set(d.states).difference(q.U),
-                       lambda t: Fraction(1) if t in q.one else Fraction(0),
-                       lambda s, _alloc: rbound[s], maximize)
-    return x[d.initial]
+            if s in rel.rewards:
+                lo, hi, den = interval(s, _GOOD, *rel.rewards[s])
+                bound = max(hi if maximize else lo, 0)
+                scale, entries, free = table[s]
+                new = math.lcm(scale, den)
+                f = new // scale
+                table[s] = (new, [(t, a * f, b * f) for t, a, b in entries], free * f)
+                r[s] = bound * (new // den)
+
+    def pour_first(s):
+        for t, _lo, _hi in table[s][1]:
+            yield _greedy_allocation(table[s], lambda u: u == t, True)
+
+    start = _proper_initial_policy(q.U, known, pour_first, lambda _s, alloc: alloc)
+    return _policy_iterate(
+        q.U, start, lambda s, val: [_greedy_allocation(table[s], val, maximize)],
+        lambda s, alloc: (table[s][0], alloc, r.get(s, 0)), q.one,
+        operator.gt if maximize else operator.lt, d.initial)[0]
 
 
 def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
@@ -830,14 +934,24 @@ def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
 
     Parameter dependencies are relaxed per row: each row may pick any
     successor distribution inside the per-edge interval box, optimized by
-    exact robust policy iteration. `tight` marks instances (simple pMC,
-    single-row parameters) where the relaxation provably loses nothing."""
-    table, tight, preserving = _edge_intervals(d, region)
-    q = _spec_query(d, spec)
-    reward = spec.kind == EXPECTED_REWARD
-    upper = _robust_value(d, table, q, True, region, reward)
-    lower = _robust_value(d, table, q, False, region, reward)
-    return RegionBounds(lower, upper, tight, preserving)
+    exact robust policy iteration on integer rows. `tight` marks instances
+    (simple pMC, single-row parameters) where the relaxation provably loses
+    nothing."""
+    for name in d.params.names:
+        if name not in region:
+            raise ModelError("region gives no interval for parameter %r" % name)
+    declared = set(d.params.names)
+    for name in sorted(region.intervals):
+        if name not in declared:
+            raise ModelError("region bounds %r, which the chain does not declare" % name)
+    rel = d.meta.get("_relaxation")
+    if rel is None:
+        rel = d.meta["_relaxation"] = _Relaxation(d)
+    interval = rel.box(region)
+    table, preserving = rel.table(interval)
+    upper = _robust_value(rel, table, interval, True, spec)
+    lower = _robust_value(rel, table, interval, False, spec)
+    return RegionBounds(lower, upper, rel.tight, preserving)
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +1078,7 @@ class ExactPmcEvaluator(_EvaluatorBase):
         rewards = mc.rewards if self.spec.kind == EXPECTED_REWARD else {}
         rows, c = _system(self.query, self.idx, lambda s: mc.row(s).items(),
                           lambda s: rewards.get(s, Fraction(0)), _same)
-        return solve_exact(rows, c)[self.idx[self.d.initial]]
+        return _solve_one(rows, c, self.idx[self.d.initial])
 
 
 class FloatPmcEvaluator(_EvaluatorBase):

@@ -62,14 +62,17 @@ _BUILDERS = {
 }
 
 
-def _positive_int(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % v)
-    return v
+def _int_at_least(low):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        if v < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, v))
+        return v
+    return parse
 
 
 def _finite_float(text):
@@ -520,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform", help="POMDP to parametric chain (or "
                                          "unfolded / simple POMDP)")
     common(t)
-    t.add_argument("--memory", type=_positive_int, default=None,
+    t.add_argument("--memory", type=_int_at_least(1), default=None,
                    help="controller memory bound k (at least 1)")
     t.add_argument("--topology", choices=[FscTopology.FULL, FscTopology.COUNTER],
                    default=FscTopology.FULL)
@@ -549,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synthesize", help="search for a satisfying controller")
     common(s)
     s.add_argument("--spec", required=True)
-    s.add_argument("--memory", type=_positive_int, required=True)
+    s.add_argument("--memory", type=_int_at_least(1), required=True)
     s.add_argument("--topology", choices=[FscTopology.FULL, FscTopology.COUNTER],
                    default=FscTopology.FULL)
     s.add_argument("--variant", choices=[STANDARD, SUBSTITUTED], default=None,
@@ -558,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--time-limit", type=_finite_float, default=None,
                    help="wall-clock budget in seconds")
-    s.add_argument("--swarm", type=_positive_int, default=40)
-    s.add_argument("--iterations", type=_positive_int, default=500)
+    s.add_argument("--swarm", type=_int_at_least(1), default=40)
+    s.add_argument("--iterations", type=_int_at_least(1), default=500)
     s.add_argument("--min-prob", type=_finite_float, default=1e-4)
     s.set_defaults(func=cmd_synthesize)
 
@@ -577,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--region", default=None,
                     help="region file (default: the full min-prob box)")
     pr.add_argument("--min-prob", type=_finite_float, default=1e-4)
-    pr.add_argument("--max-depth", type=int, default=0,
+    pr.add_argument("--max-depth", type=_int_at_least(0), default=0,
                     help="bisection depth for refinement")
     pr.set_defaults(func=cmd_prove)
 
@@ -585,11 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
                                            "instantiations")
     common(pe)
     pe.add_argument("--spec", required=True)
-    pe.add_argument("--witnesses", type=_positive_int, default=3)
+    pe.add_argument("--witnesses", type=_int_at_least(1), default=3)
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--time-limit", type=_finite_float, default=None)
-    pe.add_argument("--swarm", type=_positive_int, default=40)
-    pe.add_argument("--iterations", type=_positive_int, default=500)
+    pe.add_argument("--swarm", type=_int_at_least(1), default=40)
+    pe.add_argument("--iterations", type=_int_at_least(1), default=500)
     pe.add_argument("--min-prob", type=_finite_float, default=1e-4)
     pe.set_defaults(func=cmd_permissive)
 

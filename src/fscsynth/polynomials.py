@@ -8,7 +8,9 @@ Each polynomial has its own w, 8 at first and doubled, operands repacked,
 when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
 with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
-tuples mapped to Fractions, rendered in graded lexicographic order.
+tuples mapped to Fractions, rendered in graded lexicographic order; only
+analysis._poly_interval, which bounds many polynomials over many boxes,
+reads the packed store and its int coefficients directly.
 
 A polynomial common factor is divided out in one way only, by cancel: the
 int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the

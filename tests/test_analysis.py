@@ -178,6 +178,31 @@ class TestSolveExact:
         with pytest.raises(ModelError, match="^singular linear system$"):
             solve_exact(rows, c)
 
+    def test_pivot_order_is_the_least_degree_at_each_step(self, monkeypatch):
+        # the heap gives the order of a min over every remaining state
+        def min_order(w, preds, candidates):
+            remaining = set(candidates)
+            while remaining:
+                best = min(remaining, key=lambda s: (len(preds[s]) * len(w[s]), s))
+                remaining.discard(best)
+                yield best
+
+        heap_order = analysis._pick_elimination_order
+        rng = random.Random("pivots")
+        # narrow rows, with and without self-loops, leave predecessors
+        # whose keys only a pivot's update refreshes
+        for n in (5, 12, 30, 60):
+            for width, loops in itertools.product((1, 2, 3, n - 2), (True, False)):
+                rows, c = _substochastic_system(rng, n, lambda _n: width, loops, "some")
+                orders = []
+                for order in (heap_order, min_order):
+                    monkeypatch.setattr(analysis, "_pick_elimination_order", order)
+                    system = analysis._integer_system(map(analysis._integer_row, rows, c))
+                    _d, _w, eliminated = analysis._eliminate(*system, keep=n // 2)
+                    orders.append([s for s, _ds, _out in eliminated])
+                assert orders[0] == orders[1]
+                assert sorted(orders[0]) == [i for i in range(n) if i != n // 2]
+
 
 class TestMdpOptimal:
     def test_probability_golden(self):
@@ -516,6 +541,99 @@ class TestAbsence:
     def test_chain_remembers_its_source_model(self):
         dk = induced_pmc(g.revisit_pomdp(), 1)
         assert dk.meta.get("pomdp") is not None
+
+
+def _seeded_chain(seed, k):
+    rng = random.Random(seed)
+    d = induced_pmc(g.random_pomdp(rng, max_states=5, with_rewards=True), k)
+    return d, g.random_region_for(d, rng)
+
+
+REACH = "P>= 1/2 [!bad U goal]"
+REWARD_SPECS = ("Emin<= 5 [F goal]", "Emax>= 5 [F goal]")
+
+# (lower, upper, tight, graph_preserving) of region_bounds over the root box
+# of _seeded_chain and the two halves of its split, for the reach spec and
+# for both reward specs, which share their bounds; captured from the
+# Fraction implementation of the interval relaxation
+BOUNDS_GOLDEN = {
+    (7, 1): ([("167/249", "1", False, False),
+              ("167/249", "1", False, False),
+              ("238/249", "1", False, False)],
+             [("789/271", "10325654/799245", False, False),
+              ("888/271", "531282/41447", False, False),
+              ("789/271", "17100235/2046969", False, False)]),
+    (7, 2): ([("3961/30000", "1", False, False)] * 3,
+             [("6809/4965", "1688763265832156863/9531308380373910", False, False),
+              ("6809/4965", "1688763265832156863/9531308380373910", False, False),
+              ("6809/4965", "211020940064074493/3478136641621200", False, False)]),
+    (9, 1): ([("35650/68349", "1720/2673", False, False),
+              ("70700/128339", "1720/2673", False, False),
+              ("35650/68349", "18967/32978", False, False)],
+             [("infinity", "infinity", False, False)] * 3),
+    (9, 2): ([("983/5260", "8127747687575/8140199353886", False, False),
+              ("983/5260", "15257334889296476/15288863519024801", False, False),
+              ("983/5260", "4996238723175076/5045421980192239", False, False)],
+             [("infinity", "infinity", False, False)] * 3),
+    (11, 1): ([("29405/146881", "48705/173036", False, True),
+               ("2305/10011", "48705/173036", False, True),
+               ("29405/146881", "186945/773819", False, True)],
+              [("104438040/66388823", "525470148/20900377", False, True),
+               ("104438040/66388823", "34468938/1692437", False, True),
+               ("492974160/245478617", "525470148/20900377", False, True)]),
+}
+
+
+class TestRegionGolden:
+    @pytest.mark.parametrize("seed, k", sorted(BOUNDS_GOLDEN))
+    def test_bounds_over_a_box_and_its_halves(self, seed, k):
+        reach, reward = BOUNDS_GOLDEN[seed, k]
+        # the chain memoizes edge intervals across boxes: visit the halves
+        # after the root box, and before it on a fresh chain
+        for order in ((0, 1, 2), (2, 1, 0)):
+            d, root = _seeded_chain(seed, k)
+            boxes = (root, *root.split())
+            for spec, want in ((REACH, reach), *((r, reward) for r in REWARD_SPECS)):
+                for i in order:
+                    b = region_bounds(d, boxes[i], parse_spec(spec))
+                    got = (str(b.lower), str(b.upper), b.tight, b.graph_preserving)
+                    assert got == want[i], (spec, i)
+
+    @pytest.mark.parametrize("chain, spec, want", [
+        ((7, 1), "P> 3/4 [!bad U goal]", (False, F(537, 542), 4)),
+        ((9, 1), "P> 3/5 [!bad U goal]", (False, F(156620, 250217), 4)),
+        ((9, 2), "P> 9/10 [!bad U goal]",
+         (False, F(284030027446664068, 285140174540539543), 4)),
+        ("revisit", "P> 0.36 [!bad U goal]", (False, F(585399, 1600000), 6)),
+        ("revisit", "P> 0.37 [!bad U goal]", (True, F(585399, 1600000), 11)),
+    ])
+    def test_prove_at_depth_three(self, chain, spec, want):
+        if chain == "revisit":
+            d = induced_pmc(g.revisit_pomdp(), 1)
+            root = Region({d.params.names[0]: (F(1, 100), F(99, 100))})
+        else:
+            d, root = _seeded_chain(*chain)
+        res = prove_absence(d, parse_spec(spec), root, max_depth=3)
+        assert (res.no_fsc, res.bound, res.regions_checked) == want
+
+    def test_poly_interval_on_packed_terms(self):
+        # degree 300 repacks the fields to 16 bits; the signs mix
+        p, q = V("p"), V("q")
+        poly = C(1) - p ** 300 + p * q
+        assert poly._w == 16
+        intervals = {"p": (F(1, 3), F(3, 4)), "q": (F(1, 5), F(1, 2))}
+        D = 60
+        box = {n: (lo * D, hi * D) for n, (lo, hi) in intervals.items()}
+        lo, hi, den = analysis._poly_interval(poly, box, D)
+        want_lo = want_hi = F(0)
+        for mono, c in poly.terms.items():
+            at_lo = at_hi = F(1)
+            for name, e in mono:
+                at_lo *= intervals[name][0] ** e
+                at_hi *= intervals[name][1] ** e
+            want_lo += c * (at_lo if c > 0 else at_hi)
+            want_hi += c * (at_hi if c > 0 else at_lo)
+        assert (F(lo, den), F(hi, den)) == (want_lo, want_hi)
 
 
 class TestEvaluators:

@@ -340,10 +340,11 @@ class TestSynthesizeCrossCheck:
 
     @staticmethod
     def _count_solves(monkeypatch):
+        # every exact solve, solve_exact or a single value, runs this core
         calls = []
-        solve = analysis.solve_exact
-        monkeypatch.setattr(analysis, "solve_exact",
-                            lambda rows, c: calls.append(len(c)) or solve(rows, c))
+        solve = analysis._solve_integer
+        monkeypatch.setattr(analysis, "_solve_integer",
+                            lambda d, w: calls.append(len(d)) or solve(d, w))
         return calls
 
     @pytest.mark.parametrize("memory", ["1", "2"])
@@ -465,6 +466,16 @@ class TestProve:
         assert "bound = 1/2" in out
         assert _manifest(Path("prove.manifest.json"))["result"] == {
             "no_controller": False, "bound": "0.5", "regions_checked": 1}
+
+    def test_negative_depth_is_rejected_by_the_parser(self, workdir, capsys):
+        inp = _pmc_file(workdir)
+        with pytest.raises(SystemExit) as e:
+            main(["prove", str(inp), "--spec", "P> 0.8 [!bad U goal]",
+                  "--max-depth", "-1"])
+        assert e.value.code == 2
+        assert "--max-depth: must be at least 0, got -1" in capsys.readouterr().err
+        assert main(["prove", str(inp), "--spec", "P> 0.8 [!bad U goal]",
+                     "--max-depth", "0"]) == EXIT_OK
 
 
 class TestPermissive:
