@@ -39,7 +39,9 @@ Fraction only of the value asked for. Floats live only in FloatPmcEvaluator, whi
 swarm's candidates: it evaluates a whole matrix of parameter vectors at
 once, one term-table pass for all edges and one stacked dense solve, in
 blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
-boundary point.
+boundary point. It is also the only user of NumPy here: the first
+FloatPmcEvaluator imports it and the term tables, so the exact paths never
+load it.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from ._kernels import TermTable
 from .models import (
     EXPECTED_REWARD,
     INFINITE,
@@ -73,6 +72,11 @@ from .polynomials import POLY_ONE, POLY_ZERO, Polynomial, RationalFunction
 
 # byte budget of one stacked (rows x n x n) block of float evaluation solves
 SOLVE_BLOCK_BYTES = 2 ** 21
+
+# the float layer, bound by the first FloatPmcEvaluator; np stays a module
+# global so that a view of it put here (e2ebench/spans.py) is what _solve uses
+np = None
+TermTable = None
 
 
 # ---------------------------------------------------------------------------
@@ -1090,6 +1094,11 @@ class FloatPmcEvaluator(_EvaluatorBase):
     """
 
     def __init__(self, d: PmcT, spec: Specification):
+        global np, TermTable
+        if TermTable is None:
+            from ._kernels import TermTable
+        if np is None:
+            import numpy as np
         super().__init__(d, spec)
         self.param_order = list(d.params.names)
         pidx = {n: i for i, n in enumerate(self.param_order)}

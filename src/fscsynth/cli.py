@@ -85,6 +85,13 @@ def _finite_float(text):
     return v
 
 
+def _positive_float(text):
+    v = _finite_float(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    return v
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -149,6 +156,14 @@ def _load_param_groups(d: PmcT, path: Path) -> list:
                  "%s does not group the parameters of %s" % (side, path))
     d.param_groups = groups
     return [side]
+
+
+def _min_prob(args) -> Fraction:
+    """--min-prob as an exact floor; raises unless it lies in (0, 1/2]."""
+    eps = Fraction(repr(args.min_prob))
+    if not 0 < eps <= Fraction(1, 2):
+        raise ModelError("--min-prob: probability floor must lie in (0, 0.5]")
+    return eps
 
 
 def _number(v) -> str:
@@ -274,7 +289,7 @@ def cmd_check(args) -> int:
     kind, model = _load_model(inp)
     spec = parse_spec(args.spec)
     inputs = [inp]
-    eps = Fraction(repr(args.min_prob))
+    eps = _min_prob(args)
 
     if kind == "pomdp":
         if args.fsc is None:
@@ -430,8 +445,6 @@ def cmd_closed_form(args) -> int:
 
 def _default_region(d: PmcT, eps: Fraction):
     """The box [eps, 1 - eps] on every parameter; a point at eps = 1/2."""
-    if not 0 < eps <= Fraction(1, 2):
-        raise ModelError("--min-prob: probability floor must lie in (0, 0.5]")
     box = {name: (eps, 1 - eps) for name in d.params.names}
     return analysis.Region(box)
 
@@ -449,7 +462,7 @@ def cmd_prove(args) -> int:
         _check_names(region.intervals, d,
                      "%s does not bound the parameters of %s" % (reg_path, inp))
     else:
-        region = _default_region(d, Fraction(repr(args.min_prob)))
+        region = _default_region(d, _min_prob(args))
     res = analysis.prove_absence(d, spec, region, max_depth=args.max_depth)
     if res.no_fsc:
         print("no controller in the region satisfies %s" % spec)
@@ -558,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", choices=[STANDARD, SUBSTITUTED], default=None,
                    help="search chain (default: substituted for k>1)")
     s.add_argument("--method", choices=["pso", "brute"], default="pso")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--time-limit", type=_finite_float, default=None,
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
+    s.add_argument("--time-limit", type=_positive_float, default=None,
                    help="wall-clock budget in seconds")
     s.add_argument("--swarm", type=_int_at_least(1), default=40)
     s.add_argument("--iterations", type=_int_at_least(1), default=500)
@@ -589,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pe)
     pe.add_argument("--spec", required=True)
     pe.add_argument("--witnesses", type=_int_at_least(1), default=3)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--time-limit", type=_finite_float, default=None)
+    pe.add_argument("--seed", type=_int_at_least(0), default=0)
+    pe.add_argument("--time-limit", type=_positive_float, default=None)
     pe.add_argument("--swarm", type=_int_at_least(1), default=40)
     pe.add_argument("--iterations", type=_int_at_least(1), default=500)
     pe.add_argument("--min-prob", type=_finite_float, default=1e-4)

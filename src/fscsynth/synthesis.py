@@ -9,7 +9,9 @@ whole swarm at once: the float verdict is one comparison against a cut
 derived from the exact threshold (float_verdict), the fitness one clipped
 array, the personal bests one masked update. The emitted best point is made
 exact (free coordinates by their decimal repr, residuals exactly) and
-re-certified exactly.
+re-certified exactly. The swarm is the only NumPy user here: each of its
+entry points imports it, so the exact paths (certify, the oracle, the
+region bounds) never load it.
 
 brute_force_oracle enumerates deterministic controllers outright (guarded),
 and find_permissive grows a box region around several satisfying witnesses,
@@ -24,8 +26,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .analysis import (
     FloatPmcEvaluator,
@@ -119,6 +119,7 @@ class _SimplexCodec:
     """
 
     def __init__(self, d: PmcT, eps: float):
+        import numpy as np
         self.groups = d.ensure_param_groups()
         order = {name: i for i, name in enumerate(d.params.names)}
         by_size = {}
@@ -142,6 +143,7 @@ class _SimplexCodec:
 
     def decode(self, logits: np.ndarray) -> np.ndarray:
         """(points x dims) logits -> (points x num_params) parameters."""
+        import numpy as np
         x = np.empty((len(logits), self.num_params))
         for m, cols, targets in self.blocks:
             seg = np.take(logits, cols, axis=1)  # C-contiguous, unlike logits[:, cols]
@@ -224,6 +226,7 @@ def float_verdict(spec: Specification):
     Infinite values read as spec.satisfied_by reads them, and NaN never
     satisfies.
     """
+    import numpy as np
     up = spec.comparison in (">", ">=")
     cut = float(spec.threshold)
     if not spec.satisfied_by(cut):
@@ -254,6 +257,7 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     satisfying parameter vectors seen along the way are kept (float
     verdicts; callers re-certify).
     """
+    import numpy as np
     cfg = cfg or SearchConfig()
     codec = _SimplexCodec(d, cfg.min_prob)
     if codec.dims == 0:

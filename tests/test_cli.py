@@ -249,6 +249,19 @@ label bad 2
         assert "not well-defined" in err
         assert "group {p_0_0_a} sums to 6/5" in err
 
+    @pytest.mark.parametrize("floor", ["-1", "0", "0.7"])
+    def test_floor_outside_the_range_names_the_flag(self, workdir, capsys, floor):
+        inp = _pmc_file(workdir)
+        point = _write(workdir / "point.inst",
+                       formats.write_instantiation(Instantiation({"p": F(3, 4)})))
+        rc = main(["check", str(inp), "--spec", "P> 0.7 [!bad U goal]",
+                   "--instantiation", str(point), "--min-prob", floor])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--min-prob" in captured.err
+        assert "probability floor must lie in (0, 0.5]" in captured.err
+        assert captured.out == ""
+
 
 class TestParameterNames:
     """A point or region file must name exactly the chain's parameters."""
@@ -543,6 +556,85 @@ class TestLazySympy:
         assert out.stdout.strip() == "False"
 
 
+class TestLazyNumpy:
+    """NumPy is imported by the float layer only: the swarm and
+    FloatPmcEvaluator. Each test runs in a fresh interpreter."""
+
+    @staticmethod
+    def _files(workdir):
+        m = g.random_pomdp(random.Random(35), max_states=6)
+        d = transforms.induced_pmc(m, 1)
+        pomdp = _write(workdir / "gen.pomdp", formats.write_pomdp(m))
+        pmc = _write(workdir / "gen.pmc", formats.write_pmc(d))
+        return d, pomdp, pmc
+
+    @staticmethod
+    def _run(workdir, lines):
+        out = subprocess.run([sys.executable, "-c", "\n".join(lines)], cwd=workdir,
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_only_the_swarm_imports_numpy(self, workdir):
+        d, pomdp, pmc = self._files(workdir)
+        point = _write(workdir / "point.inst", formats.write_instantiation(
+            g.random_instantiation_for(d, random.Random(1))))
+        spec = "P>= 1/2 [!bad U goal]"
+        exact = [
+            ["transform", str(pomdp), "-o", "out.pmc", "--memory", "2"],
+            ["check", str(pmc), "--spec", spec, "--instantiation", str(point)],
+            ["prove", str(pmc), "--spec", spec, "--max-depth", "2"],
+            ["closed-form", str(pmc), "-o", "gen.fn"],
+        ]
+        search = ["synthesize", str(pomdp), "-o", "best.fsc", "--spec", spec,
+                  "--memory", "1", "--swarm", "4", "--iterations", "3"]
+        loaded = self._run(workdir, [
+            "import contextlib, io, json, sys",
+            "seen = {}",
+            "import fscsynth",
+            "seen['import fscsynth'] = 'numpy' in sys.modules",
+            "from fscsynth import cli",
+            "seen['import fscsynth.cli'] = 'numpy' in sys.modules",
+            "for argv in %r:" % exact,
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) in (0, 1), argv",
+            "    seen[argv[0]] = 'numpy' in sys.modules",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(%r) in (0, 1)" % search,
+            "seen['synthesize'] = 'numpy' in sys.modules",
+            "print(json.dumps(seen))",
+        ])
+        assert loaded == {"import fscsynth": False, "import fscsynth.cli": False,
+                          "transform": False, "check": False, "prove": False,
+                          "closed-form": False, "synthesize": True}
+
+    def test_first_float_evaluator_matches_the_exact_one(self, workdir):
+        # the first FloatPmcEvaluator of an interpreter binds NumPy and the
+        # term tables; its values must be those of a warm one
+        d, _pomdp, pmc = self._files(workdir)
+        rng = random.Random(2)
+        points = [{n: str(v) for n, v in g.random_instantiation_for(d, rng).values.items()}
+                  for _ in range(4)]
+        got = self._run(workdir, [
+            "import json, sys",
+            "from fractions import Fraction",
+            "from fscsynth import analysis, formats",
+            "from fscsynth.models import parse_spec",
+            "d = formats.parse_pmc(open(%r).read())" % str(pmc),
+            "spec = parse_spec('P>= 1/2 [!bad U goal]')",
+            "assert 'numpy' not in sys.modules",
+            "fl = analysis.FloatPmcEvaluator(d, spec)",
+            "assert fl.query.value is None",
+            "ex = analysis.ExactPmcEvaluator(d, spec)",
+            "pts = [{n: Fraction(v) for n, v in p.items()} for p in %r]" % points,
+            "print(json.dumps([[fl.evaluate(u), float(ex.evaluate(u))] for u in pts]))",
+        ])
+        assert len(got) == 4
+        for fv, ev in got:
+            assert abs(fv - ev) <= 1e-12
+        assert len({ev for _fv, ev in got}) > 1
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         # run the declared console-script entry point the way the script
@@ -580,6 +672,28 @@ class TestEntryPoint:
                 main(argv + ["%s=%s" % (flag, value)])
             assert e.value.code == 2
             assert "must be finite" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("synthesize", "--seed", "-1", "must be at least 0"),
+        ("permissive", "--seed", "-1", "must be at least 0"),
+        ("synthesize", "--time-limit", "0", "must be positive"),
+        ("synthesize", "--time-limit", "-1", "must be positive"),
+        ("permissive", "--time-limit", "0", "must be positive"),
+        ("permissive", "--time-limit", "-1", "must be positive"),
+    ])
+    def test_out_of_range_values_are_rejected_by_the_parser(
+            self, workdir, capsys, command, flag, value, message):
+        inp = _pomdp_file(workdir)
+        argv = [command, str(inp), "--spec", "P> 0.5 [!bad U goal]",
+                "-o", "x", "--swarm", "2", "--iterations", "1"]
+        if command == "synthesize":
+            argv += ["--memory", "1"]
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["%s=%s" % (flag, value)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
         assert not (workdir / "x").exists()
 
 
