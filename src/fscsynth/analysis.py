@@ -33,13 +33,13 @@ choices are integer rows, each over the lcm of its denominators, and it
 improves a state by comparing integer sums against the solve's numerators
 over their one shared denominator; for the region bounds the one choice
 per state is the greedy interval allocation, poured in ints on rows that
-_Relaxation builds from _poly_interval's integer bounds, memoized per edge
-across the boxes of one chain. The solves and the policy iteration make a
-Fraction only of the value asked for. Floats live only in FloatPmcEvaluator, which ranks the
-swarm's candidates: it evaluates a whole matrix of parameter vectors at
-once, one term-table pass for all edges and one stacked dense solve, in
-blocks of at most SOLVE_BLOCK_BYTES, and takes the exact path at a
-boundary point. It is also the only user of NumPy here: the first
+_Relaxation builds from the integer bounds of polynomials._interval,
+memoized per edge across the boxes of one chain. The solves and the policy
+iteration make a Fraction only of the value asked for. Floats live only in
+FloatPmcEvaluator, which ranks the swarm's candidates: it evaluates a
+whole matrix of parameter vectors at once, one term-table pass for all
+edges and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES,
+and takes the exact path at a boundary point. It is also the only user of NumPy here: the first
 FloatPmcEvaluator imports it and the term tables, so the exact paths never
 load it.
 """
@@ -732,41 +732,6 @@ class Region:
         right[name] = (mid, hi)
         return Region(left), Region(right)
 
-    def sample(self, rng) -> dict:
-        out = {}
-        for name, (lo, hi) in sorted(self.intervals.items()):
-            t = Fraction(rng.randrange(0, 10 ** 9 + 1), 10 ** 9)
-            out[name] = lo + (hi - lo) * t
-        return out
-
-
-def _poly_interval(poly: Polynomial, box, D):
-    """(lo, hi, den) with the range of poly over a box inside
-    [lo / den, hi / den], by per-term interval arithmetic: exact when no
-    variable occurs in two terms. box maps each parameter of poly to the
-    numerators (a, b) of its interval [a / D, b / D]. The terms are poly's
-    packed monomials and int coefficients: a term of total degree k is
-    scaled by D ** (deg - k), so all of them sit over den = poly's
-    denominator * D ** deg, deg the largest total degree."""
-    w = poly._w
-    mask = (1 << w) - 1
-    mons = poly._mons
-    deg = max((m & mask for m in mons), default=0)
-    lo = hi = 0
-    for m, c in mons.items():
-        plo = phi = D ** (deg - (m & mask))
-        for name, e in polynomials._decode(m, w):
-            a, b = box[name]
-            plo *= a ** e
-            phi *= b ** e
-        if c > 0:
-            lo += c * plo
-            hi += c * phi
-        else:
-            lo += c * phi
-            hi += c * plo
-    return lo, hi, poly._den * D ** deg
-
 
 @dataclass
 class RegionBounds:
@@ -804,7 +769,7 @@ class _Relaxation:
                       and d.rows_in_simple_form())
         self._queries = {}
         self._codes = {}   # (name, lo, hi) -> a small int per interval
-        self._memo = {}    # (s, t or _GOOD, codes of the names) -> _poly_interval
+        self._memo = {}    # (s, t or _GOOD, codes of the names) -> polynomials._interval
 
     def query(self, spec: Specification):
         """The spec's query and the states outside its U."""
@@ -817,14 +782,15 @@ class _Relaxation:
         return self._queries[key]
 
     def box(self, region: Region):
-        """interval(s, t, poly, names): _poly_interval of an edge (s, t),
+        """interval(s, t, poly, names): polynomials._interval of an edge (s, t),
         or with t = _GOOD of the reward of s, over the region."""
         D = math.lcm(*(v.denominator for iv in region.intervals.values() for v in iv))
-        nums = {}
+        los = {}
+        his = {}
         code = {}
         for name, (lo, hi) in region.intervals.items():
-            nums[name] = (lo.numerator * (D // lo.denominator),
-                          hi.numerator * (D // hi.denominator))
+            los[name] = lo.numerator * (D // lo.denominator)
+            his[name] = hi.numerator * (D // hi.denominator)
             code[name] = self._codes.setdefault((name, lo, hi), len(self._codes))
         memo = self._memo
 
@@ -832,7 +798,7 @@ class _Relaxation:
             key = (s, t, tuple(map(code.__getitem__, names)))
             iv = memo.get(key)
             if iv is None:
-                iv = memo[key] = _poly_interval(poly, nums, D)
+                iv = memo[key] = polynomials._interval(poly, los, his, D)
             return iv
 
         return interval

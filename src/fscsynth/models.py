@@ -6,7 +6,10 @@ repr. Floats live only in the vectorized search evaluator of analysis.
 apply_instantiation takes a pMC D and a valuation u to the chain D[u] in one
 pass over the entries and rewards, and classifies u on the way: well-defined
 (on the controller-family chains, u is then a controller), graph-preserving,
-eps-preserving. Every point value and verdict reads that one result.
+eps-preserving. Every point value and verdict reads that one result. The
+pass runs in ints: u is read over one common denominator and each entry
+evaluated by polynomials._interval, so Fractions are made only of what the
+chain stores.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import polynomials
 from .polynomials import Polynomial, MissingParameterError, _int_str, fraction_str
 
 
@@ -689,6 +693,15 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
     row sum with 1 exactly, and classifies the point on the way (see
     WellDefinedness).
 
+    The evaluation is in ints: u is read as numerators over one
+    denominator D, the lcm of its values' denominators over the model's
+    parameters, and polynomials._interval takes each polynomial at that
+    point to an int numerator over its own denominator. The range,
+    boundary and eps tests and the row sums (the numerators, each scaled
+    to the lcm L of the row's denominators, sum to L) compare ints; a
+    Fraction is made only of each nonzero entry and each reward the chain
+    stores, and of the values a defect names.
+
     Never raises on a bad valuation: the result is tagged not-well-defined
     with a defect list naming the offending parameter groups, entries and
     rows. The chain is not validated again: the pass has checked every
@@ -702,30 +715,45 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
     if not isinstance(u, Instantiation):
         u = Instantiation(u)
     defects = _group_defects(model.param_groups, u)
-    values = u.values
-    boundary = []
+    xs = [(name, x) for name, x in u.items() if name in model.params]
+    D = math.lcm(*(x.denominator for _name, x in xs))
+    point = {name: x.numerator * (D // x.denominator) for name, x in xs}
+    interval = polynomials._interval
     epsp = eps is not None
+    if epsp:
+        eps = Fraction(eps)
+        en, ed = eps.numerator, eps.denominator
+    boundary = []
     trans = {}
-    for s in model.states:
-        row_out = {}
-        total = 0
-        for t, p in model.row(s).items():
-            v = p.evaluate(values)
-            if v < 0 or v > 1:
-                defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
-            elif not p.is_constant():
-                if not 0 < v < 1:
-                    boundary.append("entry (%d,%d) evaluates to boundary value %s"
-                                    % (s, t, v))
-                if epsp and not eps <= v <= 1 - eps:
-                    epsp = False
-            total += v
-            if v != 0:
-                row_out[t] = v
-        if total != 1:
-            defects.append("row of state %d sums to %s" % (s, total))
-        trans[s] = row_out
-    rewards = {s: r.evaluate(values) for s, r in model.rewards.items()}
+    rewards = {}
+    try:  # an entry naming a parameter u lacks fails its point lookup
+        for s in model.states:
+            row_out = {}
+            nums = []
+            for t, p in model.row(s).items():
+                v, _, den = interval(p, point, point, D)
+                if v < 0 or v > den:
+                    defects.append("entry (%d,%d) evaluates to %s"
+                                   % (s, t, Fraction(v, den)))
+                elif not p.is_constant():
+                    if v == 0 or v == den:
+                        boundary.append("entry (%d,%d) evaluates to boundary value %s"
+                                        % (s, t, v // den))
+                    if epsp and not en * den <= v * ed <= (ed - en) * den:
+                        epsp = False
+                nums.append((v, den))
+                if v:
+                    row_out[t] = Fraction(v, den)
+            L = math.lcm(*(den for _v, den in nums))
+            total = sum(v * (L // den) for v, den in nums)
+            if total != L:
+                defects.append("row of state %d sums to %s" % (s, Fraction(total, L)))
+            trans[s] = row_out
+        for s, r in model.rewards.items():
+            v, _, den = interval(r, point, point, D)
+            rewards[s] = Fraction(v, den)
+    except KeyError as err:
+        raise MissingParameterError(err.args[0]) from None
     mc = Mc(list(model.states), model.initial, trans, rewards,
             model.goal, model.bad, meta=dict(model.meta), validate=False)
     ok = not defects

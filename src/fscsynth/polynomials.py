@@ -8,9 +8,12 @@ Each polynomial has its own w, 8 at first and doubled, operands repacked,
 when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
 with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
-tuples mapped to Fractions, rendered in graded lexicographic order; only
-analysis._poly_interval, which bounds many polynomials over many boxes,
-reads the packed store and its int coefficients directly.
+tuples mapped to Fractions, rendered in graded lexicographic order. The
+packed store is read only inside this module: _interval evaluates the
+packed terms and their int coefficients over a box whose bounds are ints
+over one common denominator, and a point is the box with lo = hi. It
+serves evaluate, models.apply_instantiation (every entry of a chain at
+one point) and the region bounds of analysis (many boxes).
 
 A polynomial common factor is divided out in one way only, by cancel: the
 int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the
@@ -270,17 +273,16 @@ class Polynomial:
 
     def evaluate(self, valuation: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation, always a Fraction: int and Fraction values are
-        multiplied as they are, any other value is converted exactly first.
+        read as they are, any other value is converted exactly first.
         Raises MissingParameterError for absent names."""
-        total = 0
-        for m, c in self._mons.items():
-            for name, e in _decode(m, self._w):
-                x = _value(valuation, name)
-                if not isinstance(x, (int, Fraction)):
-                    x = Fraction(x)
-                c *= x if e == 1 else x ** e
-            total += c
-        return Fraction(total, self._den)
+        xs = {}
+        for name in self.variables():
+            x = _value(valuation, name)
+            xs[name] = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        D = math.lcm(*(x.denominator for x in xs.values()))
+        point = {name: x.numerator * (D // x.denominator) for name, x in xs.items()}
+        num, _, den = _interval(self, point, point, D)
+        return Fraction(num, den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -343,6 +345,42 @@ def fraction_str(f: Fraction) -> str:
         return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
     except ValueError:
         return _unlimited(fraction_str, f)
+
+
+def _interval(poly: Polynomial, lo, hi, D):
+    """(bottom, top, den) with the range of poly over a box inside
+    [bottom / den, top / den], by per-term interval arithmetic on poly's
+    packed monomials and int coefficients: exact when no variable occurs in
+    two terms. lo and hi map each parameter of poly to the numerators of its
+    interval [lo / D, hi / D]; a term of total degree k is scaled by
+    D ** (deg - k), so all of them sit over den = poly's denominator *
+    D ** deg, deg the largest total degree. A point is the box whose hi is
+    lo: each term's product is formed once, and bottom == top is poly's
+    value there times den."""
+    w = poly._w
+    mask = (1 << w) - 1
+    mons = poly._mons
+    deg = max((m & mask for m in mons), default=0)
+    bottom = top = 0
+    for m, c in mons.items():
+        scale = D ** (deg - (m & mask))
+        factors = _decode(m, w)
+        at_lo = scale
+        for name, e in factors:
+            at_lo *= lo[name] ** e
+        if hi is lo:
+            bottom += c * at_lo
+            continue
+        at_hi = scale
+        for name, e in factors:
+            at_hi *= hi[name] ** e
+        if c > 0:
+            bottom += c * at_lo
+            top += c * at_hi
+        else:
+            bottom += c * at_hi
+            top += c * at_lo
+    return bottom, bottom if hi is lo else top, poly._den * D ** deg
 
 
 def _packed(mons: dict, den: int, w: int, deg: int, p=None) -> Polynomial:

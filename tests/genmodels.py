@@ -10,10 +10,13 @@ from fractions import Fraction
 
 from fscsynth.models import (
     Instantiation,
+    Mc,
     Mdp,
     ParameterTable,
     PmcT,
     Pomdp,
+    WellDefinedness,
+    _group_defects,
 )
 from fscsynth.polynomials import Polynomial
 
@@ -340,3 +343,83 @@ def random_region_for(d: PmcT, rng):
         hi = F(rng.randint(50, 99), 100)
         intervals[name] = (lo, hi)
     return Region(intervals)
+
+
+# the grid sample() draws from: 10**9 steps across each interval
+SAMPLE_STEPS = 10 ** 9
+
+
+def sample_ratios(region, rng) -> dict:
+    """A random grid point of region as {name: (numerator, denominator)}
+    ints: per parameter in name order, r = rng.randrange(0, 10**9 + 1) and
+    the value (lo * (10**9 - r) + hi * r) / 10**9."""
+    out = {}
+    for name, (lo, hi) in sorted(region.intervals.items()):
+        r = rng.randrange(0, SAMPLE_STEPS + 1)
+        out[name] = (lo.numerator * hi.denominator * (SAMPLE_STEPS - r)
+                     + hi.numerator * lo.denominator * r,
+                     lo.denominator * hi.denominator * SAMPLE_STEPS)
+    return out
+
+
+def sample(region, rng) -> dict:
+    """sample_ratios's point as Fractions."""
+    return {name: F(n, d) for name, (n, d) in sample_ratios(region, rng).items()}
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_evaluate(p: Polynomial, values) -> Fraction:
+    """A polynomial's value as a per-term Fraction product over its `terms`:
+    the loop Polynomial.evaluate ran before it read the packed terms in
+    ints. Values other than ints and Fractions are converted exactly."""
+    total = 0
+    for mono, c in p.terms.items():
+        for name, e in mono:
+            x = values[name]
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            c *= x ** e
+        total += c
+    return Fraction(total)
+
+
+def ref_apply_instantiation(model: PmcT, u, eps=None) -> WellDefinedness:
+    """models.apply_instantiation as a Fraction loop: each entry and reward
+    by ref_evaluate, the range, boundary and eps tests and the row sums on
+    Fractions."""
+    if not isinstance(u, Instantiation):
+        u = Instantiation(u)
+    defects = _group_defects(model.param_groups, u)
+    values = u.values
+    boundary = []
+    epsp = eps is not None
+    trans = {}
+    for s in model.states:
+        row_out = {}
+        total = 0
+        for t, p in model.row(s).items():
+            v = ref_evaluate(p, values)
+            if v < 0 or v > 1:
+                defects.append("entry (%d,%d) evaluates to %s" % (s, t, v))
+            elif not p.is_constant():
+                if not 0 < v < 1:
+                    boundary.append("entry (%d,%d) evaluates to boundary value %s"
+                                    % (s, t, v))
+                if epsp and not eps <= v <= 1 - eps:
+                    epsp = False
+            total += v
+            if v != 0:
+                row_out[t] = v
+        if total != 1:
+            defects.append("row of state %d sums to %s" % (s, total))
+        trans[s] = row_out
+    rewards = {s: ref_evaluate(r, values) for s, r in model.rewards.items()}
+    mc = Mc(list(model.states), model.initial, trans, rewards,
+            model.goal, model.bad, meta=dict(model.meta), validate=False)
+    ok = not defects
+    return WellDefinedness(mc, ok, ok and not boundary,
+                           ok and epsp if eps is not None else None,
+                           defects if not ok else boundary)

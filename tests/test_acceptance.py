@@ -249,12 +249,13 @@ def test_criterion_09_absence_soundness():
     for i in range(20):
         d = g.random_simple_pmc(rng, max_states=20)
         region = g.random_region_for(d, rng)
-        points = [region.sample(rng) for _ in range(sampled)]
+        # ints, so that only the points checked exactly become Fractions;
+        # n / den is the correctly rounded float, as float(Fraction) is
+        points = [g.sample_ratios(region, rng) for _ in range(sampled)]
         fl = FloatPmcEvaluator(d, SPEC)
         order = fl.param_order
-        values = np.array([
-            fl.evaluate_vector(np.array([float(pt[nm]) for nm in order]))
-            for pt in points])
+        values = fl.evaluate_vector(np.array(
+            [[n / den for n, den in map(pt.__getitem__, order)] for pt in points]))
         exact = None
         for theta in (F(rng.randint(1, 99), 100),
                       F(min(999, int(values.max() * 1000) + 2), 1000)):
@@ -269,8 +270,9 @@ def test_criterion_09_absence_soundness():
             for j in np.nonzero(values > float(theta) - 1e-9)[0]:
                 if exact is None:
                     exact = ExactPmcEvaluator(d, spec)
-                v = exact.evaluate(Instantiation(points[int(j)]))
-                assert not spec.satisfied_by(v), (i, theta, points[int(j)], v)
+                point = {nm: F(*q) for nm, q in points[int(j)].items()}
+                v = exact.evaluate(Instantiation(point))
+                assert not spec.satisfied_by(v), (i, theta, point, v)
     assert verdicts > 0
 
     d = g.biased_choice_pmc()

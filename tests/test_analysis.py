@@ -406,7 +406,7 @@ class TestRegions:
         assert right.intervals["p"] == (F(1, 2), F(3, 4))
         rng = random.Random(1)
         for _ in range(20):
-            assert r.contains_point(r.sample(rng))
+            assert r.contains_point(g.sample(r, rng))
         with pytest.raises(ModelError):
             Region({"p": (F(0), F(1, 2))})
         for point in (Region({}), Region({"p": (F(1, 2), F(1, 2))})):
@@ -440,7 +440,7 @@ class TestRegions:
             b = region_bounds(d, reg, SPEC)
             ev = ExactPmcEvaluator(d, SPEC)
             for _ in range(10):
-                v = ev.evaluate(Instantiation(reg.sample(rng)))
+                v = ev.evaluate(Instantiation(g.sample(reg, rng)))
                 assert b.lower <= v <= b.upper
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -458,7 +458,7 @@ class TestRegions:
                 b = region_bounds(d, reg, spec)
                 ev = ExactPmcEvaluator(d, spec)
                 for _ in range(6):
-                    u = Instantiation(reg.sample(rng))
+                    u = Instantiation(g.sample(reg, rng))
                     # box samples may break the parameter-group
                     # constraint, where the evaluator raises: skip those
                     if not apply_instantiation(d, u).well_defined:
@@ -623,8 +623,9 @@ class TestRegionGolden:
         assert poly._w == 16
         intervals = {"p": (F(1, 3), F(3, 4)), "q": (F(1, 5), F(1, 2))}
         D = 60
-        box = {n: (lo * D, hi * D) for n, (lo, hi) in intervals.items()}
-        lo, hi, den = analysis._poly_interval(poly, box, D)
+        los = {n: lo * D for n, (lo, _hi) in intervals.items()}
+        his = {n: hi * D for n, (_lo, hi) in intervals.items()}
+        lo, hi, den = polynomials._interval(poly, los, his, D)
         want_lo = want_hi = F(0)
         for mono, c in poly.terms.items():
             at_lo = at_hi = F(1)

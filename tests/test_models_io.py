@@ -1,5 +1,6 @@
 """Model types, validation, specifications, and the text formats."""
 
+import math
 import random
 import re
 import sys
@@ -448,6 +449,101 @@ class TestNumbersAndInstantiations:
             Mc([0, 1], 0, {0: {0: 0.5, 1: F(1, 2)}, 1: {1: F(1)}})
         with pytest.raises(ModelError, match="sums to"):
             Mc([0, 1], 0, {0: {0: F(1, 2), 1: F(1, 3)}, 1: {1: F(1)}})
+
+
+def _primes(rng, count):
+    """count distinct random 20-bit primes."""
+    out = []
+    while len(out) < count:
+        n = rng.randrange(1 << 19, 1 << 20) | 1
+        if n not in out and all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            out.append(n)
+    return out
+
+
+class TestIntInstantiation:
+    """apply_instantiation's int pass against the Fraction loop it replaced,
+    genmodels.ref_apply_instantiation, field by field."""
+
+    EPS = F(1, 10)
+    KINDS = ("decimal", "float", "coprime", "vertex", "outside", "over", "eps", "below-eps")
+
+    def _point(self, d, kind, rng):
+        """A valuation of d's parameter groups: on the simplex with decimal,
+        float or pairwise-coprime 20-bit denominators, at a vertex (values 0
+        and 1), ill-defined (a value outside [0, 1], groups summing over
+        1), every value at eps, or one just below it."""
+        groups = d.ensure_param_groups()
+        primes = _primes(rng, sum(map(len, groups)))
+        vals = {}
+        for group in groups:
+            w = [rng.randint(1, 9) for _ in range(len(group) + 1)]
+            tot = sum(w)
+            top = rng.randrange(len(group) + 1)
+            for i, name in enumerate(group):
+                if kind == "decimal":
+                    vals[name] = F(w[i] * 1000 // tot, 1000)
+                elif kind == "float":
+                    vals[name] = w[i] / tot
+                elif kind == "coprime":
+                    p = primes.pop()
+                    vals[name] = F(w[i] * p // tot, p)
+                elif kind == "vertex":
+                    vals[name] = F(i == top)
+                elif kind == "over":
+                    vals[name] = F(3, 5)
+                else:
+                    vals[name] = self.EPS
+        names = [n for group in groups for n in group]
+        if kind == "outside":
+            vals = {n: F(1, 2 * len(names)) for n in names}
+            vals[rng.choice(names)] = rng.choice([F(-1, 4), F(5, 4)])
+        elif kind == "below-eps":
+            vals[rng.choice(names)] = self.EPS - F(1, 10 ** 6)
+        return Instantiation(vals)
+
+    def _chains(self):
+        # rows that sum to p + q, not to 1, at most points
+        p, q = Polynomial.variable("p"), Polynomial.variable("q")
+        one = Polynomial.constant(1)
+        yield PmcT(3, 0, {0: {1: p, 2: q}, 1: {1: one}, 2: {2: one}},
+                   params=ParameterTable(["p", "q"]), goal={1})
+        yield g.wide_group_pmc(reward=True)
+        rng = random.Random(2024)
+        for _ in range(6):
+            yield g.random_simple_pmc(rng, max_states=12)
+            m = g.random_pomdp(rng, max_states=5, max_actions=3, max_obs=2,
+                               with_rewards=True)
+            for k in (1, 2):
+                d = induced_pmc(m, k)
+                if d.params.names:
+                    yield d
+
+    def test_matches_the_fraction_loop(self):
+        rng = random.Random(77)
+        seen = set()
+        for d in self._chains():
+            for kind in self.KINDS:
+                u = self._point(d, kind, rng)
+                for eps in (None, self.EPS):
+                    got = apply_instantiation(d, u, eps)
+                    want = g.ref_apply_instantiation(d, u, eps)
+                    assert ([(s, list(row.items())) for s, row in got.model.trans.items()]
+                            == [(s, list(row.items())) for s, row in want.model.trans.items()])
+                    assert list(got.model.rewards.items()) == list(want.model.rewards.items())
+                    assert got.model == want.model and got.model.meta == want.model.meta
+                    assert all(type(v) is F for row in got.model.trans.values()
+                               for v in row.values())
+                    assert all(type(v) is F for v in got.model.rewards.values())
+                    flags = (got.well_defined, got.graph_preserving, got.eps_preserving)
+                    assert flags == (want.well_defined, want.graph_preserving,
+                                     want.eps_preserving), (kind, u)
+                    assert got.defects == want.defects
+                    seen.add(flags)
+        # every verdict the pass can give came up
+        assert seen >= {(True, True, None), (True, True, True), (True, True, False),
+                        (True, False, None), (True, False, False),
+                        (False, False, None), (False, False, False)}
 
 
 def Infinite_roundtrip():

@@ -410,6 +410,21 @@ class TestAgainstTupleStorage:
         assert v == _ref_evaluate(p, point)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(wide_terms)
+    def test_a_degenerate_box_bounds_by_the_point_value(self, p):
+        # the box whose lo and hi are one mapping is a point; equal but
+        # distinct mappings take the interval path, which must agree
+        a = Polynomial(p)
+        if a.degree() > 600:
+            return  # big powers of WIDE_POINT take seconds
+        D = 4
+        point = {n: int(x * D) for n, x in WIDE_POINT.items()}
+        want = _ref_evaluate(p, WIDE_POINT)
+        for hi in (point, dict(point)):
+            lo, up, den = polynomials._interval(a, point, hi, D)
+            assert lo == up and F(lo, den) == want
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(wide_terms, wide_terms, wide_terms)
     def test_rational_function_normal_form_agrees(self, p, q, r):
         num, den = _ref_mul(p, r), _ref_mul(q, r)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import genmodels as g
+from fscsynth import polynomials
 from fscsynth import synthesis as sy
 from fscsynth.analysis import ExactPmcEvaluator, mdp_optimal, state_eliminate
 from fscsynth.fsc import FscTopology, fsc_from_instantiation, induced_mc, lift_fsc
@@ -59,9 +60,9 @@ class TestCertify:
         polys = [p for s in d.states for p in d.row(s).values()] + list(d.rewards.values())
         assert d.params.names and d.rewards
         evaluated, passes = [], []
-        evaluate, apply = Polynomial.evaluate, sy.apply_instantiation
-        monkeypatch.setattr(Polynomial, "evaluate",
-                            lambda p, point: evaluated.append(p) or evaluate(p, point))
+        interval, apply = polynomials._interval, sy.apply_instantiation
+        monkeypatch.setattr(polynomials, "_interval",
+                            lambda p, *box: evaluated.append(p) or interval(p, *box))
         monkeypatch.setattr(sy, "apply_instantiation",
                             lambda *args: passes.append(args) or apply(*args))
         for spec in (SPEC76, parse_spec("Emin<= 5 [F goal]")):
@@ -260,7 +261,7 @@ class TestPermissive:
         rf = state_eliminate(d)
         rng = random.Random(52)
         for _ in range(1000):
-            pt = cand.region.sample(rng)
+            pt = g.sample(cand.region, rng)
             assert spec.satisfied_by(rf.evaluate(pt))
 
     def test_box_containing_violators_is_not_certified(self):
