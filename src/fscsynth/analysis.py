@@ -16,9 +16,10 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
   - _eliminate removes unknowns from such a system on integer rows, with
     c as one sink column, dividing out common factors with
     polynomials.cancel: over the integers for _solve_integer, which
-    back-substitutes to numerators over one shared denominator, and over
-    integer polynomials for the closed forms, which keep the initial row
-    and cancel it once.
+    back-substitutes to numerators over one shared denominator, and for
+    _affine_forms, which keeps a set of unknowns and writes every other
+    one over them, and over integer polynomials for the closed forms, which
+    keep the initial row and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
 and a fixpoint) and stay outside this frame. An exact value at a point reads
 the one models.apply_instantiation pass: ExactPmcEvaluator solves its
@@ -39,9 +40,12 @@ iteration make a Fraction only of the value asked for. Floats live only in
 FloatPmcEvaluator, which ranks the swarm's candidates: it evaluates a
 whole matrix of parameter vectors at once, one term-table pass for all
 edges and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES,
-and takes the exact path at a boundary point. It is also the only user of NumPy here: the first
-FloatPmcEvaluator imports it and the term tables, so the exact paths never
-load it.
+and takes the exact path at a boundary point. The solve runs on the
+parametric core: the uncertain states with a constant row are eliminated
+once, exactly, when the evaluator is built (_affine_forms), and folded
+into the rows that step into them as further term-table polynomials. The
+evaluator is also the only user of NumPy here: the first one imports it
+and the term tables, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -262,10 +266,10 @@ def _integer_system(rows):
     return d, w
 
 
-def _eliminate(d, w, keep=None):
+def _eliminate(d, w, keep=frozenset()):
     """Eliminate every unknown of the integer rows d_i x_i =
-    sum_j w[i][j] x_j + w[i][_GOOD] (see _integer_system) but `keep`
-    (None: all of them), over ints or over Z[params].
+    sum_j w[i][j] x_j + w[i][_GOOD] (see _integer_system) but the indices
+    in the set `keep`, over ints or over Z[params].
 
     Pivots go in min in*out degree order, ties to the lowest index.
     Substituting row s into a predecessor p scales p by d_s / g and row s
@@ -274,8 +278,9 @@ def _eliminate(d, w, keep=None):
     the quotients of both steps (the int content's, or past
     GCD_TERM_THRESHOLD terms the polynomial gcd's) and nothing divides
     after it. A zero pivot means the system is singular. Returns the pivots
-    d, the rows w left over ({keep: its row}, or empty) and the (s, d_s,
-    row s) of each pivot in order.
+    d, the rows w left over (those of `keep`) and the (s, d_s, row s) of
+    each pivot in order; a pivot's row names only the unknowns pivoted
+    after it, the kept ones and _GOOD.
     """
     cancel = polynomials.cancel
     preds = {i: set() for i in range(len(d))}
@@ -284,7 +289,7 @@ def _eliminate(d, w, keep=None):
         for j in out:
             preds[j].add(i)
     eliminated = []
-    for s in _pick_elimination_order(w, preds, [i for i in range(len(d)) if i != keep]):
+    for s in _pick_elimination_order(w, preds, [i for i in range(len(d)) if i not in keep]):
         ds = d[s]
         if not ds:
             raise ModelError("singular linear system")
@@ -339,6 +344,24 @@ def _solve_integer(d, w):
             num = [v * k for v in num]
         num[s] = acc // g
     return num, den
+
+
+def _affine_forms(rows, c, keep):
+    """x_k = sum_q B[k][q] x_q + B[k][_GOOD] for every unknown k of
+    x = A x + c (as solve_exact takes it) outside the index set `keep`:
+    _eliminate on integer rows keeps those unknowns, and the
+    back-substitution writes each eliminated one over them and _GOOD, as a
+    map of nonzero Fractions. The rows and c of the kept unknowns are not
+    read; pass {} and 0."""
+    _d, _w, eliminated = _eliminate(*_integer_system(map(_integer_row, rows, c)), keep)
+    forms = {}
+    for s, ds, out in reversed(eliminated):
+        acc = {}
+        for t, v in out.items():
+            for q, b in forms[t].items() if t in forms else ((t, 1),):
+                acc[q] = acc.get(q, 0) + v * b
+        forms[s] = {q: Fraction(b) / ds for q, b in acc.items() if b}
+    return forms
 
 
 def solve_exact(rows, c):
@@ -642,7 +665,7 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     rows, c = _system(q, idx, lambda s: d.row(s).items(),
                       lambda s: rewards.get(s, POLY_ZERO), _same)
     initial = idx[d.initial]
-    pivots, w, _ = _eliminate(*_integer_system(map(_integer_row, rows, c)), initial)
+    pivots, w, _ = _eliminate(*_integer_system(map(_integer_row, rows, c)), {initial})
     # the pivot is still an int if no substitution touched the initial row
     return RationalFunction(*polynomials._sympy_cancel(
         w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))
@@ -893,7 +916,8 @@ def _robust_value(rel, table, interval, maximize, spec):
         operator.gt if maximize else operator.lt, d.initial)[0]
 
 
-def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
+def region_bounds(d: PmcT, region: Region, spec: Specification,
+                  side: str | None = None) -> RegionBounds:
     """Sound lower/upper bounds on the spec value over every well-defined
     valuation inside the region, except that the lower reach bound holds at
     graph-preserving points only: the value-0 and value-1 states come from
@@ -904,9 +928,10 @@ def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
 
     Parameter dependencies are relaxed per row: each row may pick any
     successor distribution inside the per-edge interval box, optimized by
-    exact robust policy iteration on integer rows. `tight` marks instances
-    (simple pMC, single-row parameters) where the relaxation provably loses
-    nothing."""
+    exact robust policy iteration on integer rows, one per bound. `tight`
+    marks instances (simple pMC, single-row parameters) where the relaxation
+    provably loses nothing. side "upper" or "lower" computes that bound
+    alone and leaves the other None."""
     for name in d.params.names:
         if name not in region:
             raise ModelError("region gives no interval for parameter %r" % name)
@@ -919,8 +944,11 @@ def region_bounds(d: PmcT, region: Region, spec: Specification) -> RegionBounds:
         rel = d.meta["_relaxation"] = _Relaxation(d)
     interval = rel.box(region)
     table, preserving = rel.table(interval)
-    upper = _robust_value(rel, table, interval, True, spec)
-    lower = _robust_value(rel, table, interval, False, spec)
+    upper = lower = None
+    if side != "lower":
+        upper = _robust_value(rel, table, interval, True, spec)
+    if side != "upper":
+        lower = _robust_value(rel, table, interval, False, spec)
     return RegionBounds(lower, upper, rel.tight, preserving)
 
 
@@ -935,15 +963,17 @@ class AbsenceResult:
     regions_checked: int
 
 
-def _bound_refutes(spec: Specification, lower, upper) -> bool:
+def _bound_refutes(spec: Specification, bound) -> bool:
+    """Whether the bound the verdict reads (the upper one for > and >=, the
+    lower one for < and <=) violates the threshold."""
     t = spec.threshold
     if spec.comparison == ">":
-        return (not is_infinite(upper)) and upper <= t
+        return (not is_infinite(bound)) and bound <= t
     if spec.comparison == ">=":
-        return (not is_infinite(upper)) and upper < t
+        return (not is_infinite(bound)) and bound < t
     if spec.comparison == "<":
-        return is_infinite(lower) or lower >= t
-    return is_infinite(lower) or lower > t
+        return is_infinite(bound) or bound >= t
+    return is_infinite(bound) or bound > t
 
 
 def _dominance_bounds(d: PmcT, spec: Specification):
@@ -963,37 +993,40 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
     """no-FSC verdict iff the sound bound already violates the threshold on
     the whole region (optionally after recursive splitting); otherwise
     inconclusive, reporting the bound that failed to refute."""
-    dom = _dominance_bounds(d, spec)
+    upper = spec.comparison in (">", ">=")
+    # the fully observable optimum dominates every controller value: it
+    # bounds reach and maximal rewards from above, minimal ones from below
+    dom = None
+    if upper == (spec.kind == REACH_AVOID or spec.opt == "max"):
+        dom = _dominance_bounds(d, spec)
     checked = 0
 
     def visit(reg: Region, depth: int):
         nonlocal checked
         checked += 1
-        b = region_bounds(d, reg, spec)
-        lower, upper = b.lower, b.upper
-        if dom is not None:
-            # fully observable optimum dominates every controller value
-            if spec.kind == REACH_AVOID or spec.opt == "max":
-                if dom < upper:
-                    upper = dom
-            else:
-                if dom > lower:
-                    lower = dom
-        if _bound_refutes(spec, lower, upper):
-            return True, (upper if spec.comparison in (">", ">=") else lower)
+        if upper:
+            bound = region_bounds(d, reg, spec, "upper").upper
+            if dom is not None and dom < bound:
+                bound = dom
+        else:
+            bound = region_bounds(d, reg, spec, "lower").lower
+            if dom is not None and dom > bound:
+                bound = dom
+        if _bound_refutes(spec, bound):
+            return True, bound
         if depth >= max_depth:
-            return False, (upper if spec.comparison in (">", ">=") else lower)
+            return False, bound
         try:
             left, right = reg.split()
         except ModelError:
-            return False, (upper if spec.comparison in (">", ">=") else lower)
+            return False, bound
         ok_l, b_l = visit(left, depth + 1)
         if not ok_l:
             return False, b_l
         ok_r, b_r = visit(right, depth + 1)
         if not ok_r:
             return False, b_r
-        better = max if spec.comparison in (">", ">=") else min
+        better = max if upper else min
         return True, better(b_l, b_r)
 
     ok, bound = visit(region, 0)
@@ -1057,6 +1090,17 @@ class FloatPmcEvaluator(_EvaluatorBase):
     vector or a whole matrix of them. The caller guarantees
     well-definedness (the swarm parameterization does); boundary valuations
     take the counted exact path at the point's decimal repr.
+
+    The dense solve runs on the parametric core only. At build time the
+    non-initial uncertain states whose row (and, for a reward spec, whose
+    reward) is constant, `eliminated`, are removed exactly: _affine_forms
+    writes each of them over the other uncertain states and the sink, and
+    each row that steps into one gets the folded entries
+    a_pq + sum_k a_pk B_kq as further polynomials of the one term table.
+    `U` and `idx` are the states the solve keeps, in query order. Rows that
+    step into no eliminated state keep their edge entries, so a chain
+    without constant rows solves the unreduced system bit for bit; the
+    boundary test reads the chain's own non-constant edges either way.
     """
 
     def __init__(self, d: PmcT, spec: Specification):
@@ -1069,23 +1113,66 @@ class FloatPmcEvaluator(_EvaluatorBase):
         self.param_order = list(d.params.names)
         pidx = {n: i for i, n in enumerate(self.param_order)}
         edges = [(s, t, p) for s in d.states for t, p in d.row(s).items()]
-        self.table = TermTable([p for (_s, _t, p) in edges], pidx)
-        self.nonconst_idx = np.asarray([e for e, (_s, _t, p) in enumerate(edges)
+        polys = [p for (_s, _t, p) in edges]
+        self.nonconst_idx = np.asarray([e for e, p in enumerate(polys)
                                         if not p.is_constant()], dtype=np.intp)
-        # the system over U with edge numbers for entries: A becomes (row,
-        # column, edge) triples, c the edges each row sums in edge order
+        reward = spec.kind == EXPECTED_REWARD
+        rewards = d.rewards if reward else {}
+        query, U = self.query, self.U
+        K = {s for s in U if s != d.initial
+             and rewards.get(s, POLY_ZERO).is_constant()
+             and all(p.is_constant() for p in d.row(s).values())}
+        self.eliminated = [s for s in U if s in K]
+        self.U = [s for s in U if s not in K]
+        idx = {s: i for i, s in enumerate(self.U)}
+        # x_k = sum_j B[k][j] x_j + B[k][_GOOD] for each k in K, j numbering
+        # the kept states
+        forms = {}
+        if K:
+            krows, kc = _system(
+                query, self.idx, lambda s: d.row(s).items() if s in K else (),
+                lambda s: rewards.get(s, POLY_ZERO).constant_value() if s in K else 0,
+                operator.methodcaller("constant_value"))
+            at = {self.idx[s]: j for s, j in idx.items()}
+            at[_GOOD] = _GOOD
+            forms = {U[k]: {at[q]: b for q, b in f.items()}
+                     for k, f in _affine_forms(krows, kc, at.keys() - {_GOOD}).items()}
+        self.idx = idx
+        # the system over the kept states with table numbers for entries: A
+        # becomes (row, column, number) triples, c the numbers each row sums
+        # in order; a folded entry or sink is one more polynomial
         numbered = {}
         for e, (s, t, _p) in enumerate(edges):
             numbered.setdefault(s, []).append((t, (e,)))
-        rows, c = _system(self.query, self.idx, numbered.__getitem__, lambda s: (), _same)
+        rows, c = _system(query._replace(U=self.U), idx, numbered.__getitem__,
+                          lambda s: (), _same)
+        reward_polys = [rewards.get(s, POLY_ZERO) for s in self.U]
+        for i, s in enumerate(self.U):
+            folded = {}
+            for t, (e,) in numbered[s]:
+                for j, b in forms.get(t, {}).items():
+                    folded[j] = folded.get(j, POLY_ZERO) + polys[e] * b
+            sink = folded.pop(_GOOD, None)
+            for j, f in folded.items():
+                if j in rows[i]:
+                    f = polys[rows[i][j][0]] + f
+                rows[i][j] = (len(polys),)
+                polys.append(f)
+            if sink is None:
+                continue
+            if reward:
+                reward_polys[i] += sink
+            else:
+                c[i] += (len(polys),)
+                polys.append(sink)
+        self.table = TermTable(polys, pidx)
         self.a_rows = np.asarray([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
         self.a_cols = np.asarray([j for row in rows for j in row], dtype=np.intp)
         self.a_edges = np.asarray([e for row in rows for (e,) in row.values()], dtype=np.intp)
         self.c_rows = np.asarray([i for i, es in enumerate(c) for _ in es], dtype=np.intp)
         self.c_edges = np.asarray([e for es in c for e in es], dtype=np.intp)
-        if self.spec.kind == EXPECTED_REWARD:
-            polys = [self.d.rewards.get(s, Polynomial()) for s in self.U]
-            self.reward_table = TermTable(polys, pidx)
+        if reward:
+            self.reward_table = TermTable(reward_polys, pidx)
 
     def evaluate(self, u):
         if not isinstance(u, Instantiation):

@@ -431,11 +431,12 @@ def cmd_closed_form(args) -> int:
     else:
         f = analysis.state_eliminate(d)
         what = "reach-avoid probability"
+    text = str(f)
     out.write_text(formats.write_rational_function(
-        f, _provenance(args, [inp], ["closed form: %s" % what])))
-    print("%s = %s" % (what, f))
+        text, _provenance(args, [inp], ["closed form: %s" % what])))
+    print("%s = %s" % (what, text))
     print("wrote %s" % out)
-    _write_manifest(args, [inp], out, started, None, {"function": str(f)})
+    _write_manifest(args, [inp], out, started, None, {"function": text})
     return EXIT_OK
 
 
@@ -518,24 +519,16 @@ def cmd_permissive(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="fscsynth",
-        description="Finite-memory controller synthesis for POMDPs "
-                    "through parametric Markov chains.")
-    p.add_argument("--version", action="version", version="fscsynth " + __version__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp, output=True):
+    sp.add_argument("model", help="input model file")
+    if output:
+        sp.add_argument("-o", "--output", required=True, help="output file")
+    sp.add_argument("--manifest", default=None,
+                    help="manifest path (default: derived from the output)")
 
-    def common(sp, output=True):
-        sp.add_argument("model", help="input model file")
-        if output:
-            sp.add_argument("-o", "--output", required=True, help="output file")
-        sp.add_argument("--manifest", default=None,
-                        help="manifest path (default: derived from the output)")
 
-    t = sub.add_parser("transform", help="POMDP to parametric chain (or "
-                                         "unfolded / simple POMDP)")
-    common(t)
+def _transform_args(t):
+    _common(t)
     t.add_argument("--memory", type=_int_at_least(1), default=None,
                    help="controller memory bound k (at least 1)")
     t.add_argument("--topology", choices=[FscTopology.FULL, FscTopology.COUNTER],
@@ -551,9 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the binarized, simple POMDP (ignores --memory)")
     t.set_defaults(func=cmd_transform)
 
-    c = sub.add_parser("check", help="evaluate a concrete controller or "
-                                     "instantiation against a spec")
-    common(c, output=False)
+
+def _check_args(c):
+    _common(c, output=False)
     c.add_argument("--spec", required=True, help='e.g. "P> 0.6 [!bad U goal]"')
     c.add_argument("--instantiation", default=None,
                    help="parameter values file (pMC input)")
@@ -562,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="floor used for the min-probability verdict")
     c.set_defaults(func=cmd_check)
 
-    s = sub.add_parser("synthesize", help="search for a satisfying controller")
-    common(s)
+
+def _synthesize_args(s):
+    _common(s)
     s.add_argument("--spec", required=True)
     s.add_argument("--memory", type=_int_at_least(1), required=True)
     s.add_argument("--topology", choices=[FscTopology.FULL, FscTopology.COUNTER],
@@ -579,16 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-prob", type=_finite_float, default=1e-4)
     s.set_defaults(func=cmd_synthesize)
 
-    f = sub.add_parser("closed-form", help="rational value function by "
-                                           "state elimination")
-    common(f)
+
+def _closed_form_args(f):
+    _common(f)
     f.add_argument("--reward", action="store_true",
                    help="expected reward instead of reachability")
     f.set_defaults(func=cmd_closed_form)
 
-    pr = sub.add_parser("prove", help="prove no controller in a region beats "
-                                      "the threshold")
-    common(pr, output=False)
+
+def _prove_args(pr):
+    _common(pr, output=False)
     pr.add_argument("--spec", required=True)
     pr.add_argument("--region", default=None,
                     help="region file (default: the full min-prob box)")
@@ -597,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bisection depth for refinement")
     pr.set_defaults(func=cmd_prove)
 
-    pe = sub.add_parser("permissive", help="verified region around satisfying "
-                                           "instantiations")
-    common(pe)
+
+def _permissive_args(pe):
+    _common(pe)
     pe.add_argument("--spec", required=True)
     pe.add_argument("--witnesses", type=_int_at_least(1), default=3)
     pe.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -609,14 +603,46 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--min-prob", type=_finite_float, default=1e-4)
     pe.set_defaults(func=cmd_permissive)
 
+
+# subcommand -> (help line, the function that adds its arguments)
+_SUBCOMMANDS = {
+    "transform": ("POMDP to parametric chain (or unfolded / simple POMDP)",
+                  _transform_args),
+    "check": ("evaluate a concrete controller or instantiation against a spec",
+              _check_args),
+    "synthesize": ("search for a satisfying controller", _synthesize_args),
+    "closed-form": ("rational value function by state elimination", _closed_form_args),
+    "prove": ("prove no controller in a region beats the threshold", _prove_args),
+    "permissive": ("verified region around satisfying instantiations",
+                   _permissive_args),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser. Every subcommand is listed, but with argv
+    only the one it invokes gets its arguments: its first word that is not
+    an option, since the top-level options take no value. Each argument
+    costs a help formatter, and a command parses only its own. Without argv
+    every subcommand gets its arguments."""
+    p = argparse.ArgumentParser(
+        prog="fscsynth",
+        description="Finite-memory controller synthesis for POMDPs "
+                    "through parametric Markov chains.")
+    p.add_argument("--version", action="version", version="fscsynth " + __version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    invoked = None if argv is None else next(
+        (a for a in argv if not a.startswith("-")), None)
+    for name, (text, add_args) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        if argv is None or name == invoked:
+            add_args(sp)
     return p
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args._argv = list(argv)
     try:
         return args.func(args)

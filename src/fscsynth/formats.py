@@ -659,7 +659,8 @@ def parse_rational_function(text: str) -> RationalFunction:
     return parse_expression(line, lineno)
 
 
-def write_rational_function(f: RationalFunction, comments=()) -> str:
+def write_rational_function(f: RationalFunction | str, comments=()) -> str:
+    """The file text of f, or of its text str(f) where the caller has it."""
     out = _comment_block(comments)
     out.append(str(f))
     return "\n".join(out) + "\n"

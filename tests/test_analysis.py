@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import genmodels as g
-from fscsynth import analysis, polynomials
+from fscsynth import analysis, polynomials, transforms
 from fscsynth.analysis import (
     ExactPmcEvaluator,
     FloatPmcEvaluator,
@@ -198,7 +198,7 @@ class TestSolveExact:
                 for order in (heap_order, min_order):
                     monkeypatch.setattr(analysis, "_pick_elimination_order", order)
                     system = analysis._integer_system(map(analysis._integer_row, rows, c))
-                    _d, _w, eliminated = analysis._eliminate(*system, keep=n // 2)
+                    _d, _w, eliminated = analysis._eliminate(*system, keep={n // 2})
                     orders.append([s for s, _ds, _out in eliminated])
                 assert orders[0] == orders[1]
                 assert sorted(orders[0]) == [i for i in range(n) if i != n // 2]
@@ -538,6 +538,37 @@ class TestAbsence:
         # the true optimum is 121/400; the certified cap sits above it
         assert deep.bound >= F(121, 400)
 
+    @pytest.mark.parametrize("spec", ["P> 0.37 [!bad U goal]", "Emax>= 5 [F goal]",
+                                      "Emin> 5 [F goal]", "Emin<= 5 [F goal]",
+                                      "Emax< 5 [F goal]"])
+    def test_one_robust_value_per_box(self, spec, monkeypatch):
+        # the verdict reads the upper bound for > and >=, the lower one for
+        # < and <=: only that one is computed, and the fully observable
+        # optimum folds into it where it bounds that side
+        if spec.startswith("P"):
+            d = induced_pmc(g.revisit_pomdp(), 1)
+            reg = Region({d.params.names[0]: (F(1, 100), F(99, 100))})
+        else:
+            d, reg = _seeded_chain(7, 1)
+        spec = parse_spec(spec)
+        upper = spec.comparison in (">", ">=")
+        both = region_bounds(d, reg, spec)
+        want = both.upper if upper else both.lower
+        dom = mdp_optimal(d.meta["pomdp"].mdp, spec).value
+        if upper == (spec.kind == "reach_avoid" or spec.opt == "max"):
+            want = min(want, dom) if upper else max(want, dom)
+        sides = []
+        robust = analysis._robust_value
+        monkeypatch.setattr(analysis, "_robust_value",
+                            lambda *args: sides.append(args[3]) or robust(*args))
+        root = prove_absence(d, spec, reg, max_depth=0)
+        assert sides == [upper] and root.regions_checked == 1
+        assert root.bound == want
+        sides.clear()
+        res = prove_absence(d, spec, reg, max_depth=3)
+        assert res.regions_checked > 1
+        assert sides == [upper] * res.regions_checked
+
     def test_chain_remembers_its_source_model(self):
         dk = induced_pmc(g.revisit_pomdp(), 1)
         assert dk.meta.get("pomdp") is not None
@@ -744,6 +775,123 @@ class TestBatchedEvaluation:
         one = ev.evaluate_vector(X[0])
         assert isinstance(one, float) and one == got[0]
         assert ev.recompute_count == 1
+
+
+def _interior_points(d, n, seed):
+    """n points strictly inside every parameter simplex of d, one per row."""
+    names = list(d.params.names)
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(names)))
+    for group in d.ensure_param_groups():
+        cols = [names.index(nm) for nm in group]
+        X[:, cols] = rng.dirichlet(np.ones(len(group) + 1), size=n)[:, :-1]
+    return X
+
+
+def _unreduced_solve(d, spec, X):
+    """Initial-state values of the dense system over every uncertain state,
+    entry by entry from d's edges: the identity minus the edges inside U,
+    and c the edges into the value-1 states in row order (or the rewards),
+    solved stacked."""
+    from fscsynth._kernels import TermTable
+    q = analysis._spec_query(d, spec)
+    idx = {s: i for i, s in enumerate(q.U)}
+    pidx = {nm: i for i, nm in enumerate(d.params.names)}
+    edges = [(s, t, p) for s in q.U for t, p in d.row(s).items()]
+    vals = TermTable([p for _s, _t, p in edges], pidx).evaluate(X)
+    n = len(q.U)
+    M = np.zeros((len(X), n, n))
+    M[:, range(n), range(n)] = 1.0
+    c = np.zeros((len(X), n))
+    for e, (s, t, _p) in enumerate(edges):
+        if t in idx:
+            M[:, idx[s], idx[t]] -= vals[:, e]
+        elif t in q.one:
+            c[:, idx[s]] += vals[:, e]
+    if spec.kind == "expected_reward":
+        c = TermTable([d.rewards.get(s, Polynomial()) for s in q.U], pidx).evaluate(X)
+    return np.linalg.solve(M, c[..., np.newaxis])[:, idx[d.initial], 0]
+
+
+class TestConstantRowElimination:
+    """The float evaluator eliminates the uncertain states whose row (and
+    reward) is constant once, exactly, and solves the rest densely."""
+
+    REWARD = parse_spec("Emin<= 5 [F goal]")
+
+    @staticmethod
+    def _chains(kind):
+        """Chains of one kind whose evaluator eliminates some state."""
+        rng = random.Random("constant-rows/" + kind)
+        spec = TestConstantRowElimination.REWARD if kind == "reward" else SPEC
+        found = []
+        while len(found) < 5:
+            m = g.random_pomdp(rng, max_states=8, with_rewards=kind == "reward")
+            if kind == "simple":
+                m = transforms.make_simple(transforms.make_binary(m))
+            d = induced_pmc(m, 1)
+            ev = FloatPmcEvaluator(d, spec)
+            if d.params.names and ev.query.value is None and ev.eliminated:
+                found.append((d, spec, ev))
+        return found
+
+    @pytest.mark.parametrize("kind", ["simple", "standard", "reward"])
+    def test_reduced_matches_unreduced_dense_solves(self, kind):
+        kept = eliminated = 0
+        for i, (d, spec, ev) in enumerate(self._chains(kind)):
+            assert len(ev.U) + len(ev.eliminated) == len(analysis._spec_query(d, spec).U)
+            assert d.initial in ev.idx
+            kept += len(ev.U)
+            eliminated += len(ev.eliminated)
+            X = _interior_points(d, 250, i)
+            got = ev.evaluate_vector(X)
+            want = _unreduced_solve(d, spec, X)
+            assert ev.recompute_count == 0
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert eliminated >= 5
+
+    def test_a_parametric_reward_keeps_its_state(self):
+        # state 1 has a constant row but earns 1 + p; state 2 is constant
+        p = V("p")
+        d = PmcT(4, 0, {0: {1: p, 3: C(1) - p}, 1: {2: C(F(1, 2)), 3: C(F(1, 2))},
+                        2: {0: C(1)}, 3: {3: C(1)}},
+                 params=ParameterTable(["p"]), goal={3},
+                 rewards={0: C(1), 1: C(1) + p, 2: C(2)}, param_groups=[["p"]])
+        ev = FloatPmcEvaluator(d, self.REWARD)
+        assert (ev.U, ev.eliminated) == ([0, 1], [2])
+        X = _interior_points(d, 50, 0)
+        want = _unreduced_solve(d, self.REWARD, X)
+        assert np.all(np.abs(ev.evaluate_vector(X) - want) <= 1e-12 * want)
+
+    def test_without_constant_rows_the_values_are_bit_identical(self):
+        chains = [(g.wide_group_pmc(), SPEC)]
+        rng = random.Random(44)
+        while len(chains) < 4:
+            d = induced_pmc(g.random_pomdp(rng, max_states=6), 2)
+            if d.params.names and not FloatPmcEvaluator(d, SPEC).eliminated:
+                chains.append((d, SPEC))
+        for i, (d, spec) in enumerate(chains):
+            ev = FloatPmcEvaluator(d, spec)
+            assert ev.eliminated == [] and ev.U == analysis._spec_query(d, spec).U
+            if ev.query.value is not None:
+                continue
+            X = _interior_points(d, 40, i)
+            assert ev.evaluate_vector(X).tobytes() == _unreduced_solve(d, spec, X).tobytes()
+
+    def test_a_zero_edge_takes_the_counted_fresh_path(self, monkeypatch):
+        d, spec, ev = self._chains("simple")[0]
+        names = list(d.params.names)
+        X = _interior_points(d, 3, 0)
+        X[1, 0] = 0.0
+        fresh = []
+        monkeypatch.setattr(analysis, "check_mc",
+                            lambda *args: fresh.append(args) or check_mc(*args))
+        got = ev.evaluate_vector(X)
+        assert ev.recompute_count == 1 and len(fresh) == 1
+        u = Instantiation({nm: float(v) for nm, v in zip(names, X[1])})
+        assert got[1] == float(check_mc(apply_instantiation(d, u).model, spec))
+        inner = _unreduced_solve(d, spec, X[[0, 2]])
+        assert np.all(np.abs(got[[0, 2]] - inner) <= 1e-12)
 
 
 class TestOneFrame:

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, files, manifests."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -653,6 +654,36 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["-h"], [], ["frobnicate"], ["-", "check"],
+        *([name, "--help"] for name in cli._SUBCOMMANDS),
+        ["check"], ["--", "check"], ["--help", "check"], ["check", "--version"],
+        ["--bogus", "check", "m.pmc"],
+        ["synthesize", "m.pomdp", "-o", "x"], ["prove", "m.pmc", "--max-depth", "x"],
+        ["transform", "m", "-o", "x", "--memory", "0"],
+        ["closed-form", "m", "-o", "x", "--bogus"],
+        ["permissive", "m", "-o", "x", "--spec", "s", "--seed", "-1"],
+    ])
+    def test_parser_messages_match_the_full_parser(self, argv, capsys):
+        # main gives only the invoked subcommand its arguments; it must
+        # print what the parser with every argument prints, and exit alike
+        def run(parse):
+            with pytest.raises(SystemExit) as e:
+                parse(list(argv))
+            out = capsys.readouterr()
+            return e.value.code, out.out, out.err
+        got = run(main)
+        assert got == run(cli.build_parser().parse_args)
+        assert got[1] or got[2]
+
+    def test_only_the_invoked_subcommand_gets_arguments(self):
+        parser = cli.build_parser(["check", "model.pmc", "--spec", "P> 0.5 [F goal]"])
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        # every subparser has its -h; only check has more
+        assert {name: len(sp._actions) > 1 for name, sp in subparsers.choices.items()} == {
+            name: name == "check" for name in cli._SUBCOMMANDS}
 
     @pytest.mark.parametrize("command, flag", [
         ("check", "--min-prob"), ("prove", "--min-prob"),

@@ -354,13 +354,15 @@ class TestBatchedSwarm:
 
     def test_golden_run_minimizing(self):
         # recorded from the per-particle implementation: an Emin spec, so
-        # fitness is the value itself and the cut sits below the threshold
+        # fitness is the value itself and the cut sits below the threshold.
+        # The float solve eliminates the constant row of state 12, which
+        # moved three trace values by one or two units in the last place
         res = sy.pso_search(g.wide_group_pmc(reward=True), parse_spec("Emin<= 3 [F goal]"),
                             sy.SearchConfig(seed=1, swarm_size=10, max_iterations=8),
                             collect_satisfied=3)
         assert [float(t) for t in res.trace] == [
-            4.999461038509199, 4.812685288307306, 3.5789468572334546,
-            3.1521740452769054, 3.020576662366159, 2.9743783537576074,
+            4.999461038509199, 4.812685288307306, 3.5789468572334537,
+            3.1521740452769054, 3.0205766623661585, 2.974378353757607,
             2.938129781819784, 2.8670488010052617, 2.7925510893897183]
         assert res.evaluations == 90
         assert res.first_satisfied_eval == 53
