@@ -1124,20 +1124,19 @@ class FloatPmcEvaluator(_EvaluatorBase):
              and all(p.is_constant() for p in d.row(s).values())}
         self.eliminated = [s for s in U if s in K]
         self.U = [s for s in U if s not in K]
-        idx = {s: i for i, s in enumerate(self.U)}
+        self.idx = idx = {s: i for i, s in enumerate(self.U)}
         # x_k = sum_j B[k][j] x_j + B[k][_GOOD] for each k in K, j numbering
-        # the kept states
+        # the kept states: those come first in the system _affine_forms solves
         forms = {}
         if K:
+            order = self.U + self.eliminated
             krows, kc = _system(
-                query, self.idx, lambda s: d.row(s).items() if s in K else (),
+                query._replace(U=order), {s: i for i, s in enumerate(order)},
+                lambda s: d.row(s).items() if s in K else (),
                 lambda s: rewards.get(s, POLY_ZERO).constant_value() if s in K else 0,
                 operator.methodcaller("constant_value"))
-            at = {self.idx[s]: j for s, j in idx.items()}
-            at[_GOOD] = _GOOD
-            forms = {U[k]: {at[q]: b for q, b in f.items()}
-                     for k, f in _affine_forms(krows, kc, at.keys() - {_GOOD}).items()}
-        self.idx = idx
+            forms = {order[k]: f
+                     for k, f in _affine_forms(krows, kc, range(len(self.U))).items()}
         # the system over the kept states with table numbers for entries: A
         # becomes (row, column, number) triples, c the numbers each row sums
         # in order; a folded entry or sink is one more polynomial
