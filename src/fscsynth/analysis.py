@@ -7,8 +7,7 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     states are uncertain (U) and which value the graph already settles at
     the initial state (1 or 0 for reach-avoid; 0 at a goal or INFINITE when
     the goal may be missed, for expected reward);
-  - _system builds x = A x + c over U in any value ring (Fractions,
-    polynomials, or edge numbers for the float evaluator):
+  - _system builds x = A x + c over U in Fractions or polynomials:
     A holds the edges inside U, c the state rewards plus the edges into
     `one`, the value-1 states outside U. _policy_iterate builds the same
     system per choice, as integer rows, for the MDP optima and the region
@@ -21,11 +20,12 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     one over them, and over integer polynomials for the closed forms, which
     keep the initial row and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
-and a fixpoint) and stay outside this frame. An exact value at a point reads
-the one models.apply_instantiation pass: ExactPmcEvaluator solves its
-cached query over the instantiated rows where the point is graph-preserving
-and check_mc the instantiated chain anywhere else; both evaluators count
-that fallback as a recompute.
+and a fixpoint) and stay outside this frame. An exact value on a chain is
+one _chain_value of a query: check_mc poses the chain's own, and
+ExactPmcEvaluator its cached one over the rows of the one
+models.apply_instantiation pass where the point is graph-preserving; it
+calls check_mc anywhere else, and both evaluators count that fallback as a
+recompute.
 
 Every value is exact: sparse elimination on integer rows for linear
 systems and closed forms alike, and one policy iteration engine,
@@ -38,14 +38,15 @@ _Relaxation builds from the integer bounds of polynomials._interval,
 memoized per edge across the boxes of one chain. The solves and the policy
 iteration make a Fraction only of the value asked for. Floats live only in
 FloatPmcEvaluator, which ranks the swarm's candidates: it evaluates a
-whole matrix of parameter vectors at once, one term-table pass for all
-edges and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES,
-and takes the exact path at a boundary point. The solve runs on the
+whole matrix of parameter vectors at once, one pass of its one term table
+and one stacked dense solve, in blocks of at most SOLVE_BLOCK_BYTES, and
+takes the exact path at a boundary point. The solve runs on the
 parametric core: the uncertain states with a constant row are eliminated
 once, exactly, when the evaluator is built (_affine_forms), and folded
-into the rows that step into them as further term-table polynomials. The
-evaluator is also the only user of NumPy here: the first one imports it
-and the term tables, so the exact paths never load it.
+into the rows that step into them. The table holds the entries of that
+reduced system and the chain's non-constant edges, each polynomial once.
+The evaluator is also the only user of NumPy here: the first one imports
+it and the term tables, so the exact paths never load it.
 """
 
 from __future__ import annotations
@@ -175,29 +176,24 @@ def _query(graph, initial, goal, bad, reward) -> _Query:
                   q.s_one)
 
 
-def _system(query, idx, row, reward, lift):
-    """x = A x + c over query.U, idx numbering U. row(s) gives the
-    (successor, entry) pairs of s and lift maps an entry into the value
-    field. rows[i] holds the lifted entries into U; c[i] starts at
-    reward(s), already lifted, and adds the entries into query.one in row
+def _system(query, idx, row, reward):
+    """x = A x + c over query.U, idx numbering U. row(s) maps the
+    successors of s to their entries. rows[i] holds the entries into U;
+    c[i] starts at reward(s) and adds the entries into query.one in row
     order."""
     rows = []
     c = []
     for s in query.U:
         out = {}
         acc = reward(s)
-        for t, p in row(s):
+        for t, p in row(s).items():
             if t in idx:
-                out[idx[t]] = lift(p)
+                out[idx[t]] = p
             elif t in query.one:
-                acc += lift(p)
+                acc += p
         rows.append(out)
         c.append(acc)
     return rows, c
-
-
-def _same(p):
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +370,25 @@ def solve_exact(rows, c):
     return [Fraction(v, den) for v in num]
 
 
-def _solve_one(rows, c, i):
-    """solve_exact(rows, c)[i], without a Fraction for any other unknown."""
-    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
-    return Fraction(num[i], den)
-
-
 # ---------------------------------------------------------------------------
 # Markov chain values
 
 
-def _mc_value(mc, goal, bad, reward):
-    q = _query(_pmc_graph(mc), mc.initial, goal, bad, reward)
+def _chain_value(q, mc, reward):
+    """The value of the query q on the chain mc: what the graph settles, or
+    the initial state's unknown of x = A x + c over q.U, solved on integer
+    rows with a Fraction made of that unknown only."""
     if q.value is not None:
         return q.value
     rewards = mc.rewards if reward else {}
     idx = {s: i for i, s in enumerate(q.U)}
-    rows, c = _system(q, idx, lambda s: mc.row(s).items(),
-                      lambda s: rewards.get(s, Fraction(0)), _same)
-    return _solve_one(rows, c, idx[mc.initial])
+    rows, c = _system(q, idx, mc.row, lambda s: rewards.get(s, Fraction(0)))
+    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
+    return Fraction(num[idx[mc.initial]], den)
+
+
+def _mc_value(mc, goal, bad, reward):
+    return _chain_value(_query(_pmc_graph(mc), mc.initial, goal, bad, reward), mc, reward)
 
 
 def reach_avoid_prob(mc: Mc):
@@ -662,8 +658,7 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
         # the goal is reached almost surely and nothing is earned before it
         return RationalFunction.constant(0)
     idx = {s: i for i, s in enumerate(q.U)}
-    rows, c = _system(q, idx, lambda s: d.row(s).items(),
-                      lambda s: rewards.get(s, POLY_ZERO), _same)
+    rows, c = _system(q, idx, d.row, lambda s: rewards.get(s, POLY_ZERO))
     initial = idx[d.initial]
     pivots, w, _ = _eliminate(*_integer_system(map(_integer_row, rows, c)), {initial})
     # the pivot is still an int if no substitution touched the initial row
@@ -1048,8 +1043,6 @@ class _EvaluatorBase:
         self.spec = spec
         self.recompute_count = 0
         self.query = _spec_query(d, spec)
-        self.U = self.query.U
-        self.idx = {s: i for i, s in enumerate(self.U)}
 
     def _fresh(self, res: WellDefinedness):
         self.recompute_count += 1
@@ -1075,32 +1068,32 @@ class ExactPmcEvaluator(_EvaluatorBase):
             raise _ill_defined(res.defects)
         if not res.graph_preserving:
             return self._fresh(res)
-        if self.query.value is not None:
-            return self.query.value
-        mc = res.model
-        rewards = mc.rewards if self.spec.kind == EXPECTED_REWARD else {}
-        rows, c = _system(self.query, self.idx, lambda s: mc.row(s).items(),
-                          lambda s: rewards.get(s, Fraction(0)), _same)
-        return _solve_one(rows, c, self.idx[self.d.initial])
+        return _chain_value(self.query, res.model, self.spec.kind == EXPECTED_REWARD)
 
 
 class FloatPmcEvaluator(_EvaluatorBase):
-    """Fast float values for search loops: term-table edge evaluation plus
-    a dense solve on the cached uncertain-state system, for one parameter
-    vector or a whole matrix of them. The caller guarantees
-    well-definedness (the swarm parameterization does); boundary valuations
-    take the counted exact path at the point's decimal repr.
+    """Fast float values for search loops: one term table holds every
+    polynomial the float path reads, and a dense solve runs on the cached
+    uncertain-state system, for a whole matrix of parameter vectors at
+    once. The caller guarantees well-definedness (the swarm
+    parameterization does); boundary valuations take the counted exact path
+    at the point's decimal repr.
 
     The dense solve runs on the parametric core only. At build time the
     non-initial uncertain states whose row (and, for a reward spec, whose
     reward) is constant, `eliminated`, are removed exactly: _affine_forms
     writes each of them over the other uncertain states and the sink, and
     each row that steps into one gets the folded entries
-    a_pq + sum_k a_pk B_kq as further polynomials of the one term table.
-    `U` and `idx` are the states the solve keeps, in query order. Rows that
-    step into no eliminated state keep their edge entries, so a chain
-    without constant rows solves the unreduced system bit for bit; the
-    boundary test reads the chain's own non-constant edges either way.
+    a_pq + sum_k a_pk B_kq. `U` and `idx` are the states the solve keeps,
+    in query order.
+
+    The table holds each polynomial object once, and only what is read:
+    the entries of A over U (an edge, or the edge plus its folded entries),
+    the terms of c (the edges into the value-1 states in row order, then
+    the folded sink plus the reward) and the chain's non-constant edges,
+    which the boundary test reads. A row that steps into no eliminated state
+    keeps its edge entries, so a chain without constant rows solves the
+    unreduced system bit for bit.
     """
 
     def __init__(self, d: PmcT, spec: Specification):
@@ -1111,19 +1104,13 @@ class FloatPmcEvaluator(_EvaluatorBase):
             import numpy as np
         super().__init__(d, spec)
         self.param_order = list(d.params.names)
-        pidx = {n: i for i, n in enumerate(self.param_order)}
-        edges = [(s, t, p) for s in d.states for t, p in d.row(s).items()]
-        polys = [p for (_s, _t, p) in edges]
-        self.nonconst_idx = np.asarray([e for e, p in enumerate(polys)
-                                        if not p.is_constant()], dtype=np.intp)
-        reward = spec.kind == EXPECTED_REWARD
-        rewards = d.rewards if reward else {}
-        query, U = self.query, self.U
-        K = {s for s in U if s != d.initial
+        rewards = d.rewards if spec.kind == EXPECTED_REWARD else {}
+        query = self.query
+        K = {s for s in query.U if s != d.initial
              and rewards.get(s, POLY_ZERO).is_constant()
              and all(p.is_constant() for p in d.row(s).values())}
-        self.eliminated = [s for s in U if s in K]
-        self.U = [s for s in U if s not in K]
+        self.eliminated = [s for s in query.U if s in K]
+        self.U = [s for s in query.U if s not in K]
         self.idx = idx = {s: i for i, s in enumerate(self.U)}
         # x_k = sum_j B[k][j] x_j + B[k][_GOOD] for each k in K, j numbering
         # the kept states: those come first in the system _affine_forms solves
@@ -1132,56 +1119,47 @@ class FloatPmcEvaluator(_EvaluatorBase):
             order = self.U + self.eliminated
             krows, kc = _system(
                 query._replace(U=order), {s: i for i, s in enumerate(order)},
-                lambda s: d.row(s).items() if s in K else (),
-                lambda s: rewards.get(s, POLY_ZERO).constant_value() if s in K else 0,
-                operator.methodcaller("constant_value"))
+                lambda s: {t: p.constant_value() for t, p in d.row(s).items() if s in K},
+                lambda s: rewards.get(s, POLY_ZERO).constant_value() if s in K else 0)
             forms = {order[k]: f
                      for k, f in _affine_forms(krows, kc, range(len(self.U))).items()}
-        # the system over the kept states with table numbers for entries: A
-        # becomes (row, column, number) triples, c the numbers each row sums
-        # in order; a folded entry or sink is one more polynomial
-        numbered = {}
-        for e, (s, t, _p) in enumerate(edges):
-            numbered.setdefault(s, []).append((t, (e,)))
-        rows, c = _system(query._replace(U=self.U), idx, numbered.__getitem__,
-                          lambda s: (), _same)
-        reward_polys = [rewards.get(s, POLY_ZERO) for s in self.U]
+        polys = []
+        column = {}   # id of a polynomial -> its column in the table
+
+        def col(p):
+            if id(p) not in column:
+                column[id(p)] = len(polys)
+                polys.append(p)
+            return column[id(p)]
+
+        a = []   # (row, unknown, column) of each entry of A
+        c = []   # (row, column) of each term of c, in summation order
         for i, s in enumerate(self.U):
+            entries = {}
             folded = {}
-            for t, (e,) in numbered[s]:
+            for t, p in d.row(s).items():
+                if t in idx:
+                    entries[idx[t]] = p
+                elif t in query.one:
+                    c.append((i, col(p)))
                 for j, b in forms.get(t, {}).items():
-                    folded[j] = folded.get(j, POLY_ZERO) + polys[e] * b
-            sink = folded.pop(_GOOD, None)
+                    folded[j] = folded.get(j, POLY_ZERO) + p * b
+            sink = folded.pop(_GOOD, POLY_ZERO)
+            if s in rewards:
+                sink = rewards[s] + sink
+            if sink:
+                c.append((i, col(sink)))
             for j, f in folded.items():
-                if j in rows[i]:
-                    f = polys[rows[i][j][0]] + f
-                rows[i][j] = (len(polys),)
-                polys.append(f)
-            if sink is None:
-                continue
-            if reward:
-                reward_polys[i] += sink
-            else:
-                c[i] += (len(polys),)
-                polys.append(sink)
-        self.table = TermTable(polys, pidx)
-        self.a_rows = np.asarray([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
-        self.a_cols = np.asarray([j for row in rows for j in row], dtype=np.intp)
-        self.a_edges = np.asarray([e for row in rows for (e,) in row.values()], dtype=np.intp)
-        self.c_rows = np.asarray([i for i, es in enumerate(c) for _ in es], dtype=np.intp)
-        self.c_edges = np.asarray([e for es in c for e in es], dtype=np.intp)
-        if reward:
-            self.reward_table = TermTable(reward_polys, pidx)
+                entries[j] = entries[j] + f if j in entries else f
+            a += [(i, j, col(p)) for j, p in entries.items()]
+        self.boundary_cols = np.asarray(
+            [col(p) for s in d.states for p in d.row(s).values() if not p.is_constant()],
+            dtype=np.intp)
+        self.table = TermTable(polys, {n: i for i, n in enumerate(self.param_order)})
+        self.a_rows, self.a_cols, self.a_terms = np.array(a, dtype=np.intp).reshape(-1, 3).T.copy()
+        self.c_rows, self.c_terms = np.array(c, dtype=np.intp).reshape(-1, 2).T.copy()
 
-    def evaluate(self, u):
-        if not isinstance(u, Instantiation):
-            u = Instantiation(u)
-        x = np.empty(len(self.param_order))
-        for i, name in enumerate(self.param_order):
-            x[i] = float(u[name])
-        return self.evaluate_vector(x, u)
-
-    def evaluate_vector(self, x, u=None):
+    def evaluate_vector(self, x):
         """Value at a float vector ordered like d.params.names, or an array
         of values, one per row of a (points x params) matrix.
 
@@ -1196,38 +1174,33 @@ class FloatPmcEvaluator(_EvaluatorBase):
             X = X[np.newaxis]
         vals = self.table.evaluate(X)
         out = np.empty(len(X))
-        boundary = np.any(vals[:, self.nonconst_idx] <= 0.0, axis=1)
+        boundary = np.any(vals[:, self.boundary_cols] <= 0.0, axis=1)
         for i in np.flatnonzero(boundary):
-            ui = u if single and u is not None else Instantiation(
-                {n: float(v) for n, v in zip(self.param_order, X[i])})
-            out[i] = float(self._fresh(apply_instantiation(self.d, ui)))
+            u = Instantiation({n: float(v) for n, v in zip(self.param_order, X[i])})
+            out[i] = float(self._fresh(apply_instantiation(self.d, u)))
         inner = np.flatnonzero(~boundary)
         if self.query.value is not None:
             out[inner] = float(self.query.value)
         elif inner.size:
-            out[inner] = self._solve(X[inner], vals[inner])
+            out[inner] = self._solve(vals[inner])
         return float(out[0]) if single else out
 
-    def _solve(self, X, vals) -> np.ndarray:
-        """Initial-state values of (I - A) y = c for every row, stacked into
-        blocks of at most SOLVE_BLOCK_BYTES. I - A is built in place: the
-        identity, minus the edge values; c by ordered accumulation, as
-        np.add.at does for a single row."""
+    def _solve(self, vals) -> np.ndarray:
+        """Initial-state values of (I - A) y = c for every row of table
+        values, stacked into blocks of at most SOLVE_BLOCK_BYTES. I - A is
+        built in place: the identity, minus the entries; c by ordered
+        accumulation, as np.add.at does for a single row."""
         n = len(self.U)
         diag = np.arange(n)
         init = self.idx[self.d.initial]
         step = max(1, SOLVE_BLOCK_BYTES // (8 * n * n))
-        out = np.empty(len(X))
-        for lo in range(0, len(X), step):
-            hi = min(lo + step, len(X))
-            M = np.zeros((hi - lo, n, n))
+        out = np.empty(len(vals))
+        for lo in range(0, len(vals), step):
+            block = vals[lo:lo + step]
+            M = np.zeros((len(block), n, n))
             M[:, diag, diag] = 1.0
-            M[:, self.a_rows, self.a_cols] -= vals[lo:hi, self.a_edges]
-            if self.spec.kind == REACH_AVOID:
-                c = np.zeros((hi - lo, n))
-                np.add.at(c, (slice(None), self.c_rows), vals[lo:hi, self.c_edges])
-            else:
-                c = self.reward_table.evaluate(X[lo:hi])
-            sol = np.linalg.solve(M, c[..., np.newaxis])
-            out[lo:hi] = sol[:, init, 0]
+            M[:, self.a_rows, self.a_cols] -= block[:, self.a_terms]
+            c = np.zeros((len(block), n))
+            np.add.at(c, (slice(None), self.c_rows), block[:, self.c_terms])
+            out[lo:lo + step] = np.linalg.solve(M, c[..., np.newaxis])[:, init, 0]
         return out

@@ -92,6 +92,15 @@ def _positive_float(text):
     return v
 
 
+def _swarm_floor(text):
+    """argparse type of the swarm commands' --min-prob: a float in (0, 0.5)."""
+    v = _finite_float(text)
+    if not 0 < v < 0.5:
+        raise argparse.ArgumentTypeError(
+            "probability floor must lie in (0, 0.5), got %r" % text)
+    return v
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -156,6 +165,12 @@ def _load_param_groups(d: PmcT, path: Path) -> list:
                  "%s does not group the parameters of %s" % (side, path))
     d.param_groups = groups
     return [side]
+
+
+def _search_config(args) -> synthesis.SearchConfig:
+    return synthesis.SearchConfig(
+        swarm_size=args.swarm, max_iterations=args.iterations,
+        min_prob=args.min_prob, seed=args.seed, time_budget=args.time_limit)
 
 
 def _min_prob(args) -> Fraction:
@@ -364,11 +379,7 @@ def cmd_synthesize(args) -> int:
         stats = None
     else:
         d = _build_chain(m, k, args.topology, variant)
-        cfg = synthesis.SearchConfig(
-            swarm_size=args.swarm, max_iterations=args.iterations,
-            min_prob=args.min_prob, seed=args.seed,
-            time_budget=args.time_limit)
-        res = synthesis.pso_search(d, spec, cfg)
+        res = synthesis.pso_search(d, spec, _search_config(args))
         stats = synthesis.search_stats([res])
         if variant == SUBSTITUTED:
             controller = transforms.fsc_from_substituted(
@@ -489,10 +500,8 @@ def cmd_permissive(args) -> int:
     inputs = [inp] + _load_param_groups(d, inp)
     spec = parse_spec(args.spec)
     out = Path(args.output)
-    cfg = synthesis.SearchConfig(
-        swarm_size=args.swarm, max_iterations=args.iterations,
-        min_prob=args.min_prob, seed=args.seed, time_budget=args.time_limit)
-    cand = synthesis.find_permissive(d, spec, cfg, num_witnesses=args.witnesses)
+    cand = synthesis.find_permissive(d, spec, _search_config(args),
+                                     num_witnesses=args.witnesses)
     header = _provenance(args, inputs, [
         "spec: %s" % spec,
         "witnesses: %d" % len(cand.witnesses),
@@ -556,6 +565,16 @@ def _check_args(c):
     c.set_defaults(func=cmd_check)
 
 
+def _swarm_args(sp):
+    """The search options of the swarm commands, synthesize and permissive."""
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--time-limit", type=_positive_float, default=None,
+                    help="wall-clock budget in seconds")
+    sp.add_argument("--swarm", type=_int_at_least(2), default=40)
+    sp.add_argument("--iterations", type=_int_at_least(1), default=500)
+    sp.add_argument("--min-prob", type=_swarm_floor, default=1e-4)
+
+
 def _synthesize_args(s):
     _common(s)
     s.add_argument("--spec", required=True)
@@ -565,12 +584,7 @@ def _synthesize_args(s):
     s.add_argument("--variant", choices=[STANDARD, SUBSTITUTED], default=None,
                    help="search chain (default: substituted for k>1)")
     s.add_argument("--method", choices=["pso", "brute"], default="pso")
-    s.add_argument("--seed", type=_int_at_least(0), default=0)
-    s.add_argument("--time-limit", type=_positive_float, default=None,
-                   help="wall-clock budget in seconds")
-    s.add_argument("--swarm", type=_int_at_least(1), default=40)
-    s.add_argument("--iterations", type=_int_at_least(1), default=500)
-    s.add_argument("--min-prob", type=_finite_float, default=1e-4)
+    _swarm_args(s)
     s.set_defaults(func=cmd_synthesize)
 
 
@@ -596,11 +610,7 @@ def _permissive_args(pe):
     _common(pe)
     pe.add_argument("--spec", required=True)
     pe.add_argument("--witnesses", type=_int_at_least(1), default=3)
-    pe.add_argument("--seed", type=_int_at_least(0), default=0)
-    pe.add_argument("--time-limit", type=_positive_float, default=None)
-    pe.add_argument("--swarm", type=_int_at_least(1), default=40)
-    pe.add_argument("--iterations", type=_int_at_least(1), default=500)
-    pe.add_argument("--min-prob", type=_finite_float, default=1e-4)
+    _swarm_args(pe)
     pe.set_defaults(func=cmd_permissive)
 
 

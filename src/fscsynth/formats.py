@@ -8,14 +8,14 @@ validation messages.
 
 pMC entries are polynomials, read by one of two routes (parse_poly): text
 in the form Polynomial.__str__ prints, which is every entry write_pmc writes,
-is read directly with int arithmetic; any other text (parentheses, `^`,
-decimals, other spacing) goes through the one recursive-descent grammar over
-rational functions, whose denominator must then be constant.
+is read by polynomials._read_printed, directly into the packed store with
+int arithmetic; any other text (parentheses, `^`, decimals, other spacing)
+goes through the one recursive-descent grammar over rational functions,
+whose denominator must then be constant.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -29,7 +29,7 @@ from .models import (
     Pomdp,
     format_number,
 )
-from .polynomials import _WIDTH, Polynomial, RationalFunction, _field, _packed, _unlimited
+from .polynomials import _PRINTED_RE, Polynomial, RationalFunction, _read_printed, _unlimited
 
 
 class FormatError(ValueError):
@@ -196,59 +196,13 @@ def parse_expression(text: str, line=None, col_offset: int = 0) -> RationalFunct
     return _ExprParser(text, line, col_offset).parse()
 
 
-# The text Polynomial.__str__ prints: terms `c`, `n/d*x*y` or `x*y` joined
-# by ' + ' and ' - ', the first one optionally negated. No token can run on
-# into the next, so the match never backtracks: linear in the text.
-_PRINTED_TERM = r"(?:\d+(?:/\d+)?|[A-Za-z_]\w*)(?:\*[A-Za-z_]\w*)*"
-_PRINTED_RE = re.compile(r"-?{0}(?: [+-] {0})*".format(_PRINTED_TERM), re.ASCII)
-
-
-def _read_printed(text: str):
-    """The Polynomial of a text that _PRINTED_RE matches, built with int
-    arithmetic to the store the grammar builds: terms summed left to right
-    over the lcm of their denominators, a term that cancels dropped where it
-    cancels. None for a term of 256 or more factors (past the 8-bit field)
-    or a zero denominator, which the grammar handles."""
-    terms = []
-    den = 1
-    deg = 0
-    for term in text.replace(" - ", " + -").split(" + "):
-        n = d = 1
-        if term[0] == "-":
-            n, term = -1, term[1:]
-        factors = term.split("*")
-        if term[0].isdigit():
-            num, _, d = factors.pop(0).partition("/")
-            n *= int(num)
-            d = int(d) if d else 1
-            if not d:
-                return None
-        if len(factors) > 255:
-            return None
-        m = 0
-        for name in factors:
-            m += (1 << (_WIDTH * _field(name))) + 1
-        # a zero term is the grammar's Polynomial(): no monomial, degree 0
-        if n:
-            terms.append((m, n, d))
-            den = math.lcm(den, d)
-            deg = max(deg, len(factors))
-    acc = {}
-    for m, n, d in terms:
-        s = acc.get(m, 0) + n * (den // d)
-        if s:
-            acc[m] = s
-        else:
-            del acc[m]
-    return _packed(acc, den, _WIDTH, deg)
-
-
 def parse_poly(text: str, line=None, col_offset: int = 0) -> Polynomial:
     """Parse an expression that must denote a polynomial (constant
     denominators fold into the coefficients). Two routes:
 
     1. Text in the form Polynomial.__str__ prints (every entry write_pmc
-       writes) is read directly with int arithmetic by _read_printed.
+       writes) is read directly with int arithmetic by
+       polynomials._read_printed.
     2. Any other text is parsed as a rational function, which must then
        have a constant denominator.
 

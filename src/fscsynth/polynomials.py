@@ -9,11 +9,14 @@ when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
 with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
 tuples mapped to Fractions, rendered in graded lexicographic order. The
-packed store is read only inside this module: _interval evaluates the
-packed terms and their int coefficients over a box whose bounds are ints
-over one common denominator, and a point is the box with lo = hi. It
-serves evaluate, models.apply_instantiation (every entry of a chain at
-one point) and the region bounds of analysis (many boxes).
+packed store is read and built only inside this module. _interval
+evaluates the packed terms and their int coefficients over a box whose
+bounds are ints over one common denominator, and a point is the box with
+lo = hi. It serves evaluate, models.apply_instantiation (every entry of a
+chain at one point) and the region bounds of analysis (many boxes).
+_read_printed builds the store of a text in the form __str__ prints
+(_PRINTED_RE) with int arithmetic; formats.parse_poly reads every entry
+write_pmc writes that way.
 
 A polynomial common factor is divided out in one way only, by cancel: the
 int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 from types import MappingProxyType
@@ -395,6 +399,53 @@ def _packed(mons: dict, den: int, w: int, deg: int, p=None) -> Polynomial:
     for slot, value in zip(Polynomial.__slots__, (mons, den, w, deg)):
         object.__setattr__(p, slot, value)
     return p
+
+
+# The text Polynomial.__str__ prints: terms `c`, `n/d*x*y` or `x*y` joined
+# by ' + ' and ' - ', the first one optionally negated. No token can run on
+# into the next, so the match never backtracks: linear in the text.
+_PRINTED_TERM = r"(?:\d+(?:/\d+)?|[A-Za-z_]\w*)(?:\*[A-Za-z_]\w*)*"
+_PRINTED_RE = re.compile(r"-?{0}(?: [+-] {0})*".format(_PRINTED_TERM), re.ASCII)
+
+
+def _read_printed(text: str):
+    """The Polynomial of a text that _PRINTED_RE matches, built with int
+    arithmetic to the store that the grammar of formats builds: terms summed
+    left to right over the lcm of their denominators, a term that cancels
+    dropped where it cancels. None for a term of 256 or more factors (past
+    the 8-bit field) or a zero denominator, which the grammar handles."""
+    terms = []
+    den = 1
+    deg = 0
+    for term in text.replace(" - ", " + -").split(" + "):
+        n = d = 1
+        if term[0] == "-":
+            n, term = -1, term[1:]
+        factors = term.split("*")
+        if term[0].isdigit():
+            num, _, d = factors.pop(0).partition("/")
+            n *= int(num)
+            d = int(d) if d else 1
+            if not d:
+                return None
+        if len(factors) > 255:
+            return None
+        m = 0
+        for name in factors:
+            m += (1 << (_WIDTH * _field(name))) + 1
+        # a zero term is the grammar's Polynomial(): no monomial, degree 0
+        if n:
+            terms.append((m, n, d))
+            den = math.lcm(den, d)
+            deg = max(deg, len(factors))
+    acc = {}
+    for m, n, d in terms:
+        s = acc.get(m, 0) + n * (den // d)
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+    return _packed(acc, den, _WIDTH, deg)
 
 
 def _common(a: Polynomial, b: Polynomial, deg: int = 0):

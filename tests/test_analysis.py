@@ -48,6 +48,11 @@ C = Polynomial.constant
 SPEC = parse_spec("P>= 1/2 [!bad U goal]")
 
 
+def _floats(d, u):
+    """The point u as the float vector FloatPmcEvaluator.evaluate_vector takes."""
+    return np.array([float(u[name]) for name in d.params.names])
+
+
 def _mc(trans, goal=(), bad=(), rewards=None, initial=0):
     states = sorted({s for s in trans} | {t for row in trans.values() for t in row})
     return Mc(states, initial, trans, rewards, goal, bad)
@@ -678,14 +683,14 @@ class TestEvaluators:
             fl = FloatPmcEvaluator(d, SPEC)
             for _ in range(5):
                 u = g.random_instantiation_for(d, rng)
-                assert abs(float(ex.evaluate(u)) - fl.evaluate(u)) < 1e-8
+                assert abs(float(ex.evaluate(u)) - fl.evaluate_vector(_floats(d, u))) < 1e-8
 
     def test_evaluate_vector_matches_evaluate(self):
         import numpy as np
         d = induced_pmc(g.revisit_pomdp(), 1)
         fl = FloatPmcEvaluator(d, SPEC)
-        x = np.array([0.45])
-        assert abs(fl.evaluate_vector(x) - fl.evaluate({d.params.names[0]: F(9, 20)})) < 1e-12
+        exact = ExactPmcEvaluator(d, SPEC).evaluate({d.params.names[0]: F(9, 20)})
+        assert abs(fl.evaluate_vector(np.array([0.45])) - float(exact)) < 1e-12
 
     def test_reward_divergence_is_float_inf(self):
         p = V("p")
@@ -694,7 +699,7 @@ class TestEvaluators:
                  params=ParameterTable(["p"]), goal={1},
                  rewards={0: C(1)}, param_groups=[["p"]])
         spec = parse_spec("Emin<= 10 [F goal]")
-        assert is_infinite(FloatPmcEvaluator(d, spec).evaluate({"p": F(1, 2)}))
+        assert is_infinite(FloatPmcEvaluator(d, spec).evaluate_vector(np.array([0.5])))
         assert ExactPmcEvaluator(d, spec).evaluate({"p": F(1, 2)}) is INFINITE
 
     def test_exact_evaluator_rejects_bad_points(self):
@@ -764,12 +769,9 @@ class TestBatchedEvaluation:
             else:
                 vals = ev.table.evaluate(x)
                 A = np.zeros((n, n))
-                A[ev.a_rows, ev.a_cols] = vals[ev.a_edges]
-                if reward:
-                    c = ev.reward_table.evaluate(x)
-                else:
-                    c = np.zeros(n)
-                    np.add.at(c, ev.c_rows, vals[ev.c_edges])
+                A[ev.a_rows, ev.a_cols] = vals[ev.a_terms]
+                c = np.zeros(n)
+                np.add.at(c, ev.c_rows, vals[ev.c_terms])
                 want = np.linalg.solve(np.eye(n) - A, c)[ev.idx[d.initial]]
             assert got[i] == want, i
         one = ev.evaluate_vector(X[0])
@@ -864,9 +866,17 @@ class TestConstantRowElimination:
         assert np.all(np.abs(ev.evaluate_vector(X) - want) <= 1e-12 * want)
 
     def test_without_constant_rows_the_values_are_bit_identical(self):
-        chains = [(g.wide_group_pmc(), SPEC)]
+        # wide_group_pmc(reward=True) eliminates state 12 (a constant row
+        # back to the start, reward 0); a reward there keeps it, and c is then
+        # the reward polynomials alone
+        base = g.wide_group_pmc(reward=True)
+        rewarded = PmcT(base.num_states, base.initial, base.trans, params=base.params,
+                        goal=base.goal, rewards={**base.rewards, 12: V("c0")},
+                        param_groups=base.param_groups)
+        chains = [(g.wide_group_pmc(), SPEC), (rewarded, self.REWARD),
+                  (rewarded, parse_spec("Emax>= 5 [F goal]"))]
         rng = random.Random(44)
-        while len(chains) < 4:
+        while len(chains) < 6:
             d = induced_pmc(g.random_pomdp(rng, max_states=6), 2)
             if d.params.names and not FloatPmcEvaluator(d, SPEC).eliminated:
                 chains.append((d, SPEC))
@@ -877,6 +887,26 @@ class TestConstantRowElimination:
                 continue
             X = _interior_points(d, 40, i)
             assert ev.evaluate_vector(X).tobytes() == _unreduced_solve(d, spec, X).tobytes()
+
+    @pytest.mark.parametrize("kind", ["simple", "standard", "reward"])
+    def test_the_table_holds_what_is_read_once(self, kind, monkeypatch):
+        # every column is an entry of A, a term of c or a non-constant edge
+        # of the chain, and no polynomial object has two columns
+        from fscsynth._kernels import TermTable
+
+        class Recorded(TermTable):
+            def __init__(self, polys, param_index):
+                self.polys = list(polys)
+                super().__init__(polys, param_index)
+
+        monkeypatch.setattr(analysis, "TermTable", Recorded)
+        for d, _spec, ev in self._chains(kind):
+            polys = ev.table.polys
+            read = {*ev.a_terms.tolist(), *ev.c_terms.tolist(), *ev.boundary_cols.tolist()}
+            assert read == set(range(len(polys)))
+            assert len({id(p) for p in polys}) == len(polys)
+            assert {id(polys[k]) for k in ev.boundary_cols} == {
+                id(p) for s in d.states for p in d.row(s).values() if not p.is_constant()}
 
     def test_a_zero_edge_takes_the_counted_fresh_path(self, monkeypatch):
         d, spec, ev = self._chains("simple")[0]
@@ -935,7 +965,7 @@ class TestOneFrame:
                     assert ExactPmcEvaluator(d, spec).evaluate(u) == value
                     b = region_bounds(d, point, spec)
                     assert b.lower == b.upper == value
-                    fl = FloatPmcEvaluator(d, spec).evaluate(u)
+                    fl = FloatPmcEvaluator(d, spec).evaluate_vector(_floats(d, u))
                     if is_infinite(value):
                         assert is_infinite(fl)
                         with pytest.raises(ModelError, match="diverges"):

@@ -628,7 +628,8 @@ class TestLazyNumpy:
             "assert fl.query.value is None",
             "ex = analysis.ExactPmcEvaluator(d, spec)",
             "pts = [{n: Fraction(v) for n, v in p.items()} for p in %r]" % points,
-            "print(json.dumps([[fl.evaluate(u), float(ex.evaluate(u))] for u in pts]))",
+            "print(json.dumps([[fl.evaluate_vector([float(u[n]) for n in fl.param_order]),",
+            "                   float(ex.evaluate(u))] for u in pts]))",
         ])
         assert len(got) == 4
         for fv, ev in got:
@@ -695,7 +696,7 @@ class TestEntryPoint:
         inp = _pomdp_file(workdir)
         argv = [command, str(inp), "--spec", "P> 0.5 [!bad U goal]"]
         if command in ("synthesize", "permissive"):
-            argv += ["-o", "x", "--swarm", "1", "--iterations", "1"]
+            argv += ["-o", "x", "--swarm", "2", "--iterations", "1"]
         if command == "synthesize":
             argv += ["--memory", "1"]
         for value in ("nan", "inf", "-inf"):
@@ -712,6 +713,12 @@ class TestEntryPoint:
         ("synthesize", "--time-limit", "-1", "must be positive"),
         ("permissive", "--time-limit", "0", "must be positive"),
         ("permissive", "--time-limit", "-1", "must be positive"),
+        ("synthesize", "--swarm", "1", "must be at least 2"),
+        ("permissive", "--swarm", "1", "must be at least 2"),
+        ("synthesize", "--min-prob", "0.7", "probability floor must lie in (0, 0.5)"),
+        ("synthesize", "--min-prob", "0.5", "probability floor must lie in (0, 0.5)"),
+        ("permissive", "--min-prob", "0", "probability floor must lie in (0, 0.5)"),
+        ("permissive", "--min-prob", "0.7", "probability floor must lie in (0, 0.5)"),
     ])
     def test_out_of_range_values_are_rejected_by_the_parser(
             self, workdir, capsys, command, flag, value, message):
