@@ -89,11 +89,12 @@ class TermTable:
         fvar = []
         fexp = []
         for poly in polys:
-            items = poly.sorted_terms()
+            items, den = poly.int_terms()
             if not items:
                 items = [((), 0)]
-            for mono, coeff in items:
-                coeffs.append(float(coeff))
+            for mono, c in items:
+                # int true division rounds correctly, as float(Fraction) does
+                coeffs.append(c / den)
                 if mono:
                     for name, e in mono:
                         fvar.append(param_index[name])

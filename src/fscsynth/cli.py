@@ -8,9 +8,11 @@ into a verified parameter region (permissive).
 
 Exit codes are a stable contract: 0 success/satisfied, 1 completed but
 unsatisfied (or inconclusive), 2 input error, 3 budget exhausted. Every run
-writes a JSON manifest next to its output recording the command line, input
-hashes, seed, wall time, tool version, and a result summary; the swarm
-commands (synthesize, permissive) add a `stats` block of search counters.
+writes a JSON manifest (next to its output; for check and prove, which have
+none, fscsynth-<command>.manifest.json) recording the command line, the
+sha256 of the bytes read from each input, seed, wall time, tool version, and
+a result summary; the swarm commands (synthesize, permissive) add a `stats`
+block of search counters. Each input file is read once per command.
 Apart from wall_time_s, manifests hold no timings, so a seeded run
 reproduces its manifest; output files themselves carry a deterministic
 provenance header, so re-running the same command reproduces them byte for
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import shlex
@@ -101,10 +104,6 @@ def _swarm_floor(text):
     return v
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _sniff(text: str) -> str:
     for line in text.splitlines():
         s = line.strip()
@@ -113,9 +112,20 @@ def _sniff(text: str) -> str:
     return ""
 
 
-def _load_model(path: Path):
+def _read(args, path: Path) -> str:
+    """The text of an input file, read once: its bytes decoded as
+    Path.read_text decodes them (default encoding, universal newlines). The
+    sha256 of those bytes goes into args._digests, which the output header
+    and the manifest read, so they name what the command parsed even when
+    it overwrites the file."""
+    data = path.read_bytes()
+    args._digests[path] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+
+
+def _load_model(args, path: Path):
     """Reads a model file, dispatching on its header word."""
-    text = path.read_text()
+    text = _read(args, path)
     kind = _sniff(text)
     if kind == "pomdp":
         return "pomdp", formats.parse_pomdp(text)
@@ -125,15 +135,15 @@ def _load_model(path: Path):
                      % (path, kind or "<empty>"))
 
 
-def _load_pomdp(path: Path) -> Pomdp:
-    kind, m = _load_model(path)
+def _load_pomdp(args, path: Path) -> Pomdp:
+    kind, m = _load_model(args, path)
     if kind != "pomdp":
         raise ModelError("%s holds a %s; this command needs a POMDP" % (path, kind))
     return m
 
 
-def _load_pmc(path: Path) -> PmcT:
-    kind, d = _load_model(path)
+def _load_pmc(args, path: Path) -> PmcT:
+    kind, d = _load_model(args, path)
     if kind != "pmc":
         raise ModelError("%s holds a %s; this command needs a pMC" % (path, kind))
     return d
@@ -150,7 +160,7 @@ def _check_names(named, d: PmcT, what):
                             ", ".join(missing) or "none"))
 
 
-def _load_param_groups(d: PmcT, path: Path) -> list:
+def _load_param_groups(args, d: PmcT, path: Path) -> list:
     """Attaches the `<pmc>.params` sidecar that transform writes, when there
     is one, to d; returns the files read (empty without a sidecar).
 
@@ -160,7 +170,7 @@ def _load_param_groups(d: PmcT, path: Path) -> list:
     side = Path(str(path) + ".params")
     if not side.exists():
         return []
-    groups = formats.parse_param_groups(side.read_text())
+    groups = formats.parse_param_groups(_read(args, side))
     _check_names([n for g in groups for n in g], d,
                  "%s does not group the parameters of %s" % (side, path))
     d.param_groups = groups
@@ -197,7 +207,7 @@ def _provenance(args, inputs, extras=()):
     """Deterministic header lines for output files (no timestamps)."""
     lines = ["generated by fscsynth %s" % __version__,
              "command: fscsynth %s" % shlex.join(args._argv)]
-    lines += ["input %s sha256=%s" % (p.name, _sha256(p)) for p in inputs]
+    lines += ["input %s sha256=%s" % (p.name, args._digests[p]) for p in inputs]
     lines += list(extras)
     return lines
 
@@ -205,7 +215,7 @@ def _provenance(args, inputs, extras=()):
 def _write_manifest(args, inputs, out_path, started, seed, result, stats=None):
     manifest = {
         "command": ["fscsynth"] + list(args._argv),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): args._digests[p] for p in inputs},
         "seed": seed,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "tool_version": __version__,
@@ -239,7 +249,7 @@ def _build_chain(m: Pomdp, k: int, topology: str, variant: str) -> PmcT:
 def cmd_transform(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    m = _load_pomdp(inp)
+    m = _load_pomdp(args, inp)
     out = Path(args.output)
 
     if args.make_simple:
@@ -301,7 +311,7 @@ def cmd_transform(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    kind, model = _load_model(inp)
+    kind, model = _load_model(args, inp)
     spec = parse_spec(args.spec)
     inputs = [inp]
     eps = _min_prob(args)
@@ -311,7 +321,7 @@ def cmd_check(args) -> int:
             raise ModelError("checking a POMDP needs --fsc")
         fsc_path = Path(args.fsc)
         inputs.append(fsc_path)
-        controller = formats.parse_fsc(fsc_path.read_text())
+        controller = formats.parse_fsc(_read(args, fsc_path))
         value = analysis.check_mc(induced_mc(model, controller), spec)
         sat = spec.satisfied_by(value)
         print("value = %s" % _fmt_value(value))
@@ -319,10 +329,10 @@ def cmd_check(args) -> int:
     else:
         if args.instantiation is None:
             raise ModelError("checking a pMC needs --instantiation")
-        inputs += _load_param_groups(model, inp)
+        inputs += _load_param_groups(args, model, inp)
         u_path = Path(args.instantiation)
         inputs.append(u_path)
-        u = formats.parse_instantiation(u_path.read_text())
+        u = formats.parse_instantiation(_read(args, u_path))
         _check_names(u.values, model,
                      "%s does not value the parameters of %s" % (u_path, inp))
         u, value, sat, well = synthesis.certify(model, spec, u, eps)
@@ -364,7 +374,7 @@ def _is_fragment_of(mc: Mc, chain: Mc) -> bool:
 def cmd_synthesize(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    m = _load_pomdp(inp)
+    m = _load_pomdp(args, inp)
     spec = parse_spec(args.spec)
     k = args.memory
     out = Path(args.output)
@@ -434,7 +444,7 @@ def cmd_synthesize(args) -> int:
 def cmd_closed_form(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    d = _load_pmc(inp)
+    d = _load_pmc(args, inp)
     out = Path(args.output)
     if args.reward:
         f = analysis.state_eliminate_reward(d)
@@ -464,13 +474,13 @@ def _default_region(d: PmcT, eps: Fraction):
 def cmd_prove(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    d = _load_pmc(inp)
+    d = _load_pmc(args, inp)
     spec = parse_spec(args.spec)
     inputs = [inp]
     if args.region is not None:
         reg_path = Path(args.region)
         inputs.append(reg_path)
-        region = formats.parse_region(reg_path.read_text())
+        region = formats.parse_region(_read(args, reg_path))
         _check_names(region.intervals, d,
                      "%s does not bound the parameters of %s" % (reg_path, inp))
     else:
@@ -496,8 +506,8 @@ def cmd_prove(args) -> int:
 def cmd_permissive(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
-    d = _load_pmc(inp)
-    inputs = [inp] + _load_param_groups(d, inp)
+    d = _load_pmc(args, inp)
+    inputs = [inp] + _load_param_groups(args, d, inp)
     spec = parse_spec(args.spec)
     out = Path(args.output)
     cand = synthesis.find_permissive(d, spec, _search_config(args),
@@ -628,32 +638,62 @@ _SUBCOMMANDS = {
 }
 
 
+class _Declined(Exception):
+    """A subcommand parser met arguments it would have to print about."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser; raises _Declined where argparse would print
+    an error and exit."""
+
+    def error(self, message):
+        raise _Declined
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser. Every subcommand is listed, but with argv
-    only the one it invokes gets its arguments: its first word that is not
-    an option, since the top-level options take no value. Each argument
-    costs a help formatter, and a command parses only its own. Without argv
-    every subcommand gets its arguments."""
+    """The command-line parser. When argv starts with a subcommand's name,
+    the parser of that subcommand alone (prog `fscsynth <name>`, no -h):
+    main parses argv[1:] with it, and where it would print a message or
+    leave arguments unparsed, main parses argv with the full parser
+    instead, so every message and exit code is the full parser's. Otherwise
+    the full parser, every subcommand with its arguments. A command parser
+    binds the cmd_* function of this module that is current when it is
+    built."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        sp = _SubcommandParser(prog="fscsynth " + argv[0], add_help=False)
+        _SUBCOMMANDS[argv[0]][1](sp)
+        sp.set_defaults(command=argv[0])
+        return sp
     p = argparse.ArgumentParser(
         prog="fscsynth",
         description="Finite-memory controller synthesis for POMDPs "
                     "through parametric Markov chains.")
     p.add_argument("--version", action="version", version="fscsynth " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
-    invoked = None if argv is None else next(
-        (a for a in argv if not a.startswith("-")), None)
     for name, (text, add_args) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=text)
-        if argv is None or name == invoked:
-            add_args(sp)
+        add_args(sub.add_parser(name, help=text))
     return p
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    parser = build_parser(argv)
+    if isinstance(parser, _SubcommandParser):
+        try:
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+        except _Declined:
+            pass
+        parser = build_parser()
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     args._argv = list(argv)
+    args._digests = {}   # input path -> sha256 of the bytes read, see _read
     try:
         return args.func(args)
     except (ModelError, formats.FormatError) as e:

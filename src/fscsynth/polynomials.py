@@ -183,12 +183,18 @@ class Polynomial:
     def degree(self) -> int:
         return max((m & ((1 << self._w) - 1) for m in self._mons), default=0)
 
-    def sorted_terms(self):
-        """Terms in canonical (ascending graded-lex) order."""
-        w, d = self._w, self._den
+    def int_terms(self):
+        """(terms, den): the terms in canonical (ascending graded-lex) order
+        as (monomial, int c) pairs, each coefficient being c / den."""
+        w = self._w
         mask = (1 << w) - 1
         keyed = sorted((m & mask, _decode(m, w), c) for m, c in self._mons.items())
-        return [(mono, Fraction(c, d)) for _, mono, c in keyed]
+        return [(mono, c) for _, mono, c in keyed], self._den
+
+    def sorted_terms(self):
+        """Terms in canonical (ascending graded-lex) order."""
+        items, d = self.int_terms()
+        return [(mono, Fraction(c, d)) for mono, c in items]
 
     # -- arithmetic ---------------------------------------------------------
 

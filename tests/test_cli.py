@@ -1,8 +1,12 @@
 """End-to-end command line behaviour: exit codes, files, manifests."""
 
 import argparse
+import builtins
+import hashlib
+import io
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -512,6 +516,136 @@ class TestPermissive:
         assert rc == EXIT_INPUT
 
 
+def _sha256_of(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _header_digests(path: Path) -> dict:
+    """input name -> sha256 of the `input <name> sha256=<hex>` header lines."""
+    return dict(re.findall(r"input (\S+) sha256=([0-9a-f]{64})", path.read_text()))
+
+
+class TestInputFiles:
+    """Each input is read once; the header and the manifest hash the bytes
+    the command parsed."""
+
+    SPEC = "P> 0.5 [!bad U goal]"
+    # (argv, input files); every command writes its manifest to man.json
+    COMMANDS = [
+        (["transform", "model.pomdp", "-o", "out.pmc", "--memory", "1"], ["model.pomdp"]),
+        (["transform", "model.pomdp", "-o", "unf.pomdp", "--memory", "2", "--unfold"],
+         ["model.pomdp"]),
+        (["transform", "model.pomdp", "-o", "simple.pomdp", "--make-simple"],
+         ["model.pomdp"]),
+        (["check", "model.pomdp", "--spec", SPEC, "--fsc", "ctl.fsc"],
+         ["model.pomdp", "ctl.fsc"]),
+        (["check", "chain.pmc", "--spec", SPEC, "--instantiation", "point.inst"],
+         ["chain.pmc", "chain.pmc.params", "point.inst"]),
+        (["synthesize", "model.pomdp", "-o", "out.fsc", "--memory", "1", "--spec", SPEC,
+          "--swarm", "4", "--iterations", "5", "--seed", "1"], ["model.pomdp"]),
+        (["synthesize", "model.pomdp", "-o", "out.fsc", "--memory", "1", "--spec", SPEC,
+          "--method", "brute"], ["model.pomdp"]),
+        (["closed-form", "chain.pmc", "-o", "out.fn"], ["chain.pmc"]),
+        (["prove", "chain.pmc", "--spec", SPEC, "--region", "box.region"],
+         ["chain.pmc", "box.region"]),
+        (["permissive", "chain.pmc", "-o", "out.region", "--spec", "P> 0.3 [!bad U goal]",
+          "--swarm", "4", "--iterations", "10", "--witnesses", "1", "--seed", "1"],
+         ["chain.pmc", "chain.pmc.params"]),
+    ]
+    IDS = ["transform", "unfold", "make-simple", "check-pomdp", "check-pmc",
+           "synthesize", "brute", "closed-form", "prove", "permissive"]
+
+    @staticmethod
+    def _inputs(d: Path, newline="\n") -> dict:
+        """Writes one file of every input kind to d; name -> bytes written."""
+        m = g.two_coin_pomdp()
+        chain = transforms.induced_pmc(m, 1)
+        groups = chain.ensure_param_groups()
+        texts = {
+            "model.pomdp": formats.write_pomdp(m),
+            "ctl.fsc": formats.write_fsc(uniform_fsc(m, 1)),
+            "chain.pmc": formats.write_pmc(chain),
+            "chain.pmc.params": formats.write_param_groups(groups),
+            "point.inst": formats.write_instantiation(Instantiation(
+                {n: F(1, len(grp)) for grp in groups for n in grp})),
+            "box.region": formats.write_region(Region(
+                {n: (F(1, 10), F(9, 10)) for n in chain.params.names})),
+        }
+        files = {}
+        for name, text in texts.items():
+            files[name] = text.replace("\n", newline).encode()
+            (d / name).write_bytes(files[name])
+        return files
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv + ["--manifest", "man.json"])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, inputs", COMMANDS, ids=IDS)
+    def test_every_input_is_read_once(self, workdir, monkeypatch, capsys, argv, inputs):
+        self._inputs(workdir)
+        reads = {}
+        real_open = io.open
+
+        def counting_open(file, mode="r", *a, **kw):
+            if isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+                path = Path(file).resolve()
+                if path.parent == workdir.resolve():
+                    reads[path.name] = reads.get(path.name, 0) + 1
+            return real_open(file, mode, *a, **kw)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _out = self._run(argv, capsys)
+        monkeypatch.undo()
+        assert code in (EXIT_OK, EXIT_UNSAT)
+        assert reads == {name: 1 for name in inputs}
+        assert sorted(_manifest(workdir / "man.json")["inputs"]) == sorted(inputs)
+
+    @pytest.mark.parametrize("argv, inputs", COMMANDS, ids=IDS)
+    def test_crlf_inputs_give_the_lf_results(self, tmp_path, monkeypatch, capsys,
+                                             argv, inputs):
+        runs = {}
+        for newline in ("\n", "\r\n"):
+            d = tmp_path / ("crlf" if newline == "\r\n" else "lf")
+            d.mkdir()
+            monkeypatch.chdir(d)
+            files = self._inputs(d, newline)
+            code, out = self._run(argv, capsys)
+            outputs = {f.name: f.read_bytes() for f in d.iterdir()
+                       if f.name not in files and f.name != "man.json"}
+            runs[newline] = code, out, outputs, files
+        code, out, outputs, files = runs["\r\n"]
+        lf_code, lf_out, lf_outputs, lf_files = runs["\n"]
+        assert b"\r\n" in files[inputs[0]]
+        assert (code, out) == (lf_code, lf_out)
+        # the outputs differ only in the digests of their headers
+        assert set(outputs) == set(lf_outputs)
+        for name, data in outputs.items():
+            for i in inputs:
+                data = data.replace(_sha256_of(files[i]).encode(),
+                                    _sha256_of(lf_files[i]).encode())
+            assert data == lf_outputs[name]
+        # and those are of the raw CRLF bytes
+        digests = {name: _sha256_of(files[name]) for name in inputs}
+        assert _manifest(tmp_path / "crlf" / "man.json")["inputs"] == digests
+        for name in outputs:
+            if not name.endswith(".params"):
+                assert _header_digests(tmp_path / "crlf" / name) == digests
+
+    @pytest.mark.parametrize("argv, write", [
+        (["closed-form", "m.pmc", "-o", "m.pmc"], _pmc_file),
+        (["transform", "m.pomdp", "-o", "m.pomdp", "--memory", "1"], _pomdp_file),
+        (["transform", "m.pomdp", "-o", "m.pomdp", "--make-simple"], _pomdp_file),
+    ], ids=["closed-form", "transform", "make-simple"])
+    def test_output_over_its_input_records_the_input_digest(self, workdir, argv, write):
+        original = write(workdir, argv[1]).read_bytes()
+        assert main(argv) == EXIT_OK
+        digest = _sha256_of(original)
+        assert _header_digests(workdir / argv[1]) == {argv[1]: digest}
+        assert _manifest(workdir / (argv[1] + ".manifest.json"))["inputs"] == {argv[1]: digest}
+
+
 class TestValueText:
     def test_values_past_the_int_to_str_digit_limit(self):
         # 5002 and 5002 digits: past the interpreter's default limit of 4300
@@ -665,10 +799,15 @@ class TestEntryPoint:
         ["transform", "m", "-o", "x", "--memory", "0"],
         ["closed-form", "m", "-o", "x", "--bogus"],
         ["permissive", "m", "-o", "x", "--spec", "s", "--seed", "-1"],
+        ["closed-form", "m", "-o", "x", "extra"],
+        ["check", "m", "--spec", "s", "-h"],
+        ["closed", "m", "-o", "x"],
+        ["prove", "--", "m"],
+        ["transform"],
     ])
     def test_parser_messages_match_the_full_parser(self, argv, capsys):
-        # main gives only the invoked subcommand its arguments; it must
-        # print what the parser with every argument prints, and exit alike
+        # main parses with the invoked subcommand's parser alone; it must
+        # print what the full parser prints, and exit alike
         def run(parse):
             with pytest.raises(SystemExit) as e:
                 parse(list(argv))
@@ -678,13 +817,27 @@ class TestEntryPoint:
         assert got == run(cli.build_parser().parse_args)
         assert got[1] or got[2]
 
-    def test_only_the_invoked_subcommand_gets_arguments(self):
-        parser = cli.build_parser(["check", "model.pmc", "--spec", "P> 0.5 [F goal]"])
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        # every subparser has its -h; only check has more
-        assert {name: len(sp._actions) > 1 for name, sp in subparsers.choices.items()} == {
-            name: name == "check" for name in cli._SUBCOMMANDS}
+    @pytest.mark.parametrize("argv", [
+        ["check", "model.pmc", "--spec", "P> 0.5 [F goal]"],
+        ["closed-form", "model.pmc", "-o", "out.fn"],
+        ["transform", "model.pomdp", "-o", "out.pmc", "--memory", "2"],
+    ])
+    def test_a_valid_argv_builds_only_the_invoked_parser(
+            self, workdir, monkeypatch, argv):
+        # main parses a command's arguments with that command's parser
+        # alone; the model is missing, so the command stops at its input
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording_init(parser, *a, **kw):
+            init(parser, *a, **kw)
+            progs.append(parser.prog)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        assert main(list(argv)) == EXIT_INPUT
+        assert progs == ["fscsynth " + argv[0]]
+        monkeypatch.undo()
+        # and it parses them as the full parser does
+        assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("command, flag", [
         ("check", "--min-prob"), ("prove", "--min-prob"),
