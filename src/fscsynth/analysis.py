@@ -14,11 +14,11 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     bounds;
   - _eliminate removes unknowns from such a system on integer rows, with
     c as one sink column, dividing out common factors with
-    polynomials.cancel: over the integers for _solve_integer, which
-    back-substitutes to numerators over one shared denominator, and for
-    _affine_forms, which keeps a set of unknowns and writes every other
-    one over them, and over integer polynomials for the closed forms, which
-    keep the initial row and cancel it once.
+    polynomials.cancel and divide_content: over the integers for
+    _solve_integer, which back-substitutes to numerators over one shared
+    denominator, and for _affine_forms, which keeps a set of unknowns and
+    writes every other one over them, and over integer polynomials for the
+    closed forms, which keep the initial row and cancel it once.
 The MDP optima and _avoiders decide their own value-1 states (by _prob1e
 and a fixpoint) and stay outside this frame. An exact value on a chain is
 one _chain_value of a query: check_mc poses the chain's own, and
@@ -270,15 +270,17 @@ def _eliminate(d, w, keep=frozenset()):
     Pivots go in min in*out degree order, ties to the lowest index.
     Substituting row s into a predecessor p scales p by d_s / g and row s
     by m_ps / g, g the common factor of d_s and m_ps, and divides the
-    result by the common factor of d_p and row p; polynomials.cancel gives
-    the quotients of both steps (the int content's, or past
-    GCD_TERM_THRESHOLD terms the polynomial gcd's) and nothing divides
-    after it. A zero pivot means the system is singular. Returns the pivots
+    result by the common factor of d_p and row p. polynomials.cancel gives
+    the two quotients of the first step, and polynomials.divide_content
+    divides d_p and row p in place in the second: by the int content, or,
+    past GCD_TERM_THRESHOLD terms, by the polynomial gcd. Nothing divides
+    after them. A zero pivot means the system is singular. Returns the pivots
     d, the rows w left over (those of `keep`) and the (s, d_s, row s) of
     each pivot in order; a pivot's row names only the unknowns pivoted
     after it, the kept ones and _GOOD.
     """
     cancel = polynomials.cancel
+    divide_content = polynomials.divide_content
     preds = {i: set() for i in range(len(d))}
     preds[_GOOD] = set()
     for i, out in w.items():
@@ -307,12 +309,7 @@ def _eliminate(d, w, keep=frozenset()):
                 else:
                     row[t] = fs * v
                     preds[t].add(p)
-            q = cancel(dp, *row.values())
-            d[p] = q[0]
-            # cancel hands back its inputs when it divides nothing, and a
-            # nonzero pivot it divides comes back as a new object
-            if q[0] is not dp or not dp:
-                w[p] = dict(zip(row, q[1:]))
+            d[p] = divide_content(dp, row)
         eliminated.append((s, ds, out))
     return d, w, eliminated
 

@@ -425,7 +425,7 @@ def parse_pmc(text: str) -> PmcT:
         entries = [(trans[s][t], lineno) for (s, t), lineno in trans_lines.items()]
         entries += [(rewards[s], lineno) for s, lineno in reward_lines.items()]
         for poly, lineno in entries:
-            for name in poly.variables():
+            for name in sorted(poly.variables()):
                 if name not in declared:
                     raise FormatError("parameter %r is not declared" % name, lineno) from None
         raise FormatError(str(e)) from None

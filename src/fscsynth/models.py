@@ -14,6 +14,7 @@ chain stores.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -491,6 +492,13 @@ class PmcT:
 
     def _validate(self):
         _check_state(self.initial, self.num_states, "initial")
+        # one pass names every parameter; only a chain that uses an
+        # undeclared one scans its entries, where the checks below place it
+        params = self.params
+        names = polynomials.variables_of(itertools.chain(
+            (p for row in self.trans.values() if row for p in row.values()),
+            self.rewards.values()))
+        scan = any(name not in params for name in names)
         for s in range(self.num_states):
             row = self.trans.get(s)
             if not row:
@@ -502,8 +510,8 @@ class PmcT:
                     raise ModelError("Polynomial entry expected at (%d,%d)" % (s, t))
                 if p.is_zero():
                     raise ModelError("explicit zero entry at (%d,%d)" % (s, t))
-                for name in p.variables():
-                    if name not in self.params:
+                for name in sorted(p.variables()) if scan else ():
+                    if name not in params:
                         raise ModelError(
                             "undeclared parameter '%s' in row of state %d" % (name, s)
                         )
@@ -520,8 +528,8 @@ class PmcT:
             _check_state(s, self.num_states, "reward")
             if not isinstance(r, Polynomial):
                 raise ModelError("reward entries must be Polynomials")
-            for name in r.variables():
-                if name not in self.params:
+            for name in sorted(r.variables()) if scan else ():
+                if name not in params:
                     raise ModelError(
                         "undeclared parameter '%s' in reward of state %d" % (name, s))
 

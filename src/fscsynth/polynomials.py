@@ -2,8 +2,9 @@
 
 Polynomials use the packed-exponent layout of Monagan and Pearce (CASC 2007;
 ISSAC 2009): a monomial is one int whose field i, w bits wide, holds the
-exponent of parameter i (indexed per process in first-use order) and whose
-field 0 holds the total degree, so a monomial product is one int addition.
+exponent of parameter i (indexed per process in first-use order, _FIELD,
+with each name's own monomial kept in _MONO) and whose field 0 holds the
+total degree, so a monomial product is one int addition.
 Each polynomial has its own w, 8 at first and doubled, operands repacked,
 when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
@@ -15,22 +16,28 @@ bounds are ints over one common denominator, and a point is the box with
 lo = hi. It serves evaluate, models.apply_instantiation (every entry of a
 chain at one point) and the region bounds of analysis (many boxes).
 _read_printed builds the store of a text in the form __str__ prints
-(_PRINTED_RE) with int arithmetic; formats.parse_poly reads every entry
-write_pmc writes that way.
+(_PRINTED_RE) with int arithmetic, adding up the _MONO monomials of its
+factors; formats.parse_poly reads every entry write_pmc writes that way.
+variables_of names the parameters of many polynomials at once, for the
+declaration check of models.PmcT.
 
 A polynomial common factor is divided out in one way only, by cancel: the
 int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the
 cofactors of the gcd of the integer coefficient polynomials in sympy's
 sparse ring over ZZ (_sympy_cancel), with sympy imported on that path only.
-cancel serves the fraction-free elimination in analysis, whose closed forms
-end with one _sympy_cancel whatever their size; RationalFunction runs no
-gcd. The exact path never touches binary floats.
+The fraction-free elimination in analysis divides by it twice per
+substitution: cancel on the pivot ratio, and divide_content, which divides
+a row and its pivot in place (over ints with one math.gcd, with a
+Polynomial among them by cancel). Its closed forms end with one
+_sympy_cancel whatever their size; RationalFunction runs no gcd. The exact
+path never touches binary floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -46,9 +53,11 @@ Monomial = tuple
 # field width, in bits, that every polynomial starts from
 _WIDTH = 8
 
-# parameter name <-> field index; no result depends on the index order
+# parameter name <-> field index; no result depends on the index order.
+# _MONO holds each name's packed monomial at width _WIDTH, the name itself
 _FIELD: dict = {}
 _NAMES: list = [None]
+_MONO: dict = {}
 
 
 class MissingParameterError(KeyError):
@@ -73,6 +82,14 @@ def _field(name: str) -> int:
         _FIELD[name] = len(_NAMES)
         _NAMES.append(name)
     return _FIELD[name]
+
+
+def _monomial(name: str) -> int:
+    """The packed monomial of name at width _WIDTH, made once per name."""
+    m = _MONO.get(name)
+    if m is None:
+        m = _MONO[name] = (1 << (_WIDTH * _field(name))) + 1
+    return m
 
 
 def _width(deg: int, w: int = _WIDTH) -> int:
@@ -105,8 +122,11 @@ class Polynomial:
 
     Immutable. `_mons` maps packed monomials to nonzero int coefficients
     over `_den`; `_w` is the field width and `_deg` a bound on the total
-    degree that fits in it. The form is unique per width, so equality is
-    structural. `terms` is a read-only view of the store, in its order.
+    degree that fits in it. Every constructor keeps `_deg` at or above the
+    exact total degree (a sum whose top terms cancel keeps the larger
+    bound), which _interval relies on. The form is unique per width, so
+    equality is structural. `terms` is a read-only view of the store, in
+    its order.
     """
 
     __slots__ = ("_mons", "_den", "_w", "_deg")
@@ -144,7 +164,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return _packed({(1 << (_WIDTH * _field(name))) + 1: 1}, 1, _WIDTH, 1)
+        return _packed({_monomial(name): 1}, 1, _WIDTH, 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -174,11 +194,7 @@ class Polynomial:
         raise ValueError("polynomial %s is not constant" % self)
 
     def variables(self) -> frozenset:
-        # a field of the OR of all monomials is nonzero iff some monomial's is
-        acc = 0
-        for m in self._mons:
-            acc |= m
-        return frozenset(_NAMES[sh // self._w] for sh, _ in _fields(acc, self._w))
+        return variables_of((self,))
 
     def degree(self) -> int:
         return max((m & ((1 << self._w) - 1) for m in self._mons), default=0)
@@ -284,9 +300,10 @@ class Polynomial:
     def evaluate(self, valuation: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation, always a Fraction: int and Fraction values are
         read as they are, any other value is converted exactly first.
-        Raises MissingParameterError for absent names."""
+        Raises MissingParameterError for the first absent name in sorted
+        order."""
         xs = {}
-        for name in self.variables():
+        for name in sorted(self.variables()):
             x = _value(valuation, name)
             xs[name] = x if isinstance(x, (int, Fraction)) else Fraction(x)
         D = math.lcm(*(x.denominator for x in xs.values()))
@@ -364,13 +381,15 @@ def _interval(poly: Polynomial, lo, hi, D):
     two terms. lo and hi map each parameter of poly to the numerators of its
     interval [lo / D, hi / D]; a term of total degree k is scaled by
     D ** (deg - k), so all of them sit over den = poly's denominator *
-    D ** deg, deg the largest total degree. A point is the box whose hi is
-    lo: each term's product is formed once, and bottom == top is poly's
-    value there times den."""
+    D ** deg, deg the stored degree bound poly._deg. Where that exceeds the
+    exact degree, every term and den carry the same extra power of D, so
+    the values do not change. A point is the box whose hi is lo: each
+    term's product is formed once, and bottom == top is poly's value there
+    times den."""
     w = poly._w
     mask = (1 << w) - 1
     mons = poly._mons
-    deg = max((m & mask for m in mons), default=0)
+    deg = poly._deg
     bottom = top = 0
     for m, c in mons.items():
         scale = D ** (deg - (m & mask))
@@ -436,9 +455,10 @@ def _read_printed(text: str):
                 return None
         if len(factors) > 255:
             return None
-        m = 0
-        for name in factors:
-            m += (1 << (_WIDTH * _field(name))) + 1
+        try:
+            m = sum(map(_MONO.__getitem__, factors))
+        except KeyError:
+            m = sum(map(_monomial, factors))
         # a zero term is the grammar's Polynomial(): no monomial, degree 0
         if n:
             terms.append((m, n, d))
@@ -452,6 +472,18 @@ def _read_printed(text: str):
         else:
             del acc[m]
     return _packed(acc, den, _WIDTH, deg)
+
+
+def variables_of(polys) -> frozenset:
+    """The parameter names of the Polynomials among polys, anything else
+    skipped: one OR of all their packed monomials per field width. A field
+    of the OR is nonzero iff some monomial's is."""
+    acc = {}
+    for p in polys:
+        if isinstance(p, Polynomial):
+            w = p._w
+            acc[w] = functools.reduce(operator.or_, p._mons, acc.get(w, 0))
+    return frozenset(_NAMES[sh // w] for w, a in acc.items() for sh, _ in _fields(a, w))
 
 
 def _common(a: Polynomial, b: Polynomial, deg: int = 0):
@@ -560,11 +592,12 @@ def _sympy_cancel(*ps):
 
 def cancel(*ps):
     """The ints or integer Polynomials ps divided by a common factor, the
-    one analysis._eliminate divides out: _sympy_cancel's cofactors once one
-    of them has more than GCD_TERM_THRESHOLD terms and their gcd is not a
-    constant, their int content otherwise. Returns the inputs when the
-    content is 1 (or all of them are 0); mixed with Polynomials, an int
-    comes back as a constant Polynomial."""
+    one analysis._eliminate divides out of a pivot ratio (and, through
+    divide_content, of a row): _sympy_cancel's cofactors once one of them
+    has more than GCD_TERM_THRESHOLD terms and their gcd is not a constant,
+    their int content otherwise. Returns the inputs when the content is 1
+    (or all of them are 0); mixed with Polynomials, an int comes back as a
+    constant Polynomial."""
     try:
         g = math.gcd(*ps)
     except TypeError:  # a Polynomial among them
@@ -579,6 +612,29 @@ def cancel(*ps):
                        for p in ps)
         return ps
     return ps if g == 1 or not g else tuple(p // g for p in ps)
+
+
+def divide_content(d, row: dict):
+    """d and the values of row divided by the common factor that
+    cancel(d, *row.values()) divides out; row changes in place and the new
+    d is returned. Over ints that is one math.gcd and an exact division per
+    value. With a Polynomial among them it is cancel's quotients, written
+    back only when cancel divided something, so a row of content 1 keeps
+    its objects."""
+    try:
+        g = math.gcd(d, *row.values())
+    except TypeError:  # a Polynomial among them
+        q = cancel(d, *row.values())
+        # cancel hands back its inputs when it divides nothing, and new
+        # Polynomials when it divides or turns an int d into one
+        if q[0] is not d:
+            row.update(zip(list(row), q[1:]))
+        return q[0]
+    if g == 1 or not g:
+        return d
+    for t in row:
+        row[t] //= g
+    return d // g
 
 
 class RationalFunction:

@@ -1,8 +1,10 @@
 """Model types, validation, specifications, and the text formats."""
 
+import json
 import math
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import genmodels as g
+from childenv import child_env
 from fscsynth import formats
 from fscsynth.formats import (
     FormatError,
@@ -307,14 +310,71 @@ class TestValidation:
         with pytest.raises(FormatError, match="line"):
             parse_pomdp(text)
 
-    @pytest.mark.parametrize("body, line", [
-        ("trans 0 0 1 - p + q\nreward 0 p\n", 5),
-        ("trans 0 0 1\nreward 0 2*q\n", 6),
+    @pytest.mark.parametrize("body, line, name", [
+        ("trans 0 0 1 - p + q\nreward 0 p\n", 5, "q"),
+        ("trans 0 0 1\nreward 0 2*q\n", 6, "q"),
+        # of two undeclared names, the first in sorted order
+        ("trans 0 0 zb*qa\n", 5, "qa"),
     ])
-    def test_undeclared_parameter_errors_name_their_line(self, body, line):
+    def test_undeclared_parameter_errors_name_their_line(self, body, line, name):
         with pytest.raises(FormatError) as err:
             parse_pmc("pmc\nstates 1\ninitial 0\nparams p\n" + body)
-        assert str(err.value) == "line %d: parameter 'q' is not declared" % line
+        assert str(err.value) == "line %d: parameter '%s' is not declared" % (line, name)
+
+    def test_undeclared_and_missing_names_do_not_depend_on_the_hash_seed(self):
+        # every message that names one of several parameters, taken in
+        # interpreters whose string hashes differ
+        script = "\n".join([
+            "import json",
+            "from fscsynth.formats import FormatError, parse_pmc",
+            "from fscsynth.models import ModelError, ParameterTable, PmcT",
+            "from fscsynth.polynomials import MissingParameterError, Polynomial",
+            "qz = Polynomial.variable('zb') * Polynomial.variable('qa')",
+            "one = {0: {0: Polynomial.constant(1)}}",
+            "cases = [",
+            "    lambda: parse_pmc('pmc\\nstates 1\\ninitial 0\\nparams p\\n'",
+            "                      'trans 0 0 zb*qa\\n'),",
+            "    lambda: PmcT(1, 0, {0: {0: qz}}, ParameterTable(['p'])),",
+            "    lambda: PmcT(1, 0, one, ParameterTable(['p']), rewards={0: qz}),",
+            "    lambda: qz.evaluate({}),",
+            "]",
+            "out = []",
+            "for case in cases:",
+            "    try:",
+            "        case()",
+            "    except (FormatError, ModelError, MissingParameterError) as err:",
+            "        out.append(str(err))",
+            "print(json.dumps(out))",
+        ])
+        seen = set()
+        for seed in ("0", "1", "2"):
+            env = dict(child_env(), PYTHONHASHSEED=seed)
+            run = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            seen.add(run.stdout)
+        assert [json.loads(out) for out in seen] == [[
+            "line 5: parameter 'qa' is not declared",
+            "undeclared parameter 'qa' in row of state 0",
+            "undeclared parameter 'qa' in reward of state 0",
+            "no value assigned to parameter 'qa'",
+        ]]
+
+    @pytest.mark.parametrize("rows, message", [
+        # an undeclared name at state 0 comes before a deadlock at state 2
+        ({0: {1: "q", 2: "1 - q"}, 1: {1: "1"}},
+         "undeclared parameter 'q' in row of state 0"),
+        ({1: {1: "1"}, 2: {0: "q", 1: "1 - q"}},
+         "state 0 has no outgoing transition (deadlock)"),
+        # an explicit zero entry comes before an undeclared name of its row
+        ({0: {0: "0", 1: "q", 2: "1 - q"}, 1: {1: "1"}, 2: {2: "1"}},
+         "explicit zero entry at (0,0)"),
+    ])
+    def test_first_of_several_defects_is_reported(self, rows, message):
+        trans = {s: {t: parse_poly(p) for t, p in row.items()} for s, row in rows.items()}
+        with pytest.raises(ModelError) as err:
+            PmcT(3, 0, trans, params=ParameterTable(["p"]))
+        assert str(err.value) == message
 
     def test_undeclared_reward_parameter_rejected(self):
         trans = {0: {0: Polynomial.constant(1)}}

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import genmodels as g
 from fscsynth import formats, polynomials
-from fscsynth.analysis import reach_avoid_prob, state_eliminate
+from fscsynth.analysis import Region, reach_avoid_prob, region_bounds, state_eliminate
 from fscsynth.formats import parse_poly
-from fscsynth.models import apply_instantiation
+from fscsynth.models import ParameterTable, PmcT, apply_instantiation, parse_spec
 from fscsynth.polynomials import (
     GCD_TERM_THRESHOLD,
     Polynomial,
     RationalFunction,
     _integer_normal,
+    _interval,
     _sympy_cancel,
     cancel,
+    divide_content,
 )
 from fscsynth.transforms import induced_pmc
 
@@ -107,6 +109,25 @@ class TestPolynomial:
     def test_variables(self):
         p = V("x") * V("y") + C(2)
         assert p.variables() == frozenset({"x", "y"})
+
+    def test_a_degree_bound_above_the_exact_degree_changes_no_value(self):
+        x, y = V("x"), V("y")
+        loose = (x * y + x) - x * y
+        assert loose == x and loose._deg == 2 > loose.degree() == 1
+        u = {"x": F(2, 7)}
+        assert loose.evaluate(u) == x.evaluate(u) == F(2, 7)
+        # _interval scales the loose form by one more power of D
+        assert _interval(x, {"x": 1}, {"x": 3}, 4) == (1, 3, 4)
+        assert _interval(loose, {"x": 1}, {"x": 3}, 4) == (4, 12, 16)
+        spec = parse_spec("P> 1/2 [F goal]")
+        region = Region({"x": (F(1, 4), F(2, 3))})
+        bounds = []
+        for p in (loose, x):
+            d = PmcT(3, 0, {0: {1: p, 2: 1 - p}, 1: {1: C(1)}, 2: {2: C(1)}},
+                     params=ParameterTable(["x"]), goal={1})
+            b = region_bounds(d, region, spec)
+            bounds.append((b.lower, b.upper, b.tight, b.graph_preserving))
+        assert bounds[0] == bounds[1] == (F(1, 4), F(2, 3), True, True)
 
 
 class TestRationalFunction:
@@ -264,6 +285,49 @@ class TestEliminationRing:
         assert _sympy_cancel(*qs) == tuple(qs)
         assert all(q.as_integer_ratio()[1] == 1 for q in qs)
         assert math.gcd(*(int(c) for q in qs for c in q.terms.values())) == 1
+
+    def test_divide_content_divides_an_int_row_in_place(self):
+        row = {0: 18, 1: -30, -1: 42}
+        assert divide_content(12, row) == 2
+        assert row == {0: 3, 1: -5, -1: 7}
+        rng = random.Random(5)
+        for _ in range(200):
+            d = rng.randint(-3, 3) * rng.choice((1, 6, 35))
+            row = {t: rng.randint(-3, 3) * rng.choice((1, 6, 35)) for t in range(3)}
+            q = cancel(d, *row.values())
+            assert (divide_content(d, row), *row.values()) == q
+
+    def test_divide_content_of_polynomial_rows_past_the_threshold(self):
+        ps = [(f * TestSympyCancel.H).as_integer_ratio()[0]
+              for f in (TestSympyCancel.A, TestSympyCancel.B, V("x") + C(1))]
+        assert len(ps[0].terms) > GCD_TERM_THRESHOLD
+        row = {4: ps[1], -1: ps[2]}
+        d = divide_content(ps[0], row)
+        assert (d, row[4], row[-1]) == cancel(*ps)
+        assert d.degree() < ps[0].degree() and list(row) == [4, -1]
+
+    def test_divide_content_of_content_one_keeps_the_objects(self):
+        x, y = V("x"), V("y")
+        d, a, b = C(3) * x + C(2), C(5) * y, x * y
+        row = {0: a, 1: b}
+        assert divide_content(d, row) is d
+        assert row[0] is a and row[1] is b
+        big = 10 ** 30 + 1
+        row = {0: big, 1: 7}
+        assert divide_content(6, row) == 6 and row[0] is big
+
+    def test_divide_content_with_a_zero_pivot(self):
+        row = {0: 6, 1: -4}
+        assert divide_content(0, row) == 0 and row == {0: 3, 1: -2}
+        row = {0: 0}
+        assert divide_content(0, row) == 0 and row == {0: 0}
+        x = V("x")
+        row = {0: C(6) * x, 1: C(4)}
+        assert divide_content(Polynomial(), row).is_zero()
+        assert row == {0: C(3) * x, 1: C(2)}
+        # an int pivot among Polynomials comes back as cancel gives it
+        row = {0: C(6) * x}
+        assert divide_content(8, row) == C(4) and row == {0: C(3) * x}
 
 
 # ---------------------------------------------------------------------------
