@@ -7,12 +7,12 @@ Every chain value, concrete (check_mc), parametric (the closed forms), boxed
     states are uncertain (U) and which value the graph already settles at
     the initial state (1 or 0 for reach-avoid; 0 at a goal or INFINITE when
     the goal may be missed, for expected reward);
-  - _system builds x = A x + c over U in Fractions or polynomials:
-    A holds the edges inside U, c the state rewards plus the edges into
-    `one`, the value-1 states outside U. _policy_iterate builds the same
-    system per choice, as integer rows, for the MDP optima and the region
-    bounds;
-  - _eliminate removes unknowns from such a system on integer rows, with
+  - _integer_system builds x = A x + c over U from an integer row
+    (L, {t: a_t}, r) per state, over ints or integer polynomials: A holds
+    the edges inside U, c the state rewards plus the edges into `one`, the
+    value-1 states outside U. Every exact solve, elimination and
+    policy-iteration round builds through it;
+  - _eliminate removes unknowns from such a system, with
     c as one sink column, dividing out common factors with
     polynomials.cancel and divide_content: over the integers for
     _solve_integer, which back-substitutes to numerators over one shared
@@ -69,6 +69,7 @@ from .models import (
     REACH_AVOID,
     Specification,
     WellDefinedness,
+    _as_fraction,
     apply_instantiation,
     is_infinite,
 )
@@ -176,26 +177,6 @@ def _query(graph, initial, goal, bad, reward) -> _Query:
                   q.s_one)
 
 
-def _system(query, idx, row, reward):
-    """x = A x + c over query.U, idx numbering U. row(s) maps the
-    successors of s to their entries. rows[i] holds the entries into U;
-    c[i] starts at reward(s) and adds the entries into query.one in row
-    order."""
-    rows = []
-    c = []
-    for s in query.U:
-        out = {}
-        acc = reward(s)
-        for t, p in row(s).items():
-            if t in idx:
-                out[idx[t]] = p
-            elif t in query.one:
-                acc += p
-        rows.append(out)
-        c.append(acc)
-    return rows, c
-
-
 # ---------------------------------------------------------------------------
 # linear solving
 
@@ -241,17 +222,24 @@ def _integer_row(row, r):
     return scale, {t: p * (scale // q) for t, p, q in pairs}, rp * (scale // rq)
 
 
-def _integer_system(rows):
-    """The pivots d and rows w of _eliminate from integer rows
-    (L_i, {j: a_ij}, r_i) over 0..n-1, each reading
-    L_i x_i = sum_j a_ij x_j + r_i: the self-loop folds into d_i, r_i is
-    the _GOOD entry and zero entries drop."""
+def _integer_system(U, one, row_of):
+    """The pivots d and rows w of _eliminate for x = A x + c over the states
+    U, numbered in order. row_of(s) is the integer row (L, {t: a_t}, r) of s
+    over state ids, reading L x_s = sum_t a_t x_t + r: the self-loop folds
+    into d, the mass into the value-1 states `one` adds to r, the _GOOD
+    entry, and zero entries and every other state drop."""
+    idx = {s: i for i, s in enumerate(U)}
     d = []
     w = {}
-    for i, (scale, row, r) in enumerate(rows):
+    for i, s in enumerate(U):
+        scale, row, r = row_of(s)
         out = {}
-        for j, a in row.items():
-            if j == i:
+        for t, a in row.items():
+            j = idx.get(t)
+            if j is None:
+                if t in one:
+                    r += a
+            elif j == i:
                 scale -= a
             elif a:
                 out[j] = a
@@ -339,14 +327,14 @@ def _solve_integer(d, w):
     return num, den
 
 
-def _affine_forms(rows, c, keep):
-    """x_k = sum_q B[k][q] x_q + B[k][_GOOD] for every unknown k of
-    x = A x + c (as solve_exact takes it) outside the index set `keep`:
-    _eliminate on integer rows keeps those unknowns, and the
-    back-substitution writes each eliminated one over them and _GOOD, as a
-    map of nonzero Fractions. The rows and c of the kept unknowns are not
-    read; pass {} and 0."""
-    _d, _w, eliminated = _eliminate(*_integer_system(map(_integer_row, rows, c)), keep)
+def _affine_forms(U, one, row_of, keep):
+    """x_s = sum_q B[s][q] x_q + B[s][_GOOD] for every state s of U whose
+    index is outside the index set `keep`, q the index of a kept state:
+    _eliminate keeps those unknowns of _integer_system(U, one, row_of), and
+    the back-substitution writes each eliminated one over them and _GOOD,
+    as a map of nonzero Fractions. The kept states' rows only cost work;
+    give them (1, {}, 0)."""
+    _d, _w, eliminated = _eliminate(*_integer_system(U, one, row_of), keep)
     forms = {}
     for s, ds, out in reversed(eliminated):
         acc = {}
@@ -354,7 +342,7 @@ def _affine_forms(rows, c, keep):
             for q, b in forms[t].items() if t in forms else ((t, 1),):
                 acc[q] = acc.get(q, 0) + v * b
         forms[s] = {q: Fraction(b) / ds for q, b in acc.items() if b}
-    return forms
+    return {U[k]: f for k, f in forms.items()}
 
 
 def solve_exact(rows, c):
@@ -363,7 +351,8 @@ def solve_exact(rows, c):
     are ints or Fractions; a float reads as its exact binary value, as
     Fraction(v) reads it. Each row is scaled by the lcm of its denominators
     and solved by _solve_integer."""
-    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
+    num, den = _solve_integer(*_integer_system(
+        range(len(rows)), (), lambda i: _integer_row(rows[i], c[i])))
     return [Fraction(v, den) for v in num]
 
 
@@ -378,10 +367,9 @@ def _chain_value(q, mc, reward):
     if q.value is not None:
         return q.value
     rewards = mc.rewards if reward else {}
-    idx = {s: i for i, s in enumerate(q.U)}
-    rows, c = _system(q, idx, mc.row, lambda s: rewards.get(s, Fraction(0)))
-    num, den = _solve_integer(*_integer_system(map(_integer_row, rows, c)))
-    return Fraction(num[idx[mc.initial]], den)
+    num, den = _solve_integer(*_integer_system(
+        q.U, q.one, lambda s: _integer_row(mc.row(s), rewards.get(s, 0))))
+    return Fraction(num[q.U.index(mc.initial)], den)
 
 
 def _mc_value(mc, goal, bad, reward):
@@ -486,8 +474,8 @@ def _policy_iterate(U, policy, choices, row_of, one, better, initial):
 
     row_of(s, ch) gives the integer row (L, {t: a_t}, r) of a choice, whose
     value is (r + sum_t a_t x_t) / L, where x_t is 1 on the states `one`
-    and 0 on any other state outside U. Each round solves for the current
-    choices on integer rows (_solve_integer, x = num / den), then switches
+    and 0 on any other state outside U. Each round solves the current
+    choices' _integer_system (_solve_integer, x = num / den), then switches
     a state to its best candidate among choices(s, val) only where that is
     strictly better than the state's current value; ties keep the first.
     val(t) = x_t * den is an int, so a candidate's value times L * den is
@@ -499,23 +487,8 @@ def _policy_iterate(U, policy, choices, row_of, one, better, initial):
     INFINITE first, see _avoiders). Returns the value at `initial`, a
     Fraction, and the policy, updated in place.
     """
-    idx = {s: i for i, s in enumerate(U)}
-
-    def indexed(s):
-        # the current choice's row over the indices of U, the mass into
-        # `one` folded into r
-        scale, row, r = row_of(s, policy[s])
-        out = {}
-        for t, a in row.items():
-            j = idx.get(t)
-            if j is not None:
-                out[j] = a
-            elif t in one:
-                r += a
-        return scale, out, r
-
     while True:
-        num, den = _solve_integer(*_integer_system(map(indexed, U)))
+        num, den = _solve_integer(*_integer_system(U, one, lambda s: row_of(s, policy[s])))
         value = dict.fromkeys(one, den)
         value.update(zip(U, num))
 
@@ -537,7 +510,7 @@ def _policy_iterate(U, policy, choices, row_of, one, better, initial):
                 policy[s] = best
                 switched = True
         if not switched:
-            return Fraction(num[idx[initial]], den), policy
+            return Fraction(num[U.index(initial)], den), policy
 
 
 def _avoiders(graph, goal, stays):
@@ -654,10 +627,9 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     if reward and not any(rewards.get(s) for s in q.U):
         # the goal is reached almost surely and nothing is earned before it
         return RationalFunction.constant(0)
-    idx = {s: i for i, s in enumerate(q.U)}
-    rows, c = _system(q, idx, d.row, lambda s: rewards.get(s, POLY_ZERO))
-    initial = idx[d.initial]
-    pivots, w, _ = _eliminate(*_integer_system(map(_integer_row, rows, c)), {initial})
+    initial = q.U.index(d.initial)
+    pivots, w, _ = _eliminate(*_integer_system(
+        q.U, q.one, lambda s: _integer_row(d.row(s), rewards.get(s, POLY_ZERO))), {initial})
     # the pivot is still an int if no substitution touched the initial row
     return RationalFunction(*polynomials._sympy_cancel(
         w[initial].get(_GOOD, POLY_ZERO), POLY_ONE * pivots[initial]))
@@ -692,13 +664,14 @@ def state_eliminate_reward(d: PmcT) -> RationalFunction:
 
 
 class Region:
-    """Axis-aligned box of parameter values, strictly inside (0, 1)."""
+    """Axis-aligned box of parameter values, strictly inside (0, 1). A float
+    bound reads as its decimal repr, as in an Instantiation."""
 
     def __init__(self, intervals):
         self.intervals = {}
         for name, (lo, hi) in intervals.items():
-            lo = Fraction(lo)
-            hi = Fraction(hi)
+            lo = _as_fraction(lo)
+            hi = _as_fraction(hi)
             if not (0 < lo <= hi < 1):
                 raise ModelError(
                     "interval [%s, %s] for %s must satisfy 0 < lo <= hi < 1"
@@ -762,10 +735,11 @@ class _Relaxation:
     of each row with the parameters each mentions, and `tight`, a property
     of the polynomials alone. Edge and reward intervals are memoized by the
     intervals of the parameters they mention, so a box split off another
-    recomputes only the split parameter's edges."""
+    recomputes only the split parameter's edges. It keeps the chain's labels,
+    not the chain, whose meta holds it, so that no cycle waits for the gc."""
 
     def __init__(self, d: PmcT):
-        self.d = d
+        self.initial, self.goal, self.bad = d.initial, d.goal, d.bad
         self.graph = _pmc_graph(d)
         self.edges = {s: [(t, p, tuple(sorted(p.variables())))
                           for t, p in d.row(s).items()] for s in d.states}
@@ -790,10 +764,9 @@ class _Relaxation:
         """The spec's query and the states outside its U."""
         key = (spec.kind, spec.bad_label is not None)
         if key not in self._queries:
-            d = self.d
-            q = _query(self.graph, d.initial, d.goal, _spec_bad(d, spec),
+            q = _query(self.graph, self.initial, self.goal, _spec_bad(self, spec),
                        spec.kind == EXPECTED_REWARD)
-            self._queries[key] = q, set(d.states).difference(q.U)
+            self._queries[key] = q, set(self.graph).difference(q.U)
         return self._queries[key]
 
     def box(self, region: Region):
@@ -874,7 +847,6 @@ def _robust_value(rel, table, interval, maximize, spec):
     q, known = rel.query(spec)
     if q.value is not None:
         return q.value
-    d = rel.d
     r = {}
     if spec.kind == EXPECTED_REWARD:
         def stays(s, Z):
@@ -884,7 +856,7 @@ def _robust_value(rel, table, interval, maximize, spec):
             return (all(lo == 0 for t, lo, _hi in entries if t not in Z)
                     and sum(hi for t, _lo, hi in entries if t in Z) >= scale)
 
-        if maximize and d.initial in _avoiders(rel.graph, d.goal, stays):
+        if maximize and rel.initial in _avoiders(rel.graph, rel.goal, stays):
             return INFINITE
         table = dict(table)
         for s in q.U:
@@ -905,7 +877,7 @@ def _robust_value(rel, table, interval, maximize, spec):
     return _policy_iterate(
         q.U, start, lambda s, val: [_greedy_allocation(table[s], val, maximize)],
         lambda s, alloc: (table[s][0], alloc, r.get(s, 0)), q.one,
-        operator.gt if maximize else operator.lt, d.initial)[0]
+        operator.gt if maximize else operator.lt, rel.initial)[0]
 
 
 def region_bounds(d: PmcT, region: Region, spec: Specification,
@@ -916,7 +888,9 @@ def region_bounds(d: PmcT, region: Region, spec: Specification,
     the graph of all edges, so at a point where an edge polynomial vanishes
     the value can fall below it. `graph_preserving` is set when every
     non-constant edge polynomial's interval bound has a lower end > 0, so
-    that every point of the region is graph-preserving.
+    that every point of the region is graph-preserving. Rewards are
+    nonnegative at every well-defined valuation (see models.PmcT), so a
+    reward bound clamps at 0.
 
     Parameter dependencies are relaxed per row: each row may pick any
     successor distribution inside the per-edge interval box, optimized by
@@ -1022,6 +996,9 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
         return True, better(b_l, b_r)
 
     ok, bound = visit(region, 0)
+    # visit reaches itself through its closure: emptying that cell frees the
+    # chain now, not at the cycle collector's next pass
+    del visit
     return AbsenceResult(ok, bound, checked)
 
 
@@ -1113,13 +1090,14 @@ class FloatPmcEvaluator(_EvaluatorBase):
         # the kept states: those come first in the system _affine_forms solves
         forms = {}
         if K:
-            order = self.U + self.eliminated
-            krows, kc = _system(
-                query._replace(U=order), {s: i for i, s in enumerate(order)},
-                lambda s: {t: p.constant_value() for t, p in d.row(s).items() if s in K},
-                lambda s: rewards.get(s, POLY_ZERO).constant_value() if s in K else 0)
-            forms = {order[k]: f
-                     for k, f in _affine_forms(krows, kc, range(len(self.U))).items()}
+            def constant_row(s):
+                if s not in K:
+                    return 1, {}, 0
+                return _integer_row({t: p.constant_value() for t, p in d.row(s).items()},
+                                    rewards.get(s, POLY_ZERO).constant_value())
+
+            forms = _affine_forms(self.U + self.eliminated, query.one, constant_row,
+                                  range(len(self.U)))
         polys = []
         column = {}   # id of a polynomial -> its column in the table
 

@@ -121,14 +121,18 @@ class ParameterTable:
         return "ParameterTable(%r)" % (self.names,)
 
 
+def _as_fraction(v) -> Fraction:
+    """v as a Fraction: a float reads as its shortest decimal repr, which
+    text round trips keep; float() first, as NumPy 2 reprs a float64 as
+    np.float64(0.1)."""
+    return Fraction(v) if isinstance(v, (Fraction, int)) else Fraction(repr(float(v)))
+
+
 class Instantiation:
     """Maps parameter names to exact values (Fractions)."""
 
     def __init__(self, values: Mapping):
-        # a float reads as its shortest decimal repr, which text round trips
-        # keep; float() first, as NumPy 2 reprs a float64 as np.float64(0.1)
-        self.values = {k: Fraction(v) if isinstance(v, (Fraction, int))
-                       else Fraction(repr(float(v))) for k, v in values.items()}
+        self.values = {k: _as_fraction(v) for k, v in values.items()}
 
     def __getitem__(self, name):
         try:
@@ -466,7 +470,9 @@ class PmcT:
     (plus an implicit residual) must form a probability distribution; the
     induced/substituted constructions record them, parsed pMCs normally have
     none (but simple pMCs get singleton groups inferred, see
-    `ensure_param_groups`).
+    `ensure_param_groups`). State rewards are nonnegative, as Mdp requires:
+    a constant negative reward is rejected here, and apply_instantiation
+    records a reward that evaluates below 0 as a defect of the point.
     """
 
     def __init__(self, num_states, initial, trans, params=None, rewards=None,
@@ -528,6 +534,8 @@ class PmcT:
             _check_state(s, self.num_states, "reward")
             if not isinstance(r, Polynomial):
                 raise ModelError("reward entries must be Polynomials")
+            if r.is_constant() and r.constant_value() < 0:
+                raise ModelError("negative reward at state %d" % s)
             for name in sorted(r.variables()) if scan else ():
                 if name not in params:
                     raise ModelError(
@@ -634,6 +642,9 @@ class Mc:
                 if isinstance(p, float) or p < 0 or p > 1:
                     raise ModelError("probability %r at (%r,%r) must be an exact "
                                      "number in [0, 1]" % (p, s, t))
+        for s, r in self.rewards.items():
+            if r < 0:
+                raise ModelError("negative reward %s at state %r" % (r, s))
         if self.goal & self.bad:
             raise ModelError("goal and bad labels overlap")
 
@@ -658,12 +669,15 @@ class Mc:
 class WellDefinedness:
     """The chain D[u] a valuation u instantiates, and what kind of point u is.
 
-    model holds every nonzero entry and every reward of D[u], all exact; its
-    rows may be defective when u is not well-defined. graph_preserving:
-    well-defined and every non-constant entry strictly inside (0, 1).
-    eps_preserving, None unless an eps was given: well-defined and every
-    non-constant entry inside [eps, 1 - eps]. defects name what breaks well-definedness, or,
-    at a well-defined point, the entries at a boundary value.
+    u is well-defined when every entry lies in [0, 1], every row sums to 1,
+    the parameter groups are sub-distributions and every reward is
+    nonnegative. model holds every nonzero entry and every reward of D[u],
+    all exact; its rows and rewards may be defective when u is not
+    well-defined. graph_preserving: well-defined and every non-constant
+    entry strictly inside (0, 1). eps_preserving, None unless an eps was
+    given: well-defined and every non-constant entry inside [eps, 1 - eps].
+    defects name what breaks well-definedness, or, at a well-defined point,
+    the entries at a boundary value.
     """
 
     model: Mc
@@ -760,6 +774,8 @@ def apply_instantiation(model, u, eps=None) -> WellDefinedness:
         for s, r in model.rewards.items():
             v, _, den = interval(r, point, point, D)
             rewards[s] = Fraction(v, den)
+            if v < 0:
+                defects.append("reward of state %d evaluates to %s" % (s, rewards[s]))
     except KeyError as err:
         raise MissingParameterError(err.args[0]) from None
     mc = Mc(list(model.states), model.initial, trans, rewards,

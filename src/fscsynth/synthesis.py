@@ -42,6 +42,7 @@ from .models import (
     Pomdp,
     Specification,
     WellDefinedness,
+    _as_fraction,
     apply_instantiation,
     is_infinite,
 )
@@ -412,7 +413,7 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
     verified."""
     if not witnesses:
         raise ModelError("need at least one witness")
-    eps = Fraction(eps)
+    eps = _as_fraction(eps)
     witnesses = [w if isinstance(w, Instantiation) else Instantiation(w)
                  for w in witnesses]
     intervals = {}

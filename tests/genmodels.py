@@ -417,6 +417,8 @@ def ref_apply_instantiation(model: PmcT, u, eps=None) -> WellDefinedness:
             defects.append("row of state %d sums to %s" % (s, total))
         trans[s] = row_out
     rewards = {s: ref_evaluate(r, values) for s, r in model.rewards.items()}
+    defects += ["reward of state %d evaluates to %s" % (s, r)
+                for s, r in rewards.items() if r < 0]
     mc = Mc(list(model.states), model.initial, trans, rewards,
             model.goal, model.bad, meta=dict(model.meta), validate=False)
     ok = not defects

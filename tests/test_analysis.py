@@ -1,8 +1,10 @@
 """Model checking, closed forms, region bounds, and the evaluators."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -202,11 +204,35 @@ class TestSolveExact:
                 orders = []
                 for order in (heap_order, min_order):
                     monkeypatch.setattr(analysis, "_pick_elimination_order", order)
-                    system = analysis._integer_system(map(analysis._integer_row, rows, c))
+                    system = analysis._integer_system(
+                        range(n), (), lambda i: analysis._integer_row(rows[i], c[i]))
                     _d, _w, eliminated = analysis._eliminate(*system, keep={n // 2})
                     orders.append([s for s, _ds, _out in eliminated])
                 assert orders[0] == orders[1]
                 assert sorted(orders[0]) == [i for i in range(n) if i != n // 2]
+
+
+class TestIntegerSystem:
+    def test_hand_written_system(self):
+        # U = [5, 3], `one` = {7}; state 9 is neither, so its entries drop
+        rows = {
+            5: (6, {5: 2, 3: 1, 7: 2, 9: 1}, 0),   # self-loop 2, mass 2 into one
+            3: (4, {5: 0, 7: 1, 9: 3}, 2),         # a zero entry, r = 2 plus 1
+        }
+        d, w = analysis._integer_system([5, 3], {7}, rows.__getitem__)
+        assert d == [4, 4]
+        assert w == {0: {1: 1, analysis._GOOD: 2}, 1: {analysis._GOOD: 3}}
+        # 4 x_3 = 3 and 4 x_5 = x_3 + 2
+        num, den = analysis._solve_integer(d, w)
+        assert [F(v, den) for v in num] == [F(11, 16), F(3, 4)]
+
+    def test_polynomial_rows(self):
+        # integer polynomials fold the same way: the self-loop p makes the
+        # pivot 1 - p, and the mass 1 - p into `one` joins r
+        p = V("p")
+        d, w = analysis._integer_system([0], {1}, lambda s: (1, {0: p, 1: 1 - p}, 0))
+        assert d == [1 - p]
+        assert w == {0: {analysis._GOOD: 1 - p}}
 
 
 class TestMdpOptimal:
@@ -418,6 +444,14 @@ class TestRegions:
             with pytest.raises(ModelError, match="cannot split a point region"):
                 point.split()
 
+    @pytest.mark.parametrize("v", [0.1, np.float64(0.1)])
+    def test_float_bounds_read_as_their_decimal_repr(self, v):
+        # as an Instantiation reads them, so the box holds its own corners
+        r = Region({"p": (v, 0.9)})
+        assert r.intervals["p"] == (F(1, 10), F(9, 10))
+        assert r.contains_point(Instantiation({"p": v}))
+        assert r.contains_point(Instantiation({"p": 0.9}))
+
     def test_bounds_golden(self):
         d = g.biased_choice_pmc()
         reg = Region({"p": (F(1, 100), F(99, 100))})
@@ -573,6 +607,21 @@ class TestAbsence:
         res = prove_absence(d, spec, reg, max_depth=3)
         assert res.regions_checked > 1
         assert sides == [upper] * res.regions_checked
+
+    def test_a_bounded_chain_is_freed_without_the_cycle_collector(self):
+        # prove keeps a relaxation in the chain's meta; nothing of the proof
+        # may refer back to the chain
+        d = induced_pmc(g.revisit_pomdp(), 1)
+        reg = Region({d.params.names[0]: (F(1, 100), F(99, 100))})
+        chain = weakref.ref(d)
+        gc.disable()
+        try:
+            assert prove_absence(d, SPEC, reg, max_depth=2).regions_checked > 1
+            assert "_relaxation" in d.meta
+            del d
+            assert chain() is None
+        finally:
+            gc.enable()
 
     def test_chain_remembers_its_source_model(self):
         dk = induced_pmc(g.revisit_pomdp(), 1)

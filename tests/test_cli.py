@@ -516,6 +516,47 @@ class TestPermissive:
         assert rc == EXIT_INPUT
 
 
+class TestNegativeRewards:
+    """A reward that goes below 0 makes its point ill-defined, so no command
+    reports a value there that another command's bound contradicts."""
+
+    PMC = ("pmc\nstates 3\ninitial 0\nparams p\n"
+           "trans 0 1 p\ntrans 0 2 1 - p\ntrans 1 2 1\ntrans 2 2 1\n"
+           "reward 0 p - 1/2\nlabel goal 2\n")
+    SPEC = "Emin<= -1/4 [F goal]"
+
+    def test_commands_agree(self, workdir, capsys):
+        inp = _write(workdir / "neg.pmc", self.PMC)
+        point = _write(workdir / "point.inst", "p = 1/8\n")
+        rc = main(["check", str(inp), "--spec", self.SPEC, "--instantiation", str(point)])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "satisfied" not in captured.out
+        assert "reward of state 0 evaluates to -3/8" in captured.err
+        # where the reward is nonnegative the value is too
+        point = _write(workdir / "point.inst", "p = 3/4\n")
+        rc = main(["check", str(inp), "--spec", self.SPEC, "--instantiation", str(point)])
+        assert rc == EXIT_UNSAT
+        assert "value = 1/4" in capsys.readouterr().out
+        # so no well-defined point satisfies the spec, as prove says
+        rc = main(["prove", str(inp), "--spec", self.SPEC])
+        assert rc == EXIT_OK
+        assert "no controller in the region satisfies" in capsys.readouterr().out
+        # and the search finds no well-defined witness to wrap
+        rc = main(["permissive", str(inp), "--spec", self.SPEC, "-o", "neg.region",
+                   "--seed", "1"])
+        assert rc == EXIT_INPUT
+        assert "reward of state 0 evaluates to" in capsys.readouterr().err
+        assert not Path("neg.region").exists()
+
+    def test_constant_negative_reward_is_rejected(self, workdir, capsys):
+        inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "-1"))
+        point = _write(workdir / "point.inst", "p = 3/4\n")
+        rc = main(["check", str(inp), "--spec", self.SPEC, "--instantiation", str(point)])
+        assert rc == EXIT_INPUT
+        assert "negative reward at state 0" in capsys.readouterr().err
+
+
 def _sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

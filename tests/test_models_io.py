@@ -510,6 +510,24 @@ class TestNumbersAndInstantiations:
         with pytest.raises(ModelError, match="sums to"):
             Mc([0, 1], 0, {0: {0: F(1, 2), 1: F(1, 3)}, 1: {1: F(1)}})
 
+    def test_rewards_are_nonnegative(self):
+        trans = {0: {1: F(1)}, 1: {1: F(1)}}
+        Mc([0, 1], 0, trans, {0: F(0)})
+        with pytest.raises(ModelError, match="^negative reward -1/2 at state 0$"):
+            Mc([0, 1], 0, trans, {0: F(-1, 2)})
+        p = Polynomial.variable("p")
+        one = Polynomial.constant(1)
+        ptrans = {0: {1: p, 2: one - p}, 1: {1: one}, 2: {2: one}}
+        with pytest.raises(ModelError, match="^negative reward at state 1$"):
+            PmcT(3, 0, ptrans, ParameterTable(["p"]), {1: Polynomial.constant(F(-1, 3))})
+        # a parametric reward is a defect of the points where it is negative
+        d = PmcT(3, 0, ptrans, ParameterTable(["p"]), {0: p - Polynomial.constant(F(1, 2))})
+        w = apply_instantiation(d, Instantiation({"p": F(1, 8)}))
+        assert not w.well_defined and not w.graph_preserving
+        assert w.defects == ["reward of state 0 evaluates to -3/8"]
+        assert w.model.rewards == {0: F(-3, 8)}
+        assert apply_instantiation(d, Instantiation({"p": F(1, 2)})).graph_preserving
+
 
 def _primes(rng, count):
     """count distinct random 20-bit primes."""

@@ -237,6 +237,15 @@ class TestPermissive:
         assert cand.lower == F(13, 20)
         assert cand.upper == F(37, 50)
 
+    def test_float_eps_reads_as_its_decimal_repr(self):
+        # a witness at the float floor stays inside the clipped box
+        d = g.biased_choice_pmc()
+        spec = parse_spec("P> 0.6 [!bad U goal]")
+        wits = [Instantiation({"p": 0.1}), Instantiation({"p": F(4, 5)})]
+        cand = sy.permissive_from_witnesses(d, spec, wits, eps=0.1)
+        assert cand.region.intervals["p"] == (F(1, 10), F(4, 5))
+        assert all(cand.region.contains_point(w.values) for w in wits)
+
     def test_needs_witnesses(self):
         d = g.biased_choice_pmc()
         with pytest.raises(ModelError, match="witness"):
