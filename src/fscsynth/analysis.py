@@ -751,7 +751,7 @@ class _Relaxation:
         exact = True
         for s, edges in self.edges.items():
             for _t, p, names in edges:
-                exact = exact and sum(map(len, p.terms)) == len(names)
+                exact = exact and p.occurrences() == len(names)
                 for name in names:
                     rows_of.setdefault(name, set()).add(s)
         self.tight = (exact and all(len(rs) == 1 for rs in rows_of.values())
@@ -1049,9 +1049,10 @@ class FloatPmcEvaluator(_EvaluatorBase):
     """Fast float values for search loops: one term table holds every
     polynomial the float path reads, and a dense solve runs on the cached
     uncertain-state system, for a whole matrix of parameter vectors at
-    once. The caller guarantees well-definedness (the swarm
-    parameterization does); boundary valuations take the counted exact path
-    at the point's decimal repr.
+    once. The caller guarantees well-defined entries (the swarm
+    parameterization does), not rewards: a point where a non-constant
+    reward is negative reads NaN. Boundary valuations take the counted
+    exact path at the point's decimal repr.
 
     The dense solve runs on the parametric core only. At build time the
     non-initial uncertain states whose row (and, for a reward spec, whose
@@ -1064,10 +1065,11 @@ class FloatPmcEvaluator(_EvaluatorBase):
     The table holds each polynomial object once, and only what is read:
     the entries of A over U (an edge, or the edge plus its folded entries),
     the terms of c (the edges into the value-1 states in row order, then
-    the folded sink plus the reward) and the chain's non-constant edges,
-    which the boundary test reads. A row that steps into no eliminated state
-    keeps its edge entries, so a chain without constant rows solves the
-    unreduced system bit for bit.
+    the folded sink plus the reward), the chain's non-constant edges, which
+    the boundary test reads, and for a reward spec its non-constant
+    rewards, which the sign test reads. A row that steps into no eliminated
+    state keeps its edge entries, so a chain without constant rows solves
+    the unreduced system bit for bit.
     """
 
     def __init__(self, d: PmcT, spec: Specification):
@@ -1130,6 +1132,8 @@ class FloatPmcEvaluator(_EvaluatorBase):
         self.boundary_cols = np.asarray(
             [col(p) for s in d.states for p in d.row(s).values() if not p.is_constant()],
             dtype=np.intp)
+        self.reward_cols = np.asarray(
+            [col(r) for r in rewards.values() if not r.is_constant()], dtype=np.intp)
         self.table = TermTable(polys, {n: i for i, n in enumerate(self.param_order)})
         self.a_rows, self.a_cols, self.a_terms = np.array(a, dtype=np.intp).reshape(-1, 3).T.copy()
         self.c_rows, self.c_terms = np.array(c, dtype=np.intp).reshape(-1, 2).T.copy()
@@ -1141,7 +1145,8 @@ class FloatPmcEvaluator(_EvaluatorBase):
         Rows with a non-constant edge at zero or below take the counted
         from-scratch path one by one, in row order; the others share one
         stacked dense solve. Each row's value equals a lone evaluation of
-        that row bit for bit.
+        that row bit for bit. For a reward spec, a row where a non-constant
+        reward is below zero is not well-defined and reads NaN, unsolved.
         """
         X = np.asarray(x, dtype=np.float64)
         single = X.ndim == 1
@@ -1150,10 +1155,16 @@ class FloatPmcEvaluator(_EvaluatorBase):
         vals = self.table.evaluate(X)
         out = np.empty(len(X))
         boundary = np.any(vals[:, self.boundary_cols] <= 0.0, axis=1)
+        rest = ~boundary
+        if self.reward_cols.size:
+            negative = np.any(vals[:, self.reward_cols] < 0.0, axis=1)
+            out[negative] = np.nan
+            boundary &= ~negative
+            rest &= ~negative
         for i in np.flatnonzero(boundary):
             u = Instantiation({n: float(v) for n, v in zip(self.param_order, X[i])})
             out[i] = float(self._fresh(apply_instantiation(self.d, u)))
-        inner = np.flatnonzero(~boundary)
+        inner = np.flatnonzero(rest)
         if self.query.value is not None:
             out[inner] = float(self.query.value)
         elif inner.size:

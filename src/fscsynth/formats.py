@@ -11,7 +11,9 @@ in the form Polynomial.__str__ prints, which is every entry write_pmc writes,
 is read by polynomials._read_printed, directly into the packed store with
 int arithmetic; any other text (parentheses, `^`, decimals, other spacing)
 goes through the one recursive-descent grammar over rational functions,
-whose denominator must then be constant.
+whose denominator must then be constant. Entries are written the same way
+round: write_pmc and write_rational_function print Polynomial.__str__,
+which reads the packed store's int coefficients without a Fraction.
 """
 
 from __future__ import annotations

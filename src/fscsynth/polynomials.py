@@ -9,8 +9,13 @@ Each polynomial has its own w, 8 at first and doubled, operands repacked,
 when a result's degree would not fit: no field carries into its neighbour.
 Coefficients are ints over one positive denominator that shares no factor
 with all of them. Readers see `terms`: name-sorted ((name, exponent), ...)
-tuples mapped to Fractions, rendered in graded lexicographic order. The
-packed store is read and built only inside this module. _interval
+tuples mapped to Fractions. The packed store is read and built only inside
+this module. __str__ prints straight from it, in graded lexicographic
+order (the degree field, then _decode): each term's sign and reduced n/d
+from one gcd of its int coefficient with the denominator, and each
+monomial's `x*x*y` text made once per monomial and width (_factors_str).
+A product with an int or Fraction scales the int coefficients, the store
+of the product with that constant Polynomial without building it. _interval
 evaluates the packed terms and their int coefficients over a box whose
 bounds are ints over one common denominator, and a point is the box with
 lo = hi. It serves evaluate, models.apply_instantiation (every entry of a
@@ -117,6 +122,13 @@ def _decode(m: int, w: int) -> Monomial:
     return tuple(sorted((_NAMES[sh // w], e) for sh, e in _fields(m, w)))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _factors_str(m: int, w: int) -> str:
+    """The factors of a packed monomial as __str__ prints them, `x*x*y`;
+    empty for the constant monomial."""
+    return "*".join(name for name, e in _decode(m, w) for _ in range(e))
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -199,6 +211,12 @@ class Polynomial:
     def degree(self) -> int:
         return max((m & ((1 << self._w) - 1) for m in self._mons), default=0)
 
+    def occurrences(self) -> int:
+        """The number of (term, parameter) pairs: each term counts the
+        parameters it mentions, its nonzero fields, so x*x counts 1."""
+        w = self._w
+        return sum(len(_decode(m, w)) for m in self._mons)
+
     def int_terms(self):
         """(terms, den): the terms in canonical (ascending graded-lex) order
         as (monomial, int c) pairs, each coefficient being c / den."""
@@ -248,8 +266,15 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            # a constant scales the int coefficients: the store of
+            # self * Polynomial.constant(other), without building it
+            n, d = other.numerator, other.denominator
+            if not n or not self._mons:
+                return _packed({}, 1, _WIDTH, 0)
+            return _packed({m: c * n for m, c in self._mons.items()},
+                           self._den * d, self._w, self._deg)
+        if not isinstance(other, Polynomial):
             return NotImplemented
         if not self._mons or not other._mons:
             return Polynomial()
@@ -316,21 +341,31 @@ class Polynomial:
     def __str__(self):
         if not self._mons:
             return "0"
+        mons, den, w = self._mons, self._den, self._w
+        mask = (1 << w) - 1
         pieces = []
-        for mono, c in self.sorted_terms():
-            factor_strs = []
-            for name, e in mono:
-                factor_strs.extend([name] * e)
-            if not factor_strs:
-                body = fraction_str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factor_strs)
+        for m in sorted(mons, key=lambda m: (m & mask, _decode(m, w))):
+            c = mons[m]
+            n = abs(c)
+            d = den
+            if d != 1:
+                g = math.gcd(n, d)
+                n //= g
+                d //= g
+            factors = _factors_str(m, w)
+            if factors and n == d == 1:
+                body = factors
             else:
-                body = fraction_str(abs(c)) + "*" + "*".join(factor_strs)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
+                try:
+                    body = str(n) if d == 1 else "%d/%d" % (n, d)
+                except ValueError:  # past the int/str digit limit
+                    body = _int_str(n) if d == 1 else _int_str(n) + "/" + _int_str(d)
+                if factors:
+                    body += "*" + factors
+            if pieces:
                 pieces.append((" + " if c > 0 else " - ") + body)
+            else:
+                pieces.append(body if c > 0 else "-" + body)
         return "".join(pieces)
 
     def __repr__(self):

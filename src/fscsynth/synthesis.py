@@ -285,7 +285,8 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
 
     def fitness_batch(positions):
         """Fitness (lower is better; infinite values and values above
-        PENALTY count as PENALTY) and decoded point of every particle."""
+        PENALTY count as PENALTY, ill-defined points as +inf) and decoded
+        point of every particle."""
         nonlocal evaluations, first_sat
         decoded = codec.decode(positions)
         values = evaluator.evaluate_vector(decoded)
@@ -299,7 +300,10 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
             if all(np.max(np.abs(decoded[i] - s)) > 1e-9 for s in samples):
                 samples.append(decoded[i].copy())
         fitness = np.where(np.isinf(values), PENALTY, np.minimum(values, PENALTY))
-        return (-fitness if maximizing else fitness), decoded
+        fitness = -fitness if maximizing else fitness
+        # a NaN value is an ill-defined point: worse than any other
+        fitness[np.isnan(values)] = np.inf
+        return fitness, decoded
 
     pbest_f, pbest_x = fitness_batch(X)
     pbest_pos = X.copy()

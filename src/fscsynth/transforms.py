@@ -41,8 +41,6 @@ from .models import (
 )
 from .polynomials import Polynomial
 
-_const = Polynomial.constant
-
 
 def product_state(s: int, n: int, k: int) -> int:
     """Index of product state (model state s, controller node n)."""
@@ -79,12 +77,12 @@ def _product_pmc(m, k, topology, kind, layout) -> PmcT:
                 for t2 in targets[n]:
                     for s2, pr in succ:
                         key = product_state(s2, t2, k)
-                        add = joint[m.obs[s2]][t2] * _const(pr)
+                        add = joint[m.obs[s2]][t2] * pr
                         row[key] = row[key] + add if key in row else add
                 r = m.rewards.get((s, a))
                 if r:
                     for w in marginal:
-                        racc = racc + w * _const(r)
+                        racc = racc + w * r
             trans[product_state(s, n, k)] = {
                 t: p for t, p in row.items() if not p.is_zero()}
             if not racc.is_zero():

@@ -18,7 +18,7 @@ from fscsynth.models import (
     WellDefinedness,
     _group_defects,
 )
-from fscsynth.polynomials import Polynomial
+from fscsynth.polynomials import Polynomial, fraction_str
 
 F = Fraction
 V = Polynomial.variable
@@ -384,6 +384,28 @@ def ref_evaluate(p: Polynomial, values) -> Fraction:
             c *= x ** e
         total += c
     return Fraction(total)
+
+
+def ref_str(terms) -> str:
+    """The text of a polynomial as Polynomial.__str__ printed it from
+    sorted_terms: terms (a Polynomial's `terms`, or any monomial ->
+    Fraction mapping without zeros) in graded lexicographic order, each
+    coefficient by fraction_str, each factor repeated by its exponent."""
+    pieces = []
+    for mono, c in sorted(terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])):
+        c = F(c)
+        factors = [name for name, e in mono for _ in range(e)]
+        if not factors:
+            body = fraction_str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = fraction_str(abs(c)) + "*" + "*".join(factors)
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces) or "0"
 
 
 def ref_apply_instantiation(model: PmcT, u, eps=None) -> WellDefinedness:

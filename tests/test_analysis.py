@@ -701,6 +701,32 @@ class TestRegionGolden:
         res = prove_absence(d, parse_spec(spec), root, max_depth=3)
         assert (res.no_fsc, res.bound, res.regions_checked) == want
 
+    def test_tight_counts_the_parameters_of_each_term(self):
+        # occurrences counts the parameters a term mentions, not its degree,
+        # as the count over `terms` that `tight` was read from
+        x, y = V("x"), V("y")
+        for p in (x * x, x * x + x * y + C(1), C(1) - x ** 300 + x * y, C(0), C(3)):
+            assert p.occurrences() == sum(map(len, p.terms))
+        assert (x * x * x * y).occurrences() == 2
+        chains = [_seeded_chain(seed, k)[0] for seed, k in sorted(BOUNDS_GOLDEN)]
+        chains += [g.random_simple_pmc(random.Random(seed), max_states=8) for seed in range(6)]
+        chains.append(PmcT(2, 0, {0: {0: x * x, 1: C(1) - x * x}, 1: {1: C(1)}},
+                           params=ParameterTable(["x"]), goal={1}))
+        seen = set()
+        for d in chains:
+            rows_of = {}
+            exact = True
+            for s in d.states:
+                for p in d.row(s).values():
+                    exact = exact and sum(map(len, p.terms)) == len(p.variables())
+                    for name in p.variables():
+                        rows_of.setdefault(name, set()).add(s)
+            want = (exact and all(len(rs) == 1 for rs in rows_of.values())
+                    and d.rows_in_simple_form())
+            assert analysis._Relaxation(d).tight == want
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_poly_interval_on_packed_terms(self):
         # degree 300 repacks the fields to 16 bits; the signs mix
         p, q = V("p"), V("q")
@@ -939,8 +965,9 @@ class TestConstantRowElimination:
 
     @pytest.mark.parametrize("kind", ["simple", "standard", "reward"])
     def test_the_table_holds_what_is_read_once(self, kind, monkeypatch):
-        # every column is an entry of A, a term of c or a non-constant edge
-        # of the chain, and no polynomial object has two columns
+        # every column is an entry of A, a term of c, a non-constant edge
+        # or a non-constant reward of the chain, and no polynomial object
+        # has two columns
         from fscsynth._kernels import TermTable
 
         class Recorded(TermTable):
@@ -951,8 +978,12 @@ class TestConstantRowElimination:
         monkeypatch.setattr(analysis, "TermTable", Recorded)
         for d, _spec, ev in self._chains(kind):
             polys = ev.table.polys
-            read = {*ev.a_terms.tolist(), *ev.c_terms.tolist(), *ev.boundary_cols.tolist()}
+            read = {*ev.a_terms.tolist(), *ev.c_terms.tolist(), *ev.boundary_cols.tolist(),
+                    *ev.reward_cols.tolist()}
             assert read == set(range(len(polys)))
+            rewards = d.rewards.values() if kind == "reward" else ()
+            assert {id(polys[k]) for k in ev.reward_cols} == {
+                id(r) for r in rewards if not r.is_constant()}
             assert len({id(p) for p in polys}) == len(polys)
             assert {id(polys[k]) for k in ev.boundary_cols} == {
                 id(p) for s in d.states for p in d.row(s).values() if not p.is_constant()}

@@ -546,8 +546,32 @@ class TestNegativeRewards:
         rc = main(["permissive", str(inp), "--spec", self.SPEC, "-o", "neg.region",
                    "--seed", "1"])
         assert rc == EXIT_INPUT
-        assert "reward of state 0 evaluates to" in capsys.readouterr().err
+        assert "no satisfying instantiation found" in capsys.readouterr().err
         assert not Path("neg.region").exists()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_swarm_skips_points_with_a_negative_reward(self, workdir, capsys, seed):
+        # the value p - 1/2 is at most 1/8 at every p up to 5/8, but only
+        # p >= 1/2 is well-defined: no witness may lie below it
+        inp = _write(workdir / "neg.pmc", self.PMC)
+        rc = main(["permissive", str(inp), "--spec", "Emin<= 1/8 [F goal]",
+                   "-o", "neg.region", "--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert "evaluates to" not in captured.err
+        assert rc == EXIT_OK
+        witnesses = re.findall(r"^  p = (\S+)$", captured.out, re.M)
+        assert witnesses
+        assert all(F(w) >= F(1, 2) for w in witnesses)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_well_defined_witness_names_no_swarm_point(self, workdir, capsys, seed):
+        inp = _write(workdir / "neg.pmc", self.PMC)
+        rc = main(["permissive", str(inp), "--spec", self.SPEC, "-o", "neg.region",
+                   "--seed", str(seed)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "evaluates to" not in err
+        assert "no satisfying instantiation found" in err
 
     def test_constant_negative_reward_is_rejected(self, workdir, capsys):
         inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "-1"))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import genmodels as g
 from fscsynth import formats, polynomials
@@ -382,17 +382,6 @@ def _ref_evaluate(p, u):
     return total
 
 
-def _ref_str(p):
-    pieces = []
-    for mono, c in sorted(p.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])):
-        factors = "*".join(name for name, e in mono for _ in range(e))
-        a = str(abs(c))
-        body = factors if factors and abs(c) == 1 else a + "*" + factors if factors else a
-        sign = ("-" if c < 0 else "") if not pieces else (" - " if c < 0 else " + ")
-        pieces.append(sign + body)
-    return "".join(pieces) or "0"
-
-
 def _ref_normal(num, den):
     """RationalFunction's normal form below the gcd threshold."""
     if not num:
@@ -452,7 +441,7 @@ class TestAgainstTupleStorage:
         assert a + b == Polynomial(_ref_add(p, q))
         if (a * b).degree() > 600:
             return  # big powers of WIDE_POINT and long renderings take seconds
-        assert str(a * b) == _ref_str(_ref_mul(p, q))
+        assert str(a * b) == g.ref_str(_ref_mul(p, q))
         assert (a * b).evaluate(WIDE_POINT) == _ref_evaluate(_ref_mul(p, q), WIDE_POINT)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -509,6 +498,73 @@ class TestAgainstTupleStorage:
         d = parse_poly("1 - p^70000")
         assert d.terms == {(): 1, (("p", 70000),): -1}
         assert (d * V("q")).variables() == frozenset({"p", "q"})
+
+
+# coefficients past the 4300-digit limit of int/str conversion
+BIG_COEFFS = [F(10 ** 4400 + 1), F(-(3 ** 9500)), F(7 ** 5200, 11 ** 4400), F(-1, 10 ** 4301)]
+# exponents above 1 and degrees past 255, which widen the fields to 16 bits
+print_monos = st.lists(
+    st.tuples(st.sampled_from(NAMES), st.sampled_from([1, 1, 2, 2, 3, 255, 256])),
+    max_size=2, unique_by=lambda f: f[0],
+).map(lambda m: tuple(sorted(m)))
+print_polys = st.dictionaries(
+    print_monos, st.one_of(coeffs, st.sampled_from(BIG_COEFFS)), max_size=5,
+).map(Polynomial)
+# zero, constants, a negative leading term, exponents above 1, a field
+# width of 16 and coefficients past the digit limit
+WIDE_POLY = V("x") ** 300 * V("y") - C(F(2, 3)) * V("y")
+PRINT_CASES = [
+    Polynomial(), C(0), C(7), C(F(-3, 4)), C(BIG_COEFFS[2]),
+    -V("x") + V("y"), C(F(-2, 3)) * V("x") * V("x") + C(F(1, 6)),
+    WIDE_POLY, V("x") ** 300 * V("y") - C(BIG_COEFFS[1]) * V("y"),
+    C(BIG_COEFFS[3]) * V("z") ** 2 + C(F(5, 4)) * V("x"),
+]
+SCALARS = [0, 1, -1, 3, -12, 10 ** 30, F(0), F(3, 4), F(-5, 6), F(1, 10 ** 20)]
+
+
+class TestPrinter:
+    """str prints from the packed store what the Fraction printer printed
+    from sorted_terms, and parse_poly reads it back."""
+
+    @staticmethod
+    def _check(p):
+        text = str(p)
+        assert text == g.ref_str(p.terms)
+        assert parse_poly(text) == p
+
+    @pytest.mark.parametrize("p", PRINT_CASES, ids=range(len(PRINT_CASES)))
+    def test_cases(self, p):
+        self._check(p)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(print_polys)
+    def test_agrees_with_the_fraction_printer(self, p):
+        self._check(p)
+        # a rational function prints its parts with the same printer
+        f = RationalFunction(p, C(3) * V("w") ** 2 - C(1))
+        num = g.ref_str(f.num.terms)
+        if len(f.num.terms) > 1:
+            num = "(%s)" % num
+        assert str(f) == ("%s/(%s)" % (num, g.ref_str(f.den.terms)) if f else "0")
+
+
+class TestScaling:
+    """A number operand scales the int coefficients to the store that the
+    product with its constant Polynomial builds."""
+
+    @staticmethod
+    def _store(p):
+        return list(p._mons.items()), p._den, p._w, p._deg
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(print_polys, st.sampled_from(SCALARS))
+    @example(WIDE_POLY, -12)
+    @example(WIDE_POLY, F(-5, 6))
+    @example(WIDE_POLY, 0)
+    def test_equals_the_product_with_a_constant(self, p, q):
+        want = self._store(p * C(q))
+        assert self._store(p * q) == want
+        assert self._store(q * p) == want
 
 
 class TestPrintedReader:
