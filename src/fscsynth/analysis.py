@@ -862,6 +862,9 @@ def _robust_value(rel, table, interval, maximize, spec):
         for s in q.U:
             if s in rel.rewards:
                 lo, hi, den = interval(s, _GOOD, *rel.rewards[s])
+                if hi < 0:
+                    raise ModelError("reward of state %d is negative everywhere "
+                                     "in the region" % s)
                 bound = max(hi if maximize else lo, 0)
                 scale, entries, free = table[s]
                 new = math.lcm(scale, den)
@@ -929,19 +932,6 @@ class AbsenceResult:
     regions_checked: int
 
 
-def _bound_refutes(spec: Specification, bound) -> bool:
-    """Whether the bound the verdict reads (the upper one for > and >=, the
-    lower one for < and <=) violates the threshold."""
-    t = spec.threshold
-    if spec.comparison == ">":
-        return (not is_infinite(bound)) and bound <= t
-    if spec.comparison == ">=":
-        return (not is_infinite(bound)) and bound < t
-    if spec.comparison == "<":
-        return is_infinite(bound) or bound >= t
-    return is_infinite(bound) or bound > t
-
-
 def _dominance_bounds(d: PmcT, spec: Specification):
     """If the pMC records its source POMDP, the fully observable optimum
     bounds every controller value; fold it into the region bounds."""
@@ -958,13 +948,13 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
                   max_depth: int = 0) -> AbsenceResult:
     """no-FSC verdict iff the sound bound already violates the threshold on
     the whole region (optionally after recursive splitting); otherwise
-    inconclusive, reporting the bound that failed to refute."""
-    upper = spec.comparison in (">", ">=")
+    inconclusive, reporting the bound that failed to refute. The bound read
+    is the upper one when spec.above, else the lower one, whatever the
+    search direction."""
+    upper = spec.above
     # the fully observable optimum dominates every controller value: it
     # bounds reach and maximal rewards from above, minimal ones from below
-    dom = None
-    if upper == (spec.kind == REACH_AVOID or spec.opt == "max"):
-        dom = _dominance_bounds(d, spec)
+    dom = _dominance_bounds(d, spec) if upper == spec.maximizing else None
     checked = 0
 
     def visit(reg: Region, depth: int):
@@ -978,7 +968,7 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
             bound = region_bounds(d, reg, spec, "lower").lower
             if dom is not None and dom > bound:
                 bound = dom
-        if _bound_refutes(spec, bound):
+        if not spec.satisfied_by(bound):
             return True, bound
         if depth >= max_depth:
             return False, bound

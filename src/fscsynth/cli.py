@@ -40,6 +40,7 @@ from .models import (
     ModelError,
     PmcT,
     Pomdp,
+    _as_fraction,
     format_number,
     fraction_str,
     is_infinite,
@@ -185,7 +186,7 @@ def _search_config(args) -> synthesis.SearchConfig:
 
 def _min_prob(args) -> Fraction:
     """--min-prob as an exact floor; raises unless it lies in (0, 1/2]."""
-    eps = Fraction(repr(args.min_prob))
+    eps = _as_fraction(args.min_prob)
     if not 0 < eps <= Fraction(1, 2):
         raise ModelError("--min-prob: probability floor must lie in (0, 0.5]")
     return eps
@@ -252,24 +253,16 @@ def cmd_transform(args) -> int:
     m = _load_pomdp(args, inp)
     out = Path(args.output)
 
+    k = args.memory
     if args.make_simple:
         if args.unfold or args.variant is not None:
             raise ModelError("--make-simple rewrites the POMDP itself; "
                              "it cannot be combined with --unfold or --variant")
-        simple = transforms.make_simple(transforms.make_binary(m))
-        header = _provenance(args, [inp], ["mode: make-simple"])
-        out.write_text(formats.write_pomdp(simple, header))
-        print("wrote simple POMDP: %d states, %d observations -> %s"
-              % (simple.num_states, simple.num_obs, out))
-        _write_manifest(args, [inp], out, started, None,
-                        {"states": simple.num_states, "observations": simple.num_obs})
-        return EXIT_OK
-
-    k = args.memory
-    if k is None:
+        what, mode = "simple", "make-simple"
+        pomdp = transforms.make_simple(transforms.make_binary(m))
+    elif k is None:
         raise ModelError("--memory is required unless --make-simple is given")
-
-    if args.unfold:
+    elif args.unfold:
         if args.variant is not None and args.variant != STANDARD:
             raise ModelError("unfolding exists only for the standard memory "
                              "construction; --variant %s cannot be unfolded"
@@ -277,14 +270,15 @@ def cmd_transform(args) -> int:
         if args.topology != FscTopology.FULL:
             raise ModelError("unfolding exists only for the full topology; "
                              "--topology %s cannot be unfolded" % args.topology)
-        unfolded = transforms.unfold(m, k)
-        header = _provenance(args, [inp], ["mode: unfold, memory %d" % k])
-        out.write_text(formats.write_pomdp(unfolded, header))
-        print("wrote unfolded POMDP: %d states, %d observations -> %s"
-              % (unfolded.num_states, unfolded.num_obs, out))
+        what, mode = "unfolded", "unfold, memory %d" % k
+        pomdp = transforms.unfold(m, k)
+    if args.make_simple or args.unfold:
+        header = _provenance(args, [inp], ["mode: " + mode])
+        out.write_text(formats.write_pomdp(pomdp, header))
+        print("wrote %s POMDP: %d states, %d observations -> %s"
+              % (what, pomdp.num_states, pomdp.num_obs, out))
         _write_manifest(args, [inp], out, started, None,
-                        {"states": unfolded.num_states,
-                         "observations": unfolded.num_obs})
+                        {"states": pomdp.num_states, "observations": pomdp.num_obs})
         return EXIT_OK
 
     variant = _resolve_variant(args.variant, k)
@@ -360,7 +354,8 @@ def _gap_to_threshold(value, spec) -> str:
 def _is_fragment_of(mc: Mc, chain: Mc) -> bool:
     """Whether chain agrees with mc on mc's states: the same initial state,
     and per state the same row, reward and goal and bad labels. mc holds
-    only states its initial state reaches (as induced_mc builds it), so
+    only states its initial state reaches (as induced_mc builds it, on the
+    product numbering fsc.product_state gives every product chain), so
     then chain's value is mc's value, exactly."""
     if mc.initial != chain.initial:
         return False

@@ -306,15 +306,22 @@ def fsc_from_instantiation(m: Pomdp, k: int, topology, u) -> Fsc:
     return fsc_from_layout(m, k, topology, induced_layout, u)
 
 
+def product_state(s: int, n: int, k: int) -> int:
+    """Index of product state (model state s, controller node n), in
+    induced_mc and in every product chain of module transforms."""
+    return s * k + n
+
+
 def induced_mc(m: Pomdp, a: Fsc) -> Mc:
     """Product chain over (state, node) pairs, reachable fragment only.
 
-    Product ids are state*k + node. Edge weight from (s,n) to (s',n') is the
-    sum over actions of gamma(n,O(s))(act) * P(s,act,s') * delta(n,O(s),act)(n').
+    Product ids are product_state(state, node, k). Edge weight from (s,n) to
+    (s',n') is the sum over actions of
+    gamma(n,O(s))(act) * P(s,act,s') * delta(n,O(s),act)(n').
     Goal and bad labels lift along the state component.
     """
     k = a.num_nodes
-    start = m.initial * k + a.initial_node
+    start = product_state(m.initial, a.initial_node, k)
     trans = {}
     rewards = {}
     frontier = [(m.initial, a.initial_node)]
@@ -339,17 +346,16 @@ def induced_mc(m: Pomdp, a: Fsc) -> Mc:
                 for n2, dp in dn.items():
                     if dp == 0:
                         continue
-                    key = s2 * k + n2
+                    key = product_state(s2, n2, k)
                     w = ga * pp * dp
                     row[key] = row.get(key, 0) + w
                     if (s2, n2) not in seen:
                         seen.add((s2, n2))
                         frontier.append((s2, n2))
-        trans[s * k + n] = row
+        trans[product_state(s, n, k)] = row
         if reward:
-            rewards[s * k + n] = reward
-    states = sorted(trans)
-    goal = frozenset(i for i in states if (i // k) in m.goal)
-    bad = frozenset(i for i in states if (i // k) in m.bad)
-    return Mc(states, start, trans, rewards, goal, bad,
+            rewards[product_state(s, n, k)] = reward
+    goal = frozenset(product_state(s, n, k) for s, n in seen if s in m.goal)
+    bad = frozenset(product_state(s, n, k) for s, n in seen if s in m.bad)
+    return Mc(sorted(trans), start, trans, rewards, goal, bad,
               meta={"product": True, "k": k})

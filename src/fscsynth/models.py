@@ -211,9 +211,18 @@ class Specification:
         else:
             raise ModelError("unknown specification kind %r" % self.kind)
 
+    @property
+    def above(self) -> bool:
+        """Whether the spec asks for values above its threshold (> or >=).
+        This, not the search direction, names the end of a value interval
+        [lo, hi] that decides a verdict: every value in it satisfies the
+        spec iff lo does when above (hi otherwise), and none does iff the
+        other end fails."""
+        return self.comparison in (">", ">=")
+
     def satisfied_by(self, value) -> bool:
         if is_infinite(value):
-            return self.comparison in (">", ">=")
+            return self.above
         t = self.threshold
         if self.comparison == ">":
             return value > t
@@ -229,6 +238,10 @@ class Specification:
         if self.kind == REACH_AVOID:
             return True
         return self.opt == "max"
+
+    def better(self, a, b) -> bool:
+        """Whether value a is strictly better than b for a synthesizer."""
+        return a > b if self.maximizing else a < b
 
     def __str__(self):
         ts = format_number(self.threshold)
@@ -687,24 +700,30 @@ class WellDefinedness:
     defects: list
 
 
-def _group_defects(groups, u) -> list:
+def _group_defects(groups, u, eps=None) -> list:
     """Sub-distribution constraints from parameter groups (None for none).
 
     Groups catch strategy-level defects that edge sums can hide: a negative
     residual inside one summand may cancel against a positive sibling term.
+    With eps, the floor is eps instead of 0: every coordinate of a group's
+    distribution, the implicit residual included, must be at least eps
+    (parameter-level min-eps, stronger than the entry-level eps of
+    apply_instantiation on chains whose entries multiply parameters).
     """
+    floor = 0 if eps is None else eps
     defects = []
     for group in groups or ():
         total = 0
         for name in group:
             v = u[name]
-            if v < 0 or v > 1:
-                defects.append("parameter %s = %s outside [0, 1]" % (name, v))
+            if v < floor or v > 1:
+                defects.append("parameter %s = %s outside [%s, 1]" % (name, v, floor))
             total = total + v
-        if total > 1:
+        if 1 - total < floor:
             defects.append(
-                "group {%s} sums to %s; residual branch weight %s is negative"
-                % (", ".join(group), total, 1 - total)
+                "group {%s} sums to %s; residual branch weight %s is %s"
+                % (", ".join(group), total, 1 - total,
+                   "negative" if eps is None else "below %s" % eps)
             )
     return defects
 

@@ -43,6 +43,7 @@ from .models import (
     Specification,
     WellDefinedness,
     _as_fraction,
+    _group_defects,
     apply_instantiation,
     is_infinite,
 )
@@ -160,13 +161,13 @@ class _SimplexCodec:
         """Exact point from a float vector: free coordinates via repr, the
         group residual recomputed exactly, with a deterministic repair if
         rounding pushed the residual below the floor."""
-        eps = Fraction(repr(self.eps))
+        eps = _as_fraction(self.eps)
         index = {nm: i for i, nm in enumerate(names)}
         values = {}
         for g in self.groups:
             vals = {}
             for nm in g:
-                vals[nm] = Fraction(repr(float(x[index[nm]])))
+                vals[nm] = _as_fraction(x[index[nm]])
             residual = 1 - sum(vals.values())
             if residual < eps and vals:
                 deficit = eps - residual
@@ -189,31 +190,16 @@ def certify(d: PmcT, spec: Specification, u, eps=None):
     return u, value, spec.satisfied_by(value), well
 
 
-def _param_level_eps(d: PmcT, u: Instantiation, eps: Fraction) -> bool:
-    """Min-eps on the strategy simplexes: every group coordinate, implicit
-    residual included, is at least eps. Stronger than entry-level eps on
-    chains whose entries multiply or scale parameters."""
-    for g in d.ensure_param_groups():
-        total = Fraction(0)
-        for nm in g:
-            v = Fraction(u[nm])
-            if v < eps:
-                return False
-            total += v
-        if 1 - total < eps:
-            return False
-    return True
-
-
 def _emission_check(d: PmcT, u: Instantiation, base: WellDefinedness,
-                    eps: Fraction) -> WellDefinedness:
-    """Adds parameter-level min-eps to the entry-level verdict `certify`
-    returned for u."""
-    well = dataclasses.replace(base, eps_preserving=_param_level_eps(d, u, eps))
+                    eps) -> WellDefinedness:
+    """Adds parameter-level min-eps (models._group_defects at eps) to the
+    entry-level verdict `certify` returned for u."""
+    below = _group_defects(d.ensure_param_groups(), u, _as_fraction(eps))
+    well = dataclasses.replace(base, eps_preserving=not below)
     if not (well.well_defined and well.graph_preserving and well.eps_preserving):
         raise ModelError(
             "internal: search emitted a defective instantiation (%s)"
-            % "; ".join(well.defects or ["below the probability floor"]))
+            % "; ".join(well.defects or below))
     return well
 
 
@@ -228,7 +214,7 @@ def float_verdict(spec: Specification):
     satisfies.
     """
     import numpy as np
-    up = spec.comparison in (">", ">=")
+    up = spec.above
     cut = float(spec.threshold)
     if not spec.satisfied_by(cut):
         cut = np.nextafter(cut, math.inf if up else -math.inf)
@@ -263,7 +249,7 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
     codec = _SimplexCodec(d, cfg.min_prob)
     if codec.dims == 0:
         u, value, sat, base = certify(d, spec, Instantiation({}))
-        well = _emission_check(d, u, base, Fraction(repr(cfg.min_prob)))
+        well = _emission_check(d, u, base, cfg.min_prob)
         fv = math.inf if is_infinite(value) else float(value)
         return SearchResult(u, value, fv, sat, trace=[fv], evaluations=1,
                             first_satisfied_eval=1 if sat else None, well=well)
@@ -337,7 +323,7 @@ def pso_search(d: PmcT, spec: Specification, cfg: SearchConfig | None = None,
         trace.append(-gbest_f if maximizing else gbest_f)
 
     u, value, sat, base = certify(d, spec, codec.rationalize(gbest_x, d.params.names))
-    well = _emission_check(d, u, base, Fraction(repr(cfg.min_prob)))
+    well = _emission_check(d, u, base, cfg.min_prob)
     float_value = -gbest_f if maximizing else gbest_f
     return SearchResult(u, value, float_value, sat, trace=trace,
                         evaluations=evaluations, first_satisfied_eval=first_sat,
@@ -379,7 +365,6 @@ def brute_force_oracle(m: Pomdp, k: int, spec: Specification,
                     % (count, limit))
     best = None
     best_fsc = None
-    better = (lambda a, b: a > b) if spec.maximizing else (lambda a, b: a < b)
     for combo in itertools.product(*[choices for _key, choices in slots]):
         action_map = {}
         memory_update = {}
@@ -388,7 +373,7 @@ def brute_force_oracle(m: Pomdp, k: int, spec: Specification,
             memory_update[(n, z, a)] = {t: Fraction(1)}
         fsc = Fsc(k, 0, action_map, memory_update)
         value = check_mc(induced_mc(m, fsc), spec)
-        if best is None or better(value, best):
+        if best is None or spec.better(value, best):
             best = value
             best_fsc = fsc
     return OracleResult(best_fsc, best, count)
@@ -412,9 +397,10 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
                               eps=Fraction(1, 10 ** 4)) -> PermissiveCandidate:
     """Bounding box of the witnesses, clipped to [eps, 1-eps], verified via
     the sound region bounds: verified means every point of the region
-    satisfies the spec. The lower bounds hold at graph-preserving points
-    only, so a region where an edge polynomial may vanish is never
-    verified."""
+    satisfies the spec, that is, the pessimistic bound does: the lower one
+    when spec.above, else the upper one, whatever the search direction.
+    The lower bounds hold at graph-preserving points only, so a region
+    where an edge polynomial may vanish is never verified."""
     if not witnesses:
         raise ModelError("need at least one witness")
     eps = _as_fraction(eps)
@@ -422,7 +408,7 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
                  for w in witnesses]
     intervals = {}
     for name in d.params.names:
-        vals = [Fraction(w[name]) for w in witnesses]
+        vals = [w[name] for w in witnesses]
         lo = max(min(vals), eps)
         hi = min(max(vals), 1 - eps)
         if lo > hi:  # witnesses all outside the band; clamp to a point
@@ -432,7 +418,7 @@ def permissive_from_witnesses(d: PmcT, spec: Specification, witnesses,
     b = region_bounds(d, region, spec)
     # graph-preserving region values sit inside [lower, upper]; the
     # pessimistic end satisfying the spec certifies every point
-    bound = b.lower if spec.maximizing else b.upper
+    bound = b.lower if spec.above else b.upper
     verified = b.graph_preserving and spec.satisfied_by(bound)
     return PermissiveCandidate(region, witnesses, verified, b.lower, b.upper)
 
@@ -461,7 +447,7 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
                 continue  # float verdict did not survive exact checking
             if all(u != w for w in witnesses):
                 witnesses.append(u)
-            if best is None or _value_better(value, best[1], spec):
+            if best is None or spec.better(value, best[1]):
                 best = (u, value)
         if len(witnesses) >= num_witnesses:
             break
@@ -470,14 +456,6 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
     if len(witnesses) < num_witnesses:
         witnesses = [best[0]]
     cand = permissive_from_witnesses(d, spec, witnesses[:num_witnesses],
-                                     eps=Fraction(repr(cfg.min_prob)))
+                                     eps=cfg.min_prob)
     cand.stats = search_stats(runs)
     return cand
-
-
-def _value_better(a, b, spec):
-    if is_infinite(a):
-        return spec.maximizing
-    if is_infinite(b):
-        return not spec.maximizing
-    return a > b if spec.maximizing else a < b

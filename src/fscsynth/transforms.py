@@ -29,6 +29,7 @@ from .fsc import (
     induced_layout,
     memory_targets,
     next_obs_layout,
+    product_state,
     substituted_layout,
 )
 from .models import (
@@ -40,11 +41,6 @@ from .models import (
     Pomdp,
 )
 from .polynomials import Polynomial
-
-
-def product_state(s: int, n: int, k: int) -> int:
-    """Index of product state (model state s, controller node n)."""
-    return s * k + n
 
 
 def _lift_labels(labels, k):

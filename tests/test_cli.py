@@ -509,6 +509,20 @@ class TestPermissive:
         assert man["result"]["verified"] is True
         assert "verified: yes" in capsys.readouterr().out
 
+    def test_minimizing_lower_bound_spec_reads_the_lower_bound(self, workdir, capsys):
+        # E = 1/p + 1/q; the witnesses' box reaches below 5, so the region
+        # holds points that violate "> 5" although the search minimizes
+        inp = _write(workdir / "perm.pmc",
+                     "pmc\nstates 3\ninitial 0\nparams p q\n"
+                     "trans 0 1 p\ntrans 0 0 1 - p\ntrans 1 2 q\ntrans 1 1 1 - q\n"
+                     "trans 2 2 1\nreward 0 1\nreward 1 1\nlabel goal 2\n")
+        rc = main(["permissive", str(inp), "-o", "r.region", "--spec", "Emin> 5 [F goal]",
+                   "--seed", "3", "--swarm", "20", "--iterations", "30"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_UNSAT
+        assert "verified: no (value bounds [" in out
+        assert _manifest(Path("r.region.manifest.json"))["result"]["verified"] is False
+
     def test_unreachable_spec_is_an_input_class_failure(self, workdir):
         inp = _pmc_file(workdir)
         rc = main(["permissive", str(inp), "--spec", "P> 0.9 [!bad U goal]",
@@ -572,6 +586,16 @@ class TestNegativeRewards:
         err = capsys.readouterr().err
         assert "evaluates to" not in err
         assert "no satisfying instantiation found" in err
+
+    def test_prove_rejects_a_reward_negative_on_the_whole_box(self, workdir, capsys):
+        # p - 2 < 0 at every p: no point of the region is well-defined, so
+        # there is no bound to report
+        inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "p - 2"))
+        rc = main(["prove", str(inp), "--spec", "Emin<= 5 [F goal]"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "inconclusive" not in captured.out
+        assert "reward of state 0 is negative everywhere in the region" in captured.err
 
     def test_constant_negative_reward_is_rejected(self, workdir, capsys):
         inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "-1"))

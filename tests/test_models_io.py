@@ -428,6 +428,43 @@ class TestSpecifications:
         assert parse_spec("Emin<= 4 [F goal]").satisfied_by(F(4))
         assert not parse_spec("Emin< 4 [F goal]").satisfied_by(INFINITE)
 
+    # ascending, so list position orders the values
+    VALUES = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), INFINITE]
+    # spec (threshold 1/2), above, maximizing, the VALUES that satisfy it
+    VERDICTS = [
+        ("P> 1/2 [!bad U goal]", True, True, [F(2, 3), F(1), INFINITE]),
+        ("P>= 1/2 [F goal]", True, True, [F(1, 2), F(2, 3), F(1), INFINITE]),
+        ("Emax> 1/2 [F goal]", True, True, [F(2, 3), F(1), INFINITE]),
+        ("Emax>= 1/2 [F goal]", True, True, [F(1, 2), F(2, 3), F(1), INFINITE]),
+        ("Emax< 1/2 [F goal]", False, True, [F(0), F(1, 3)]),
+        ("Emax<= 1/2 [F goal]", False, True, [F(0), F(1, 3), F(1, 2)]),
+        ("Emin> 1/2 [F goal]", True, False, [F(2, 3), F(1), INFINITE]),
+        ("Emin>= 1/2 [F goal]", True, False, [F(1, 2), F(2, 3), F(1), INFINITE]),
+        ("Emin< 1/2 [F goal]", False, False, [F(0), F(1, 3)]),
+        ("Emin<= 1/2 [F goal]", False, False, [F(0), F(1, 3), F(1, 2)]),
+    ]
+
+    @pytest.mark.parametrize("text, above, maximizing, satisfying", VERDICTS)
+    def test_verdicts_orderings_and_interval_ends(self, text, above, maximizing,
+                                                  satisfying):
+        s = parse_spec(text)
+        vals = self.VALUES
+        assert [v for v in vals if s.satisfied_by(v)] == satisfying
+        assert (s.above, s.maximizing) == (above, maximizing)
+        # better is strict, ties at INFINITE included
+        for i, a in enumerate(vals):
+            for j, b in enumerate(vals):
+                assert s.better(a, b) == (i > j if maximizing else i < j)
+        # the end `above` picks decides a value interval [lo, hi]: every value
+        # in it satisfies the spec iff the pessimistic end does, and none
+        # does iff the optimistic end does not
+        for i in range(len(vals)):
+            for j in range(i, len(vals)):
+                inside = [s.satisfied_by(v) for v in vals[i:j + 1]]
+                lo, hi = vals[i], vals[j]
+                assert all(inside) == s.satisfied_by(lo if above else hi)
+                assert any(inside) == s.satisfied_by(hi if above else lo)
+
     def test_rejects_garbage(self):
         for bad in ("P> goal", "P> 1.5 [F goal]", "Q> 0 [F goal]", ""):
             with pytest.raises(ModelError):

@@ -161,6 +161,18 @@ class TestPsoSearch:
         assert res.budget_exhausted
         assert not res.satisfied
 
+    def test_numpy_float_floor(self):
+        # a NumPy float reads as its decimal repr, as a Python float does
+        d = g.biased_choice_pmc()
+        cfg = sy.SearchConfig(seed=7, max_iterations=20)
+        res = sy.pso_search(d, SPEC76, cfg)
+        np_res = sy.pso_search(
+            d, SPEC76, sy.SearchConfig(seed=7, max_iterations=20,
+                                       min_prob=np.float64(cfg.min_prob)))
+        assert np_res.satisfied and np_res.well.eps_preserving
+        assert np_res.instantiation == res.instantiation
+        assert np_res.value == res.value
+
     def test_unreachable_threshold_reports_gap(self):
         m = g.two_coin_pomdp()
         d = induced_pmc(m, 1)
@@ -245,6 +257,30 @@ class TestPermissive:
         cand = sy.permissive_from_witnesses(d, spec, wits, eps=0.1)
         assert cand.region.intervals["p"] == (F(1, 10), F(4, 5))
         assert all(cand.region.contains_point(w.values) for w in wits)
+
+    # E = 1/p + 1/q, falling in p and in q, so its extremes over a box lie
+    # at the corners
+    CHAIN = PmcT(3, 0, {0: {1: V("p"), 0: C(1) - V("p")},
+                        1: {2: V("q"), 1: C(1) - V("q")}, 2: {2: C(1)}},
+                 params=ParameterTable(["p", "q"]), goal={2},
+                 rewards={0: C(1), 1: C(1)})
+
+    @pytest.mark.parametrize("text", ["Emin> 5 [F goal]", "Emax< 5 [F goal]"])
+    @pytest.mark.parametrize("wits", [
+        [(F(9, 10), F(3, 10)), (F(3, 10), F(9, 10))],   # values 20/9 to 20/3
+        [(F(1, 10), F(1, 10)), (F(1, 5), F(1, 5))],     # values 10 to 20
+        [(F(9, 10), F(9, 10)), (F(7, 10), F(4, 5))],    # values 20/9 to 75/28
+        [(F(1, 5), F(9, 10)), (F(1, 4), F(1, 2))],      # values 46/9 to 7
+    ])
+    def test_verified_iff_every_corner_satisfies(self, text, wits):
+        # the verdict reads the end of the value interval the comparison
+        # names, not the one the search direction names
+        spec = parse_spec(text)
+        cand = sy.permissive_from_witnesses(
+            self.CHAIN, spec, [Instantiation({"p": p, "q": q}) for p, q in wits])
+        (plo, phi), (qlo, qhi) = cand.region.intervals["p"], cand.region.intervals["q"]
+        corners = [1 / p + 1 / q for p in (plo, phi) for q in (qlo, qhi)]
+        assert cand.verified == all(spec.satisfied_by(v) for v in corners)
 
     def test_needs_witnesses(self):
         d = g.biased_choice_pmc()
