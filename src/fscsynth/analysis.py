@@ -729,6 +729,11 @@ class RegionBounds:
     graph_preserving: bool
 
 
+class _NoWellDefinedPoint(ModelError):
+    """The box holds no well-defined valuation: an edge's range misses
+    [0, 1], a row cannot sum to 1 or a reward is below 0 everywhere in it."""
+
+
 class _Relaxation:
     """What region_bounds reads of one chain whatever the box, built once
     per chain and kept in its meta: the graph, the spec queries, the edges
@@ -807,7 +812,7 @@ class _Relaxation:
                 lo = max(lo, 0)
                 hi = min(hi, den)
                 if lo > hi:
-                    raise ModelError(
+                    raise _NoWellDefinedPoint(
                         "edge (%d,%d) has empty value range over the region" % (s, t))
                 ivs.append((t, lo, hi, den))
             scale = math.lcm(*(den for *_iv, den in ivs))
@@ -815,7 +820,7 @@ class _Relaxation:
                              for t, lo, hi, den in ivs)
             lo_sum = sum(lo for _t, lo, _hi in entries)
             if lo_sum > scale or sum(hi for _t, _lo, hi in entries) < scale:
-                raise ModelError(
+                raise _NoWellDefinedPoint(
                     "row of state %d cannot sum to 1 anywhere in the region" % s)
             table[s] = (scale, entries, scale - lo_sum)
         return table, preserving
@@ -863,8 +868,8 @@ def _robust_value(rel, table, interval, maximize, spec):
             if s in rel.rewards:
                 lo, hi, den = interval(s, _GOOD, *rel.rewards[s])
                 if hi < 0:
-                    raise ModelError("reward of state %d is negative everywhere "
-                                     "in the region" % s)
+                    raise _NoWellDefinedPoint("reward of state %d is negative "
+                                              "everywhere in the region" % s)
                 bound = max(hi if maximize else lo, 0)
                 scale, entries, free = table[s]
                 new = math.lcm(scale, den)
@@ -950,7 +955,9 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
     the whole region (optionally after recursive splitting); otherwise
     inconclusive, reporting the bound that failed to refute. The bound read
     is the upper one when spec.above, else the lower one, whatever the
-    search direction."""
+    search direction. A region with no well-defined valuation raises
+    ModelError; a sub-box without one holds no satisfying point, so it
+    counts as refuted and adds no bound."""
     upper = spec.above
     # the fully observable optimum dominates every controller value: it
     # bounds reach and maximal rewards from above, minimal ones from below
@@ -960,12 +967,18 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
     def visit(reg: Region, depth: int):
         nonlocal checked
         checked += 1
+        try:
+            b = region_bounds(d, reg, spec, "upper" if upper else "lower")
+        except _NoWellDefinedPoint:
+            if depth == 0:
+                raise
+            return True, None
         if upper:
-            bound = region_bounds(d, reg, spec, "upper").upper
+            bound = b.upper
             if dom is not None and dom < bound:
                 bound = dom
         else:
-            bound = region_bounds(d, reg, spec, "lower").lower
+            bound = b.lower
             if dom is not None and dom > bound:
                 bound = dom
         if not spec.satisfied_by(bound):
@@ -983,12 +996,14 @@ def prove_absence(d: PmcT, spec: Specification, region: Region,
         if not ok_r:
             return False, b_r
         better = max if upper else min
-        return True, better(b_l, b_r)
+        return True, better((b for b in (b_l, b_r) if b is not None), default=None)
 
     ok, bound = visit(region, 0)
     # visit reaches itself through its closure: emptying that cell frees the
     # chain now, not at the cycle collector's next pass
     del visit
+    if bound is None:
+        raise _NoWellDefinedPoint("no point of the region is well-defined")
     return AbsenceResult(ok, bound, checked)
 
 

@@ -597,6 +597,40 @@ class TestNegativeRewards:
         assert "inconclusive" not in captured.out
         assert "reward of state 0 is negative everywhere in the region" in captured.err
 
+    def test_prove_splits_past_a_sub_box_with_a_negative_reward(self, workdir, capsys):
+        # p - 1/2 < 0 on the split box p <= 1/4, but the user's region holds
+        # well-defined points (p >= 1/2), and those up to 5/8 satisfy the spec
+        inp = _write(workdir / "neg.pmc", self.PMC)
+        rc = main(["prove", str(inp), "--spec", "Emin<= 1/8 [F goal]", "--max-depth", "3"])
+        assert rc == EXIT_UNSAT
+        captured = capsys.readouterr()
+        assert "inconclusive" in captured.out
+        assert captured.err == ""
+
+    def test_prove_needs_splitting_to_see_no_point_is_well_defined(self, workdir, capsys):
+        # p - p^2 - 13/50 < 0 at every p; the root box's interval bound
+        # misses that, the depth-12 splits do not
+        inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "p - p^2 - 13/50"))
+        rc = main(["prove", str(inp), "--spec", "Emin<= 5 [F goal]", "--max-depth", "12"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "inconclusive" not in captured.out
+        assert "no point of the region is well-defined" in captured.err
+
+    def test_prove_refutes_a_sub_box_whose_edge_leaves_0_1(self, workdir, capsys):
+        # state 3's row is well-defined only for p <= 1/2, where the value
+        # p/2 is at most 1/4: the split boxes past 1/2 hold no point at all
+        inp = _write(workdir / "half.pmc", (
+            "pmc\nstates 4\ninitial 0\nparams p\n"
+            "trans 0 1 1/2*p\ntrans 0 2 1 - 1/2*p\ntrans 1 1 1\ntrans 2 2 1\n"
+            "trans 3 3 2*p\ntrans 3 2 1 - 2*p\nlabel goal 1\n"))
+        rc = main(["prove", str(inp), "--spec", "P> 0.3 [F goal]", "--max-depth", "6"])
+        assert rc == EXIT_OK
+        captured = capsys.readouterr()
+        assert "no controller in the region satisfies" in captured.out
+        assert "bound = 44999/160000" in captured.out
+        assert captured.err == ""
+
     def test_constant_negative_reward_is_rejected(self, workdir, capsys):
         inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "-1"))
         point = _write(workdir / "point.inst", "p = 3/4\n")
