@@ -620,7 +620,9 @@ def _closed_form(d: PmcT, q: _Query, reward) -> RationalFunction:
     over q.U on integer rows over Z[params]; the value is the initial row's
     sink entry over its pivot, divided by their full gcd with one
     _sympy_cancel whatever their size, so the form is the reduced one
-    whatever the pivot order. RationalFunction cancels nothing more."""
+    whatever the pivot order. That call imports sympy only when its modular
+    certificate cannot show the pair coprime. RationalFunction cancels
+    nothing more."""
     if q.value is not None:
         return RationalFunction.constant(q.value)
     rewards = d.rewards if reward else {}
@@ -842,6 +844,20 @@ def _greedy_allocation(row, val, maximize):
     return alloc
 
 
+def _reward_intervals(rel, q, interval):
+    """{s: (lo, hi, den)}: the interval of the reward of each state of q.U
+    that has one, over the box. Raises _NoWellDefinedPoint, naming the
+    first such state in q.U, if a reward is below 0 on the whole box."""
+    out = {}
+    for s in q.U:
+        if s in rel.rewards:
+            lo, hi, den = out[s] = interval(s, _GOOD, *rel.rewards[s])
+            if hi < 0:
+                raise _NoWellDefinedPoint("reward of state %d is negative "
+                                          "everywhere in the region" % s)
+    return out
+
+
 def _robust_value(rel, table, interval, maximize, spec):
     """Optimum over the interval relaxation on U: policy iteration whose one
     candidate per state is the greedy allocation at the current values
@@ -864,18 +880,13 @@ def _robust_value(rel, table, interval, maximize, spec):
         if maximize and rel.initial in _avoiders(rel.graph, rel.goal, stays):
             return INFINITE
         table = dict(table)
-        for s in q.U:
-            if s in rel.rewards:
-                lo, hi, den = interval(s, _GOOD, *rel.rewards[s])
-                if hi < 0:
-                    raise _NoWellDefinedPoint("reward of state %d is negative "
-                                              "everywhere in the region" % s)
-                bound = max(hi if maximize else lo, 0)
-                scale, entries, free = table[s]
-                new = math.lcm(scale, den)
-                f = new // scale
-                table[s] = (new, [(t, a * f, b * f) for t, a, b in entries], free * f)
-                r[s] = bound * (new // den)
+        for s, (lo, hi, den) in _reward_intervals(rel, q, interval).items():
+            bound = max(hi if maximize else lo, 0)
+            scale, entries, free = table[s]
+            new = math.lcm(scale, den)
+            f = new // scale
+            table[s] = (new, [(t, a * f, b * f) for t, a, b in entries], free * f)
+            r[s] = bound * (new // den)
 
     def pour_first(s):
         for t, _lo, _hi in table[s][1]:
@@ -886,6 +897,26 @@ def _robust_value(rel, table, interval, maximize, spec):
         q.U, start, lambda s, val: [_greedy_allocation(table[s], val, maximize)],
         lambda s, alloc: (table[s][0], alloc, r.get(s, 0)), q.one,
         operator.gt if maximize else operator.lt, rel.initial)[0]
+
+
+def _relaxation(d: PmcT) -> _Relaxation:
+    """The chain's _Relaxation, built on first use and kept in its meta."""
+    rel = d.meta.get("_relaxation")
+    if rel is None:
+        rel = d.meta["_relaxation"] = _Relaxation(d)
+    return rel
+
+
+def _check_rewards(d: PmcT, region: Region, spec: Specification) -> None:
+    """Raise ModelError, as region_bounds does, when a reward that the
+    spec's value reads is below 0 on the whole region, so that no point of
+    it is well-defined. Reach specs, and rewards whose value the graph
+    decides, are not read."""
+    if spec.kind == EXPECTED_REWARD:
+        rel = _relaxation(d)
+        q, _known = rel.query(spec)
+        if q.value is None:
+            _reward_intervals(rel, q, rel.box(region))
 
 
 def region_bounds(d: PmcT, region: Region, spec: Specification,
@@ -913,9 +944,7 @@ def region_bounds(d: PmcT, region: Region, spec: Specification,
     for name in sorted(region.intervals):
         if name not in declared:
             raise ModelError("region bounds %r, which the chain does not declare" % name)
-    rel = d.meta.get("_relaxation")
-    if rel is None:
-        rel = d.meta["_relaxation"] = _Relaxation(d)
+    rel = _relaxation(d)
     interval = rel.box(region)
     table, preserving = rel.table(interval)
     upper = lower = None

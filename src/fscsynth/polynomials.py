@@ -28,9 +28,12 @@ declaration check of models.PmcT.
 
 A polynomial common factor is divided out in one way only, by cancel: the
 int content, or, once an operand passes GCD_TERM_THRESHOLD terms, the
-cofactors of the gcd of the integer coefficient polynomials in sympy's
-sparse ring over ZZ (_sympy_cancel), with sympy imported on that path only.
-The fraction-free elimination in analysis divides by it twice per
+cofactors of the gcd of the integer coefficient polynomials
+(_sympy_cancel). That gcd is first tested by _coprime, Brown's degree bound
+on univariate images modulo a prime: when those show it constant, the
+inputs come back at once; otherwise sympy's sparse ring over ZZ computes
+it, and sympy is imported on that path only. Either way the result is the
+same. The fraction-free elimination in analysis divides by it twice per
 substitution: cancel on the pivot ratio, and divide_content, which divides
 a row and its pivot in place (over ints with one math.gcd, with a
 Polynomial among them by cancel). Its closed forms end with one
@@ -45,6 +48,7 @@ import math
 import operator
 import re
 import sys
+import zlib
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -590,6 +594,91 @@ def _content(p: Polynomial, mins: dict) -> dict:
 GCD_TERM_THRESHOLD = 64
 
 
+# the prime of the coprimality certificate: the largest below 2**30, so
+# that the residue products stay small ints
+_PRIME = 1073741789
+
+
+@functools.lru_cache(maxsize=None)
+def _point(name: str) -> int:
+    """The nonzero residue mod _PRIME at which _coprime fixes the parameter
+    name: a function of the name alone."""
+    return zlib.crc32(name.encode()) % (_PRIME - 1) + 1
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _at_point(m: int, w: int) -> int:
+    """The packed monomial m at every parameter's _point, mod _PRIME."""
+    v = 1
+    for name, e in _decode(m, w):
+        v = v * pow(_point(name), e, _PRIME) % _PRIME
+    return v
+
+
+def _images(p: Polynomial, names) -> list:
+    """For each of the parameter names, p with its terms valued at the
+    _points and summed by their exponent of that parameter: {e: S_e}, a
+    zero sum kept. Modulo _PRIME, sum S_e y**e is p's univariate image with
+    every other parameter at its point, in y = x / _point(x): a change of
+    variable that keeps degrees and gcd degrees."""
+    w = p._w
+    mask = (1 << w) - 1
+    shifts = [w * _FIELD[name] for name in names]
+    images = [{} for _ in names]
+    for m, c in p._mons.items():
+        v = c * _at_point(m, w)
+        for sh, image in zip(shifts, images):
+            e = (m >> sh) & mask
+            image[e] = image.get(e, 0) + v
+    return images
+
+
+def _gcd_degree(a: list, b: list) -> int:
+    """The degree of gcd(a, b) over GF(_PRIME), for dense coefficient
+    lists (constant term first) with nonzero last entries, by Euclid's
+    algorithm."""
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _PRIME)
+        n = len(b) - 1
+        while len(a) > n:
+            q = a[-1] * inv % _PRIME
+            k = len(a) - 1 - n
+            for i in range(n):
+                a[k + i] = (a[k + i] - q * b[i]) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return n
+        a, b = b, a
+    return 0
+
+
+def _coprime(ps) -> bool:
+    """Whether the integer polynomials ps certainly have a constant gcd,
+    by modular images after Brown (J. ACM 18, 1971); False only means not
+    shown. A zero operand gives False, a nonzero constant True. Otherwise
+    it tests f and g, the two with the fewest terms: the gcd of all divides
+    theirs, h. For each parameter x that both contain, fix every other one
+    at its _point and reduce modulo _PRIME. If both images keep their
+    x-degree, so does h's image (its leading coefficient in x divides
+    theirs), and it divides both; a constant gcd of the images then makes
+    h of x-degree 0. A parameter missing from f or g is missing from h. So
+    h is an integer when every shared parameter passes."""
+    if len(ps) < 2 or not all(p._mons for p in ps):
+        return False
+    if any(p.is_constant() for p in ps):
+        return True
+    f, g = sorted(ps, key=lambda p: len(p._mons))[:2]
+    shared = sorted(variables_of((f,)) & variables_of((g,)))
+    for a, b in zip(_images(f, shared), _images(g, shared)):
+        a, b = ([image.get(e, 0) % _PRIME for e in range(max(image) + 1)]
+                for image in (a, b))
+        if not a[-1] or not b[-1] or _gcd_degree(a, b):
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _ring(names: tuple):
     """sympy's sparse polynomial ring over ZZ in `names` (imports sympy)."""
@@ -604,7 +693,10 @@ def _sympy_cancel(*ps):
     polynomials, computed as pairwise cofactors in sympy's sparse
     polynomial ring over ZZ in their variables. Each keeps its denominator,
     so every quotient of two of them is unchanged. Returns the inputs when
-    the gcd is a constant."""
+    the gcd is a constant: at once, without sympy, when _coprime shows it
+    modulo a prime, and from sympy otherwise, which it imports then."""
+    if _coprime(ps):
+        return ps
     top = max(ps, key=lambda p: p._w)
     w = top._w
     mask = (1 << w) - 1
@@ -629,10 +721,11 @@ def cancel(*ps):
     """The ints or integer Polynomials ps divided by a common factor, the
     one analysis._eliminate divides out of a pivot ratio (and, through
     divide_content, of a row): _sympy_cancel's cofactors once one of them
-    has more than GCD_TERM_THRESHOLD terms and their gcd is not a constant,
-    their int content otherwise. Returns the inputs when the content is 1
-    (or all of them are 0); mixed with Polynomials, an int comes back as a
-    constant Polynomial."""
+    has more than GCD_TERM_THRESHOLD terms and their gcd is not a constant
+    (sympy runs only where _coprime cannot show that), their int content
+    otherwise. Returns the inputs when the content is 1 (or all of them are
+    0); mixed with Polynomials, an int comes back as a constant
+    Polynomial."""
     try:
         g = math.gcd(*ps)
     except TypeError:  # a Polynomial among them

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .analysis import (
     FloatPmcEvaluator,
     Region,
+    _check_rewards,
     _ill_defined,
     check_mc,
     region_bounds,
@@ -430,6 +431,10 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
     the region degenerates toward a point around the best one."""
     cfg = cfg or SearchConfig()
     codec = _SimplexCodec(d, cfg.min_prob)
+    # every swarm point lies in this box: a reward below 0 on all of it
+    # leaves no well-defined point to search, as prove reports
+    eps = _as_fraction(cfg.min_prob)
+    _check_rewards(d, Region({name: (eps, 1 - eps) for name in d.params.names}), spec)
     witnesses = []
     best = None
     runs = []

@@ -21,7 +21,7 @@ else:
 
 import genmodels as g
 from childenv import child_env
-from fscsynth import analysis, cli, formats, transforms
+from fscsynth import analysis, cli, formats, polynomials, transforms
 from fscsynth.analysis import state_eliminate
 from fscsynth.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_UNSAT, _fmt_value, main
 from fscsynth.fsc import (
@@ -597,6 +597,18 @@ class TestNegativeRewards:
         assert "inconclusive" not in captured.out
         assert "reward of state 0 is negative everywhere in the region" in captured.err
 
+    def test_permissive_rejects_a_reward_negative_on_the_whole_box(self, workdir, capsys):
+        # as prove does: the swarm's points all lie in the min-prob box, so
+        # none is well-defined, and no swarm point is named
+        inp = _write(workdir / "neg.pmc", self.PMC.replace("p - 1/2", "p - 2"))
+        rc = main(["permissive", str(inp), "--spec", "Emin<= 5 [F goal]",
+                   "-o", "neg.region", "--seed", "1"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "evaluates to" not in err
+        assert "reward of state 0 is negative everywhere in the region" in err
+        assert not Path("neg.region").exists()
+
     def test_prove_splits_past_a_sub_box_with_a_negative_reward(self, workdir, capsys):
         # p - 1/2 < 0 on the split box p <= 1/4, but the user's region holds
         # well-defined points (p >= 1/2), and those up to 5/8 satisfy the spec
@@ -780,11 +792,46 @@ class TestValueText:
 
 
 class TestLazySympy:
+    """sympy (about 32 MB resident) is imported only by a closed form's gcd,
+    and only when the modular certificate cannot show that gcd to be
+    constant: RationalFunction runs no gcd and polynomials.cancel over ints
+    never calls sympy. Each test runs in a fresh interpreter."""
+
+    @staticmethod
+    def _closed_form(workdir, pmc):
+        script = "\n".join([
+            "import sys",
+            "from fscsynth.cli import main",
+            "assert main(['closed-form', %r, '-o', 'out.fn']) == 0" % str(pmc),
+            "print('sympy' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", script], cwd=workdir,
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    def test_a_reduced_closed_form_never_imports_sympy(self, workdir):
+        # its final cancel is certified coprime modulo a prime
+        lines = self._closed_form(workdir, _pmc_file(workdir))
+        assert lines[0] == "reach-avoid probability = (5 + 3*p)/10"
+        assert lines[-1] == "False"
+
+    def test_a_common_factor_imports_sympy_and_is_cancelled(self, workdir):
+        d = transforms.induced_pmc(g.random_pomdp(random.Random(58), max_states=6), 1)
+        pmc = _write(workdir / "gen.pmc", formats.write_pmc(d))
+        lines = self._closed_form(workdir, pmc)
+        f = analysis.state_eliminate(d)
+        assert lines[0] == "reach-avoid probability = %s" % f
+        assert lines[-1] == "True"
+        # the printed form is reduced: sympy's gcd of its sides is ground
+        names = tuple(sorted(f.variables()))
+        R = polynomials._ring(names)
+        num, den = (R.from_dict({tuple(dict(mono).get(n, 0) for n in names): int(c)
+                                 for mono, c in p.terms.items()}) for p in (f.num, f.den))
+        assert num.gcd(den).is_ground
+
     def test_search_and_check_never_import_sympy(self, workdir):
-        # sympy (about 32 MB resident) is imported only by closed-form,
-        # whose final cancel always runs; RationalFunction runs no gcd and
-        # polynomials.cancel over ints never calls sympy, so commands
-        # without a closed form must not pay for it
+        # commands without a closed form must not pay for sympy
         pomdp = _pomdp_file(workdir)
         pmc = _pmc_file(workdir)
         point = _write(workdir / "point.inst",

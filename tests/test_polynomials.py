@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import genmodels as g
 from fscsynth import formats, polynomials
@@ -334,6 +334,91 @@ class TestEliminationRing:
 # differential test against the tuple-monomial / Fraction storage that the
 # packed one replaced (sparse dicts; zero terms dropped as they appear, which
 # fixes the term order)
+
+
+CERT_NAMES = ("w", "x", "y", "z")
+
+
+@st.composite
+def int_polys(draw, count, min_size=0):
+    """count integer polynomials over the first 1-4 of CERT_NAMES, with
+    exponents up to 3 and coefficients in [-5, 5]."""
+    names = CERT_NAMES[:draw(st.integers(1, 4))]
+    exps = st.tuples(*(st.integers(0, 3) for _ in names))
+    terms = st.dictionaries(exps, st.integers(-5, 5), min_size=min_size, max_size=6)
+    return [Polynomial({tuple((n, e) for n, e in zip(names, k) if e): c
+                        for k, c in draw(terms).items()}) for _ in range(count)]
+
+
+def _sympy_gcd_is_ground(ps):
+    names = tuple(sorted(polynomials.variables_of(ps)))
+    if not names:
+        return True
+    R = polynomials._ring(names)
+    g = R.zero
+    for p in ps:
+        g = g.gcd(R.from_dict({tuple(dict(mono).get(n, 0) for n in names): int(c)
+                               for mono, c in p.terms.items()}))
+    return g.is_ground
+
+
+class TestCoprimeCertificate:
+    """_coprime shows by images modulo a prime that a gcd is constant; what
+    it cannot show goes to sympy, so _sympy_cancel's output is the same."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(int_polys(2, min_size=2))
+    def test_coprime_only_when_sympy_finds_a_ground_gcd(self, ps):
+        if polynomials._coprime(ps):
+            assert _sympy_gcd_is_ground(ps)
+            assert all(q is p for q, p in zip(_sympy_cancel(*ps), ps))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(int_polys(4, min_size=1))
+    def test_a_planted_common_factor_is_never_called_coprime(self, ps):
+        a, b, c, h = ps
+        assume(a and b and c and not h.is_constant())
+        for qs in ((a * h, b * h), (a * h, b * h, c * h), (h, a * h)):
+            assert not polynomials._coprime(qs)
+
+    def test_zero_and_constant_operands(self):
+        x, y = V("x"), V("y")
+        f = x * y + C(3)
+        assert not polynomials._coprime((Polynomial(), f))
+        assert not polynomials._coprime((f,))
+        assert polynomials._coprime((C(6), f))
+        assert polynomials._coprime((f, C(-1), x + C(1)))
+        # a zero operand still goes to sympy: gcd(0, f) = f
+        assert _sympy_cancel(Polynomial(), f) == (Polynomial(), C(1))
+
+    def test_univariate_pairs(self):
+        x = V("x")
+        assert polynomials._coprime((x * x + C(1), x - C(1)))
+        assert polynomials._coprime((x * x * x - C(2), C(3) * x + C(5)))
+        assert not polynomials._coprime((x * x - C(1), x - C(1)))
+        assert not polynomials._coprime((x * x, x * x * x + x))
+        # parameters of disjoint operands cannot meet in a gcd
+        assert polynomials._coprime((x * x - C(1), V("y") - C(1)))
+
+    def test_points_depend_on_the_name_alone(self):
+        assert (polynomials._point("x"), polynomials._point("p_0_0_a0")) == (
+            215750348, 790786971)
+
+    def test_a_leading_coefficient_vanishing_at_the_point_goes_to_sympy(self, monkeypatch):
+        # f's x-degree drops at y = _point("y"), so its image proves nothing
+        x, y = V("x"), V("y")
+        f = (y - C(polynomials._point("y"))) * x * x + x + C(1)
+        g = x + C(2)
+        assert not polynomials._coprime((f, g))
+        rings = []
+        ring = polynomials._ring
+        monkeypatch.setattr(polynomials, "_ring", lambda names: rings.append(names) or ring(names))
+        qs = _sympy_cancel(f, g)
+        assert rings == [("x", "y")]
+        assert qs[0] is f and qs[1] is g
+        # anywhere else the same shape is certified
+        f = (y - C(polynomials._point("y") + 1)) * x * x + x + C(1)
+        assert polynomials._coprime((f, g))
 
 
 def _ref_add(p, q):
