@@ -907,16 +907,22 @@ def _relaxation(d: PmcT) -> _Relaxation:
     return rel
 
 
-def _check_rewards(d: PmcT, region: Region, spec: Specification) -> None:
+def _min_prob_region(d: PmcT, eps: Fraction) -> Region:
+    """The box [eps, 1 - eps] on every parameter, where prove looks by
+    default and every swarm point lies; a point at eps = 1/2."""
+    return Region({name: (eps, 1 - eps) for name in d.params.names})
+
+
+def _check_rewards(d: PmcT, eps: Fraction, spec: Specification) -> None:
     """Raise ModelError, as region_bounds does, when a reward that the
-    spec's value reads is below 0 on the whole region, so that no point of
-    it is well-defined. Reach specs, and rewards whose value the graph
-    decides, are not read."""
+    spec's value reads is below 0 on the whole _min_prob_region, so that no
+    point of it is well-defined. Reach specs, and rewards whose value the
+    graph decides, are not read."""
     if spec.kind == EXPECTED_REWARD:
         rel = _relaxation(d)
         q, _known = rel.query(spec)
         if q.value is None:
-            _reward_intervals(rel, q, rel.box(region))
+            _reward_intervals(rel, q, rel.box(_min_prob_region(d, eps)))
 
 
 def region_bounds(d: PmcT, region: Region, spec: Specification,

@@ -460,12 +460,6 @@ def cmd_closed_form(args) -> int:
 # prove
 
 
-def _default_region(d: PmcT, eps: Fraction):
-    """The box [eps, 1 - eps] on every parameter; a point at eps = 1/2."""
-    box = {name: (eps, 1 - eps) for name in d.params.names}
-    return analysis.Region(box)
-
-
 def cmd_prove(args) -> int:
     started = time.perf_counter()
     inp = Path(args.model)
@@ -479,7 +473,7 @@ def cmd_prove(args) -> int:
         _check_names(region.intervals, d,
                      "%s does not bound the parameters of %s" % (reg_path, inp))
     else:
-        region = _default_region(d, _min_prob(args))
+        region = analysis._min_prob_region(d, _min_prob(args))
     res = analysis.prove_absence(d, spec, region, max_depth=args.max_depth)
     if res.no_fsc:
         print("no controller in the region satisfies %s" % spec)

@@ -615,22 +615,23 @@ def _at_point(m: int, w: int) -> int:
     return v
 
 
-def _images(p: Polynomial, names) -> list:
-    """For each of the parameter names, p with its terms valued at the
-    _points and summed by their exponent of that parameter: {e: S_e}, a
-    zero sum kept. Modulo _PRIME, sum S_e y**e is p's univariate image with
-    every other parameter at its point, in y = x / _point(x): a change of
+def _images(p: Polynomial, names):
+    """For each of the parameter names, one at a time so that _coprime can
+    stop at the first that fails: p with its terms valued at the _points
+    and summed by their exponent of that parameter, as a dense list mod
+    _PRIME (constant term first). That is p's univariate image with every
+    other parameter at its point, in y = x / _point(x): a change of
     variable that keeps degrees and gcd degrees."""
     w = p._w
     mask = (1 << w) - 1
-    shifts = [w * _FIELD[name] for name in names]
-    images = [{} for _ in names]
-    for m, c in p._mons.items():
-        v = c * _at_point(m, w)
-        for sh, image in zip(shifts, images):
+    values = [(m, c * _at_point(m, w)) for m, c in p._mons.items()]
+    for name in names:
+        sh = w * _FIELD[name]
+        image = {}
+        for m, v in values:
             e = (m >> sh) & mask
             image[e] = image.get(e, 0) + v
-    return images
+        yield [image.get(e, 0) % _PRIME for e in range(max(image) + 1)]
 
 
 def _gcd_degree(a: list, b: list) -> int:
@@ -672,8 +673,6 @@ def _coprime(ps) -> bool:
     f, g = sorted(ps, key=lambda p: len(p._mons))[:2]
     shared = sorted(variables_of((f,)) & variables_of((g,)))
     for a, b in zip(_images(f, shared), _images(g, shared)):
-        a, b = ([image.get(e, 0) % _PRIME for e in range(max(image) + 1)]
-                for image in (a, b))
         if not a[-1] or not b[-1] or _gcd_degree(a, b):
             return False
     return True

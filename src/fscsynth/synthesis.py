@@ -431,10 +431,9 @@ def find_permissive(d: PmcT, spec: Specification, cfg: SearchConfig | None = Non
     the region degenerates toward a point around the best one."""
     cfg = cfg or SearchConfig()
     codec = _SimplexCodec(d, cfg.min_prob)
-    # every swarm point lies in this box: a reward below 0 on all of it
-    # leaves no well-defined point to search, as prove reports
-    eps = _as_fraction(cfg.min_prob)
-    _check_rewards(d, Region({name: (eps, 1 - eps) for name in d.params.names}), spec)
+    # every swarm point lies in the min-prob box: a reward below 0 on all
+    # of it leaves no well-defined point to search, as prove reports
+    _check_rewards(d, _as_fraction(cfg.min_prob), spec)
     witnesses = []
     best = None
     runs = []

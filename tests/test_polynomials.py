@@ -330,12 +330,6 @@ class TestEliminationRing:
         assert divide_content(8, row) == C(4) and row == {0: C(3) * x}
 
 
-# ---------------------------------------------------------------------------
-# differential test against the tuple-monomial / Fraction storage that the
-# packed one replaced (sparse dicts; zero terms dropped as they appear, which
-# fixes the term order)
-
-
 CERT_NAMES = ("w", "x", "y", "z")
 
 
@@ -419,6 +413,12 @@ class TestCoprimeCertificate:
         # anywhere else the same shape is certified
         f = (y - C(polynomials._point("y") + 1)) * x * x + x + C(1)
         assert polynomials._coprime((f, g))
+
+
+# ---------------------------------------------------------------------------
+# differential test against the tuple-monomial / Fraction storage that the
+# packed one replaced (sparse dicts; zero terms dropped as they appear, which
+# fixes the term order)
 
 
 def _ref_add(p, q):
